@@ -52,6 +52,7 @@ from .pipeline import (
     prepare_bundle,
     quantize_blockwise,
     run_pipeline,
+    site_layers,
 )
 from .quantizers import (
     QuantParams,
@@ -68,16 +69,11 @@ from .quantizers import (
 from .stats import ChannelStats, channel_stats
 from .transforms import (
     CayleyParam,
-    ComposedRotation,
-    MatrixRotation,
-    RandomHadamard,
     Rotation,
-    SylvesterHadamard,
     cayley,
     compose_rres,
     fwht,
     hadamard_matrix,
-    jacobi_eigh,
     pca_basis,
     random_hadamard,
 )

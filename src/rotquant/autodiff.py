@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The graph is built dynamically: every operation returns a new `Var` holding
-the forward value plus one vector-Jacobian closure per parent.  Only nodes
-that can reach a parameter (``requires_grad=True`` leaf) carry backward
-closures, so constant subgraphs cost nothing extra during ``backward``.
+The graph is built dynamically: every operation on a `Var` returns a new
+`Var` holding the forward value plus one vector-Jacobian closure per parent.
+The closures are built for every such op; ``backward`` then visits only the
+nodes that can reach a parameter (``requires_grad=True`` leaf) and calls
+only their closures, so constant subgraphs cost their closure allocations
+but no backward work.
 
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward the surrogate used

@@ -118,33 +118,38 @@ def _read_container(path, expect_kind=None):
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise BundleFormatError(f"{path}: header parse failed at offset {header_start}: {err}") from err
 
+    if not isinstance(header, dict):
+        raise BundleFormatError(f"{path}: header at offset {header_start} is not a JSON object")
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise BundleFormatError(f"{path}: expected kind {expect_kind!r}, got {header.get('kind')!r}")
 
     tensors = {}
     prev_end = header_start + header_len
-    for entry in header.get("tensors", []):
-        off, nbytes = entry["offset"], entry["nbytes"]
-        if off < prev_end:
-            raise BundleFormatError(
-                f"{path}: tensor {entry['name']!r} offset {off} overlaps previous data ending {prev_end}"
-            )
-        if off + nbytes > len(raw):
-            raise BundleFormatError(
-                f"{path}: tensor {entry['name']!r} at offset {off} (+{nbytes}) overruns file size {len(raw)}"
-            )
-        shape = tuple(entry["shape"])
-        if int(np.prod(shape, dtype=np.int64)) * 4 != nbytes:
-            raise BundleFormatError(
-                f"{path}: tensor {entry['name']!r} shape {shape} disagrees with {nbytes} bytes"
-            )
-        arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=off)
-        if not np.all(np.isfinite(arr)):
-            raise BundleFormatError(
-                f"{path}: tensor {entry['name']!r} at offset {off} contains non-finite values"
-            )
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        prev_end = off + nbytes
+    try:
+        for entry in header.get("tensors", []):
+            off, nbytes = entry["offset"], entry["nbytes"]
+            if off < prev_end:
+                raise BundleFormatError(
+                    f"{path}: tensor {entry['name']!r} offset {off} overlaps previous data ending {prev_end}"
+                )
+            if nbytes < 0 or off + nbytes > len(raw):
+                raise BundleFormatError(
+                    f"{path}: tensor {entry['name']!r} at offset {off} (+{nbytes}) overruns file size {len(raw)}"
+                )
+            shape = tuple(entry["shape"])
+            if int(np.prod(shape, dtype=np.int64)) * 4 != nbytes:
+                raise BundleFormatError(
+                    f"{path}: tensor {entry['name']!r} shape {shape} disagrees with {nbytes} bytes"
+                )
+            arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=off)
+            if not np.all(np.isfinite(arr)):
+                raise BundleFormatError(
+                    f"{path}: tensor {entry['name']!r} at offset {off} contains non-finite values"
+                )
+            tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+            prev_end = off + nbytes
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise BundleFormatError(f"{path}: malformed tensor table: {err!r}") from err
     return header, tensors
 
 
@@ -174,14 +179,21 @@ def write_bundle(path, bundle: ModelBundle):
 
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model")
-    c = header["config"]
-    config = ModelConfig(
-        hidden=int(c["hidden"]),
-        heads=int(c["heads"]),
-        mlp_dim=int(c["mlp_dim"]),
-        n_blocks=int(c["n_blocks"]),
-        eps=float(c["eps"]),
-    )
+    try:
+        c = header["config"]
+        config = ModelConfig(
+            hidden=int(c["hidden"]),
+            heads=int(c["heads"]),
+            mlp_dim=int(c["mlp_dim"]),
+            n_blocks=int(c["n_blocks"]),
+            eps=float(c["eps"]),
+        )
+        meta = dict(header["meta"])
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise BundleFormatError(f"{path}: malformed model header: {err!r}") from err
+    flags = ModelBundle(config, []).meta
+    if not all(isinstance(meta.get(k), bool) for k in flags):
+        raise BundleFormatError(f"{path}: model meta must hold the boolean flags {sorted(flags)}")
     blocks = []
     for i in range(config.n_blocks):
         kwargs = {}
@@ -191,7 +203,7 @@ def read_bundle(path) -> ModelBundle:
         if missing:
             raise BundleFormatError(f"{path}: block {i} missing weights {missing}")
         blocks.append(BlockWeights(**kwargs))
-    return ModelBundle(config, blocks, dict(header.get("meta", {})))
+    return ModelBundle(config, blocks, meta)
 
 
 def write_calibration(path, calib, synth_meta=None):
@@ -219,12 +231,15 @@ def write_params(path, params_list):
 def read_params(path):
     header, tensors = _read_container(path, expect_kind="params")
     out = []
-    for i in range(int(header["n_blocks"])):
-        kwargs = {}
-        for f in [fl.name for fl in fields(BlockParams)]:
-            arr = tensors[f"block{i}.{f}"]
-            kwargs[f] = np.float64(arr) if arr.ndim == 0 else arr
-        out.append(BlockParams(**kwargs))
+    try:
+        for i in range(int(header["n_blocks"])):
+            kwargs = {}
+            for f in [fl.name for fl in fields(BlockParams)]:
+                arr = tensors[f"block{i}.{f}"]
+                kwargs[f] = np.float64(arr) if arr.ndim == 0 else arr
+            out.append(BlockParams(**kwargs))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise BundleFormatError(f"{path}: missing or malformed params entry: {err!r}") from err
     return out
 
 

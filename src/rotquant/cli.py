@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import clipping_energy, gaussian_clip_energy
+from .analysis import clipping_energy, emit_report, gaussian_clip_energy
 from .bundle_io import (
     BundleFormatError,
     ConfigError,
@@ -34,7 +34,6 @@ from .model import (
     SynthSpec,
     build_toy_model,
     forward_fp,
-    forward_quant,
     gen_calibration,
 )
 from .optim import OptimizationError
@@ -46,6 +45,7 @@ from .pipeline import (
     mode_config,
     prepare_bundle,
     run_pipeline,
+    site_layers,
 )
 from .quantizers import QuantizationError, QuantSpec, quant_proxy_loss, rtn_quantize, search_clip, gptq_quantize
 from .stats import channel_stats
@@ -170,27 +170,8 @@ def cmd_analyze(args) -> int:
     # collect every quantizer-site input on the floating-point forward
     cfg = _pipeline_config(rc)
     prepared, rotation = prepare_bundle(bundle, cfg)
-    calib_rot = rotation.apply(calib)
     neutral = [BlockParams.neutral(prepared.config) for _ in prepared.blocks]
-    passthrough = QuantConfig(None, None, None)
-    _, sites = forward_quant(prepared, neutral, passthrough, calib_rot, collect_sites=True)
-
-    from .analysis import emit_report
-    from .model import ACT_SITES
-
-    layers = []
-    for key in sorted(sites):
-        if not key.endswith(".in"):
-            continue
-        block = int(key.split(".")[0][len("block") :])
-        site = key.split(".")[1]
-        weight_names = ACT_SITES.get(site)
-        weight = (
-            np.vstack([getattr(prepared.blocks[block], nm) for nm in weight_names])
-            if weight_names
-            else None
-        )
-        layers.append((block, site, sites[key], weight))
+    layers = site_layers(prepared, neutral, QuantConfig(None, None, None), rotation.apply(calib))
     bits = rc.a_bits if rc.a_bits < 16 else 4
     report = emit_report(layers, bits=bits)
     write_report(out / "analysis", report)

@@ -339,10 +339,6 @@ class QuantConfig:
 
         return cls(act=act(a_bits), kv=kv(kv_bits), weight=wt(w_bits))
 
-    @property
-    def passthrough(self) -> bool:
-        return self.act is None and self.kv is None and self.weight is None
-
 
 # -- norm folding and rotation fusion ------------------------------------------
 
@@ -381,7 +377,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
         raise RuntimeError("fold norms first")
     if rotation.dim != bundle.config.hidden:
         raise ValueError(f"rotation dim {rotation.dim} != hidden {bundle.config.hidden}")
-    m = rotation.materialize()
+    m = rotation.matrix
     out = bundle.copy()
     for bw in out.blocks:
         for name in ("wq", "wk", "wv", "wgate", "wup"):
@@ -506,46 +502,6 @@ def _kv_quantize(t, spec, alpha, rec, name):
     return quantize_dynamic(t, spec, alpha=alpha)
 
 
-def _block_core(weights, gains, config, x, act_hook, kv_hook):
-    """Shared block body; quantization behavior comes from the two hooks.
-
-    `weights` holds both the effective matrices and the effective biases.
-    """
-    b_dim, seq = x.shape[0], x.shape[1]
-    h, d, n = config.heads, config.head_dim, config.hidden
-    g_attn, g_mlp = gains
-
-    u = ad.rmsnorm(x, config.eps)
-    if g_attn is not None and not np.all(value_of(g_attn) == 1.0):
-        u = u * g_attn
-    u = act_hook("qkv", u)
-    q = _linear(u, weights["wq"], weights["bq"])
-    k = _linear(u, weights["wk"], weights["bk"])
-    v = _linear(u, weights["wv"], weights["bv"])
-
-    def headwise_hadamard(t):  # online QK rotation, per head
-        return ad.reshape(fwht(ad.reshape(t, (b_dim, seq, h, d))), (b_dim, seq, n))
-
-    q = headwise_hadamard(q)
-    k = kv_hook("k_cache", headwise_hadamard(k))
-    v = kv_hook("v_cache", v)
-
-    ctx = _attention(q, k, v, h, d)
-    ctx = act_hook("o", ctx)
-    x = x + _linear(ctx, weights["wo"], weights["bo"])
-
-    u2 = ad.rmsnorm(x, config.eps)
-    if g_mlp is not None and not np.all(value_of(g_mlp) == 1.0):
-        u2 = u2 * g_mlp
-    u2 = act_hook("up", u2)
-    gate = _linear(u2, weights["wgate"], weights["bgate"])
-    up = _linear(u2, weights["wup"], weights["bup"])
-    hidden = ad.silu(gate) * up
-
-    hidden = act_hook("down", fwht(hidden))  # online down rotation
-    return x + _linear(hidden, weights["wdown"], weights["bdown"])
-
-
 def forward_fp_block(bundle: ModelBundle, index: int, x):
     """Floating-point reference forward of one block (no online rotations)."""
     if bundle.meta["weights_quantized"] or bundle.meta["rv_scale_fused"]:
@@ -580,16 +536,6 @@ def forward_fp(bundle: ModelBundle, x):
     return x
 
 
-def _resolve_weight_mode(bundle, qcfg, weight_mode, weight_override):
-    if weight_override is not None:
-        return "none"
-    if weight_mode != "auto":
-        return weight_mode
-    if bundle.meta["weights_quantized"] or qcfg.weight is None:
-        return "none"
-    return "rtn"
-
-
 def forward_quant_block(
     bundle: ModelBundle,
     index: int,
@@ -597,54 +543,68 @@ def forward_quant_block(
     qcfg: QuantConfig,
     x,
     weight_override=None,
-    weight_mode="auto",
     rec=None,
 ):
     """Quantized forward of one block.
 
     weight_override supplies an already-quantized effective weight/bias dict
-    (lattice values); weight_mode "rtn" round-to-nearest-quantizes the
-    effective weights on the fly (used before the Hessian-aware pass).  On a
-    bundle whose value rotation and scales were already fused, the stored
-    weights are used as-is and bp's s/a_v fields are ignored.
+    (lattice values).  Without it, the effective weights of a bundle whose
+    weights are not yet quantized are round-to-nearest-quantized on the fly
+    (the stages before the Hessian-aware pass).  On a bundle whose value
+    rotation and scales were already fused, the stored weights are used
+    as-is and bp's s/a_v fields are ignored.
     """
     xb, squeeze = _as_batched(x)
     config = bundle.config
     bw = bundle.blocks[index]
+    b_dim, seq = xb.shape[0], xb.shape[1]
+    h, d, n = config.heads, config.head_dim, config.hidden
 
     if weight_override is not None:
-        weights = dict(weight_override)
-    elif bundle.meta["rv_scale_fused"]:
-        weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
+        weights = weight_override
     else:
-        weights = effective_weights(bw, bp, config)
+        if bundle.meta["rv_scale_fused"]:
+            weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
+        else:
+            weights = effective_weights(bw, bp, config)
+        if qcfg.weight is not None and not bundle.meta["weights_quantized"]:
+            rtn = {nm: rtn_quantize(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES}
+            weights = dict(weights, **rtn)
 
-    mode = _resolve_weight_mode(bundle, qcfg, weight_mode, weight_override)
-    if mode == "rtn":
-        weights = dict(weights, **{n: rtn_quantize(weights[n], qcfg.weight) for n in WEIGHT_NAMES})
-    elif mode != "none":
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    u = ad.rmsnorm(xb, config.eps)
+    if bw.g_attn is not None and not np.all(value_of(bw.g_attn) == 1.0):
+        u = u * bw.g_attn
+    u = _site_quantize(u, qcfg.act, bp.bc_qkv, None, bp.alpha_qkv, rec, "qkv")
+    q = _linear(u, weights["wq"], weights["bq"])
+    k = _linear(u, weights["wk"], weights["bk"])
+    v = _linear(u, weights["wv"], weights["bv"])
 
-    site_params = {
-        "qkv": (bp.bc_qkv, None, bp.alpha_qkv),
-        "o": (bp.bc_o, bp.sa_o, bp.alpha_o),
-        "up": (bp.bc_up, None, bp.alpha_up),
-        "down": (bp.bc_down, bp.sa_down, bp.alpha_down),
-    }
-    kv_alpha = {"k_cache": bp.alpha_k, "v_cache": bp.alpha_v}
+    def headwise_hadamard(t):  # online QK rotation, per head
+        return ad.reshape(fwht(ad.reshape(t, (b_dim, seq, h, d))), (b_dim, seq, n))
 
-    def act_hook(name, u):
-        bc, sa, alpha = site_params[name]
-        return _site_quantize(u, qcfg.act, bc, sa, alpha, rec, name)
+    q = headwise_hadamard(q)
+    k = _kv_quantize(headwise_hadamard(k), qcfg.kv, bp.alpha_k, rec, "k_cache")
+    v = _kv_quantize(v, qcfg.kv, bp.alpha_v, rec, "v_cache")
 
-    def kv_hook(name, t):
-        return _kv_quantize(t, qcfg.kv, kv_alpha[name], rec, name)
+    ctx = _attention(q, k, v, h, d)
+    ctx = _site_quantize(ctx, qcfg.act, bp.bc_o, bp.sa_o, bp.alpha_o, rec, "o")
+    xb = xb + _linear(ctx, weights["wo"], weights["bo"])
 
-    y = _block_core(weights, (bw.g_attn, bw.g_mlp), config, xb, act_hook, kv_hook)
-    return ad.reshape(y, (y.shape[1], y.shape[2])) if squeeze else y
+    u2 = ad.rmsnorm(xb, config.eps)
+    if bw.g_mlp is not None and not np.all(value_of(bw.g_mlp) == 1.0):
+        u2 = u2 * bw.g_mlp
+    u2 = _site_quantize(u2, qcfg.act, bp.bc_up, None, bp.alpha_up, rec, "up")
+    gate = _linear(u2, weights["wgate"], weights["bgate"])
+    up = _linear(u2, weights["wup"], weights["bup"])
+    hidden = ad.silu(gate) * up
+
+    hidden = fwht(hidden)  # online down rotation
+    hidden = _site_quantize(hidden, qcfg.act, bp.bc_down, bp.sa_down, bp.alpha_down, rec, "down")
+    y = xb + _linear(hidden, weights["wdown"], weights["bdown"])
+    return ad.reshape(y, (seq, n)) if squeeze else y
 
 
-def forward_quant(bundle, params, qcfg, x, collect_sites=False, weight_mode="auto"):
+def forward_quant(bundle, params, qcfg, x, collect_sites=False):
     """Quantized forward through all blocks.
 
     `params` is one BlockParams per block.  With collect_sites=True also
@@ -655,7 +615,7 @@ def forward_quant(bundle, params, qcfg, x, collect_sites=False, weight_mode="aut
     sites = {} if collect_sites else None
     for i, bp in enumerate(params):
         rec = {} if collect_sites else None
-        x = forward_quant_block(bundle, i, bp, qcfg, x, weight_mode=weight_mode, rec=rec)
+        x = forward_quant_block(bundle, i, bp, qcfg, x, rec=rec)
         if collect_sites:
             sites.update({f"block{i}.{k}": v for k, v in rec.items()})
     return (x, sites) if collect_sites else x

@@ -36,8 +36,8 @@ from .model import (
     mse,
 )
 from .optim import OptimizationError, OptimSchedule, ParamGroup, optimize
-from .quantizers import QuantizationError, gptq_quantize, search_clip
-from .transforms import Rotation, SylvesterHadamard, compose_rres, pca_basis, random_hadamard
+from .quantizers import gptq_quantize, search_clip
+from .transforms import Rotation, compose_rres, hadamard_matrix, pca_basis, random_hadamard
 
 __all__ = [
     "StageSchedule",
@@ -50,6 +50,7 @@ __all__ = [
     "build_rres",
     "prepare_bundle",
     "quantize_blockwise",
+    "site_layers",
     "run_pipeline",
     "ablate",
 ]
@@ -86,7 +87,6 @@ class PipelineConfig:
     train_bias: bool = True
     train_unpaired: bool = True
     train_clip: bool = True
-    learned_rres: bool = False  # ablation stub only
     gptq_damp: float = 0.01
     with_report: bool = True
 
@@ -146,14 +146,9 @@ def compute_rres(bundle: ModelBundle) -> Rotation:
 
 
 def build_rres(bundle: ModelBundle, cfg: PipelineConfig) -> Rotation:
-    if cfg.learned_rres:
-        raise QuantizationError(
-            "learned global residual rotation is unsupported: its gains are "
-            "subsumed by the bias correction"
-        )
     n = bundle.config.hidden
     if cfg.rres_kind == "hadamard":
-        return SylvesterHadamard(n)
+        return Rotation(hadamard_matrix(n))
     if cfg.rres_kind == "random-hadamard":
         return random_hadamard(n, cfg.rres_seed)
     return compute_rres(bundle)
@@ -212,7 +207,7 @@ def _stage1(bundle, index, bp, qcfg, x_in, y_fp, cfg):
         return []
 
     def loss_fn():
-        y = forward_quant_block(bundle, index, bp, qcfg, x_in, weight_mode="auto")
+        y = forward_quant_block(bundle, index, bp, qcfg, x_in)
         return mse(y, y_fp)
 
     sched = OptimSchedule(steps=cfg.schedule.stage1_epochs * cfg.schedule.steps_per_epoch)
@@ -287,13 +282,11 @@ def _stage2(bundle, index, bp, qcfg, x_in, y_fp, weights_q, cfg):
 
 def _block_eval(bundle, index, bp, qcfg, x_in, weights_q, collect=False):
     rec = {} if collect else None
-    y = forward_quant_block(
-        bundle, index, bp, qcfg, x_in, weight_override=weights_q, weight_mode="auto", rec=rec
-    )
+    y = forward_quant_block(bundle, index, bp, qcfg, x_in, weight_override=weights_q, rec=rec)
     return ad.value_of(y), rec
 
 
-def _block_mse(bundle, index, bp, qcfg, x_in, y_fp, weights_q):
+def _block_mse(bundle, index, bp, qcfg, x_in, y_fp, weights_q=None):
     y, _ = _block_eval(bundle, index, bp, qcfg, x_in, weights_q)
     return float(np.mean((y - y_fp) ** 2))
 
@@ -333,7 +326,7 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         bp = BlockParams.neutral(config)
         y_fp = fp_out[i]
 
-        baseline = _baseline_mse(bundle, i, bp, qcfg, x_q, y_fp)
+        baseline = _block_mse(bundle, i, bp, qcfg, x_q, y_fp)
         try:
             s1_losses = _stage1(bundle, i, bp, qcfg, x_q, y_fp, cfg)
         except OptimizationError as err:
@@ -381,11 +374,6 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     )
 
 
-def _baseline_mse(bundle, index, bp, qcfg, x_in, y_fp):
-    y = forward_quant_block(bundle, index, bp, qcfg, x_in, weight_mode="auto")
-    return float(np.mean((ad.value_of(y) - y_fp) ** 2))
-
-
 def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
     """Hessian-aware rounding of one block's effective weights.
 
@@ -398,7 +386,7 @@ def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
     if qcfg.weight is None:
         return eff
     rec = {}
-    forward_quant_block(bundle, index, bp, qcfg, x_in, weight_mode="rtn", rec=rec)
+    forward_quant_block(bundle, index, bp, qcfg, x_in, rec=rec)  # round-to-nearest weights
     for site, weight_names in ACT_SITES.items():
         x_site = rec[site + ".lin"]
         for name in weight_names:
@@ -414,24 +402,28 @@ def _finalize_block(bw: BlockWeights, weights_q) -> BlockWeights:
     return out
 
 
-def _pipeline_report(bundle_q, params, qcfg, calib, stats) -> ErrorReport:
-    rec = {}
-    x = calib
-    for i, bp in enumerate(params):
-        r = {}
-        x = ad.value_of(forward_quant_block(bundle_q, i, bp, qcfg, x, rec=r))
-        rec.update({(i, k): v for k, v in r.items()})
+def site_layers(bundle: ModelBundle, params, qcfg: QuantConfig, x):
+    """Quantizer-site inputs of a quantized forward, as analysis-report rows.
+
+    Returns (block, site, activations, weight) tuples: blocks in order, and
+    within a block the sites sorted by name.  `activations` is the site's
+    [tokens x channels] input and `weight` stacks the matrices the site
+    feeds (None for the cache sites).
+    """
     layers = []
-    for (i, key), act in sorted(rec.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        if key.endswith(".in"):
+    for i, bp in enumerate(params):
+        rec = {}
+        x = ad.value_of(forward_quant_block(bundle, i, bp, qcfg, x, rec=rec))
+        for key in sorted(k for k in rec if k.endswith(".in")):
             site = key[: -len(".in")]
-            weight_names = ACT_SITES.get(site)
-            weight = (
-                np.vstack([getattr(bundle_q.blocks[i], nm) for nm in weight_names])
-                if weight_names
-                else None
-            )
-            layers.append((i, site, act, weight))
+            names = ACT_SITES.get(site)
+            weight = np.vstack([getattr(bundle.blocks[i], nm) for nm in names]) if names else None
+            layers.append((i, site, rec[key], weight))
+    return layers
+
+
+def _pipeline_report(bundle_q, params, qcfg, calib, stats) -> ErrorReport:
+    layers = site_layers(bundle_q, params, qcfg, calib)
     report = emit_report(layers, bits=qcfg.act.bits if qcfg.act else 4)
     report.blocks = [BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in stats]
     return report

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Var
 
 __all__ = [
@@ -25,12 +24,7 @@ __all__ = [
     "fwht",
     "hadamard_matrix",
     "Rotation",
-    "SylvesterHadamard",
-    "RandomHadamard",
-    "ComposedRotation",
-    "MatrixRotation",
     "random_hadamard",
-    "jacobi_eigh",
     "pca_basis",
     "compose_rres",
     "CayleyParam",
@@ -87,102 +81,31 @@ def hadamard_matrix(n: int):
     return _fwht_array(np.eye(n))
 
 
-# -- rotation objects -------------------------------------------------------
+# -- rotations ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class Rotation:
-    """An orthogonal map acting on the last axis of row-major data."""
+    """An orthogonal map acting on the last axis of row-major data: x @ matrix."""
 
-    dim: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"rotation matrix must be square, got shape {m.shape}")
+        _assert_orthogonal(m)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def apply(self, x):
-        return x @ self.materialize()
-
-    def apply_inverse(self, x):
-        return x @ self.materialize().T
-
-    def materialize(self):
-        raise NotImplementedError
+        return x @ self.matrix
 
     def inverse(self) -> "Rotation":
-        return MatrixRotation(self.materialize().T)
-
-
-class SylvesterHadamard(Rotation):
-    """Fixed Hadamard rotation applied via the fast transform (self-inverse)."""
-
-    def __init__(self, dim: int):
-        _check_pow2(dim)
-        self.dim = dim
-
-    def apply(self, x):
-        return fwht(x)
-
-    def apply_inverse(self, x):
-        return fwht(x)
-
-    def materialize(self):
-        return hadamard_matrix(self.dim)
-
-    def inverse(self):
-        return self
-
-
-class RandomHadamard(Rotation):
-    """H composed with a random +-1 diagonal: x -> fwht(x) * signs."""
-
-    def __init__(self, dim: int, signs):
-        _check_pow2(dim)
-        signs = np.asarray(signs, dtype=np.float64)
-        if signs.shape != (dim,) or not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be a +-1 vector of length dim")
-        self.dim = dim
-        self.signs = signs
-
-    def apply(self, x):
-        return fwht(x) * self.signs
-
-    def apply_inverse(self, x):
-        return fwht(x * self.signs)
-
-    def materialize(self):
-        return hadamard_matrix(self.dim) * self.signs[None, :]
-
-    def inverse(self):
-        return MatrixRotation(self.materialize().T)
-
-
-class ComposedRotation(Rotation):
-    """PCA basis followed by the Hadamard transform: x -> fwht(x @ U)."""
-
-    def __init__(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        _check_pow2(u.shape[0])
-        _assert_orthogonal(u)
-        self.dim = u.shape[0]
-        self.u = u
-
-    def apply(self, x):
-        return fwht(x @ self.u)
-
-    def apply_inverse(self, x):
-        return fwht(x) @ self.u.T
-
-    def materialize(self):
-        return self.u @ hadamard_matrix(self.dim)
-
-
-class MatrixRotation(Rotation):
-    """Explicit orthogonal matrix."""
-
-    def __init__(self, m):
-        m = np.asarray(m, dtype=np.float64)
-        _assert_orthogonal(m)
-        self.dim = m.shape[0]
-        self.m = m
-
-    def materialize(self):
-        return self.m
+        return Rotation(self.matrix.T)
 
 
 def _assert_orthogonal(m, tol=1e-6):
@@ -192,73 +115,12 @@ def _assert_orthogonal(m, tol=1e-6):
         raise ValueError(f"matrix is not orthogonal (max |U^T U - I| = {err:.3e})")
 
 
-def random_hadamard(n: int, seed: int) -> RandomHadamard:
-    """Seeded random-sign Hadamard rotation (deterministic per seed)."""
+def random_hadamard(n: int, seed: int) -> Rotation:
+    """Seeded random-sign Hadamard rotation H @ diag(signs), deterministic per seed."""
     _check_pow2(n)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return RandomHadamard(n, signs)
-
-
-# -- symmetric eigendecomposition -------------------------------------------
-
-
-def jacobi_eigh(c, tol=1e-12, max_sweeps=100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps all (p, q) pairs, each time zeroing c[p, q] with a Givens
-    rotation, until the off-diagonal Frobenius mass drops below
-    tol * ||C||_F.  Returns (eigenvalues desc, eigenvectors as columns).
-    """
-    a = np.array(c, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("jacobi_eigh expects a symmetric square matrix")
-    v = np.eye(n)
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # entries this small cannot affect the 1e-12 convergence
-                # threshold and would overflow the theta ratio
-                if abs(apq) <= 1e-36 * fro:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                cth = 1.0 / np.sqrt(t * t + 1.0)
-                sth = t * cth
-                # A <- G^T A G, V <- V G with G the (p, q) Givens rotation
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = cth * ap - sth * aq
-                a[:, q] = sth * ap + cth * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = cth * ap - sth * aq
-                a[q, :] = sth * ap + cth * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cth * vp - sth * vq
-                v[:, q] = sth * vp + cth * vq
-
-    vals = np.diag(a).copy()
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    v = v[:, order]
-    # deterministic sign: largest-magnitude component of each column positive
-    for j in range(n):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return vals, v
+    return Rotation(hadamard_matrix(n) * signs[None, :])
 
 
 def pca_basis(weights):
@@ -266,7 +128,8 @@ def pca_basis(weights):
 
     Every W_k is [out x n] with the same input width n; rows are read as
     uncentered samples over input channels.  Columns of the returned U are
-    orthonormal eigenvectors ordered by descending eigenvalue.
+    orthonormal eigenvectors ordered by descending eigenvalue, each signed
+    so that its largest-magnitude component is positive.
     """
     if not weights:
         raise ValueError("at least one weight matrix required")
@@ -278,11 +141,13 @@ def pca_basis(weights):
     cov = np.zeros((n, n))
     for w in mats:
         cov += w.T @ w
-    _, u = jacobi_eigh(cov)
-    return u
+    _, u = np.linalg.eigh(cov)
+    u = u[:, ::-1]  # eigh sorts ascending
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    return u * np.where(peak < 0, -1.0, 1.0)
 
 
-def compose_rres(u) -> ComposedRotation:
+def compose_rres(u) -> Rotation:
     """Residual-stream rotation: principal basis then Hadamard.
 
     Activation-side application order is fixed as U^T then H; in the
@@ -292,7 +157,7 @@ def compose_rres(u) -> ComposedRotation:
     u = np.asarray(u, dtype=np.float64)
     _check_pow2(u.shape[0])
     _assert_orthogonal(u)  # rejects ||U^T U - I||_inf > 1e-6
-    return ComposedRotation(u)
+    return Rotation(u @ hadamard_matrix(u.shape[0]))
 
 
 # -- Cayley parameterization -------------------------------------------------

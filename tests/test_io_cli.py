@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotquant.analysis import BlockMse, ErrorReport, SiteRecord
 from rotquant.bundle_io import (
@@ -96,6 +98,109 @@ def test_bundle_rejects_nonfinite_values(tmp_path):
     write_bundle(path, bundle)
     with pytest.raises(BundleFormatError, match="non-finite"):
         read_bundle(path)
+
+
+def _mutated(raw, mutate):
+    """Container bytes with the JSON header replaced by mutate(header); the
+    tensor layout is kept when the new header is no longer than the old."""
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    enc = json.dumps(mutate(json.loads(raw[16 : 16 + n])), separators=(",", ":")).encode("utf-8")
+    enc += b" " * (n - len(enc))
+    return raw[:8] + struct.pack("<Q", len(enc)) + enc + raw[16 + n :]
+
+
+def _rewrite_header(path, mutate):
+    path.write_bytes(_mutated(path.read_bytes(), mutate))
+
+
+def _drop(key, index=None):
+    def mutate(header):
+        del (header if index is None else header["tensors"][index])[key]
+        return header
+
+    return mutate
+
+
+def _drop_tensor(name):
+    def mutate(header):
+        header["tensors"] = [t for t in header["tensors"] if t["name"] != name]
+        return header
+
+    return mutate
+
+
+def _write_model(path):
+    write_bundle(path, build_toy_model(CFG, seed=0))
+
+
+def _write_params(path):
+    write_params(path, [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)])
+
+
+@pytest.mark.parametrize(
+    "write, read, mutate, match",
+    [
+        (_write_model, read_bundle, _drop("offset", index=0), "offset"),
+        (_write_model, read_bundle, _drop("config"), "config"),
+        (_write_model, read_bundle, lambda h: dict(h, meta={}), "meta"),
+        (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
+        (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
+    ],
+    ids=["no-offset", "no-config", "no-meta-flags", "tensors-not-list", "params-missing-tensor"],
+)
+def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
+    path = tmp_path / "m.rqb"
+    write(path)
+    _rewrite_header(path, mutate)
+    with pytest.raises(BundleFormatError, match=match):
+        read(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_header_mutations_fail_only_with_format_error(tmp_path, data):
+    write, read = data.draw(
+        st.sampled_from([(_write_model, read_bundle), (_write_params, read_params)])
+    )
+    template = tmp_path / f"{write.__name__}.rqb"
+    if not template.exists():
+        write(template)
+
+    def mutate(header):
+        where = data.draw(st.sampled_from(list(_paths(header))))
+        if not where:
+            return data.draw(_JSON)
+        parent = header
+        for key in where[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(_JSON)
+        return header
+
+    path = tmp_path / "mutated.rqb"
+    path.write_bytes(_mutated(template.read_bytes(), mutate))
+    try:
+        read(path)
+    except BundleFormatError:
+        pass
+    finally:
+        path.unlink()  # rewriting a file in place is slow on some filesystems
 
 
 def test_calibration_roundtrip(tmp_path):
@@ -399,6 +504,17 @@ def test_cli_missing_file_is_runtime_error(tmp_path):
 def test_cli_corrupt_model_file(tmp_path, capsys):
     bad = tmp_path / "bad.rqb"
     bad.write_bytes(b"garbage!" * 16)
+    rc = main(
+        ["quantize", "--model", str(bad), "--calib", str(bad), "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert "offset" in capsys.readouterr().err
+
+
+def test_cli_malformed_header_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "m.rqb"
+    _write_model(bad)
+    _rewrite_header(bad, _drop("offset", index=0))
     rc = main(
         ["quantize", "--model", str(bad), "--calib", str(bad), "--out", str(tmp_path / "o")]
     )

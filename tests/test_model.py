@@ -18,7 +18,7 @@ from rotquant.model import (
     gen_calibration,
     gen_synthetic,
 )
-from rotquant.transforms import MatrixRotation, fwht, random_hadamard
+from rotquant.transforms import Rotation, fwht, random_hadamard
 
 CFG = ModelConfig(hidden=64, heads=4, mlp_dim=256, n_blocks=2)
 PASSTHROUGH = QuantConfig(None, None, None)
@@ -126,7 +126,7 @@ def test_fuse_requires_folded_norms():
 
 def test_fuse_identity_rotation_is_noop():
     folded = fold_norms(build_toy_model(CFG, seed=2))
-    fused = fuse_rres(folded, MatrixRotation(np.eye(64)))
+    fused = fuse_rres(folded, Rotation(np.eye(64)))
     for a, b in zip(folded.blocks, fused.blocks):
         assert np.array_equal(a.wq, b.wq)
         assert np.array_equal(a.wo, b.wo)
@@ -142,7 +142,7 @@ def test_fused_forward_matches_explicit_rotation():
             rot = random_hadamard(64, seed + 100)
         else:
             q = np.linalg.qr(np.random.default_rng(seed + 200).normal(size=(64, 64)))[0]
-            rot = MatrixRotation(q)
+            rot = Rotation(q)
         fused = fuse_rres(folded, rot)
         x = np.random.default_rng(seed).normal(size=(64, 64))  # 64 random tokens
         y_oracle = np.asarray(rot.apply(forward_fp(folded, x)))

@@ -8,6 +8,7 @@ import pytest
 
 from rotquant import autodiff as ad
 from rotquant.model import (
+    BlockParams,
     ModelConfig,
     QuantConfig,
     SynthSpec,
@@ -26,8 +27,8 @@ from rotquant.pipeline import (
     prepare_bundle,
     quantize_blockwise,
     run_pipeline,
+    site_layers,
 )
-from rotquant.quantizers import QuantizationError
 from rotquant.transforms import hadamard_matrix
 
 SMALL = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
@@ -70,7 +71,7 @@ def test_compute_rres_diagonal_covariance():
         bw.g_mlp = np.ones(n)
     folded = fold_norms(bundle)
     rot = compute_rres(folded)
-    m = rot.materialize()
+    m = rot.matrix
     assert np.max(np.abs(m @ m.T - np.eye(n))) < 1e-8
     assert np.allclose(np.abs(m), 1.0 / np.sqrt(n), atol=1e-8)
 
@@ -80,7 +81,7 @@ def test_compute_rres_orthogonal_on_toy_bundle():
 
     bundle, _ = _setup(1)
     rot = compute_rres(fold_norms(bundle))
-    m = rot.materialize()
+    m = rot.matrix
     assert np.max(np.abs(m @ m.T - np.eye(SMALL.hidden))) < 1e-8
 
 
@@ -95,7 +96,7 @@ def test_rres_concentrates_weight_energy():
     for bw in folded.blocks:
         readers.extend([bw.wq, bw.wk, bw.wv, bw.wgate, bw.wup])
     rot = compute_rres(folded)
-    u = rot.u
+    u = rot.matrix @ hadamard_matrix(SMALL.hidden)  # M = U @ H with H involutory
 
     def top_share(mats):
         energy = sum((m**2).sum(axis=0) for m in mats)
@@ -106,6 +107,20 @@ def test_rres_concentrates_weight_energy():
     before = top_share(readers)
     after = top_share([w @ u for w in readers])
     assert after > before
+
+
+def test_site_layers_numeric_block_order():
+    # 11 blocks: a string sort of the site keys would put block 10 after block 1
+    config = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=11)
+    bundle = build_toy_model(config, seed=0)
+    params = [BlockParams.neutral(config) for _ in bundle.blocks]
+    x = np.random.default_rng(0).normal(size=(2, 4, 32))
+    layers = site_layers(bundle, params, QuantConfig(None, None, None), x)
+    sites = ["down", "k_cache", "o", "qkv", "up", "v_cache"]
+    assert [(b, s) for b, s, _, _ in layers] == [(b, s) for b in range(11) for s in sites]
+    for _, site, act, weight in layers:
+        assert act.shape[0] == 8
+        assert (weight is None) == (site in ("k_cache", "v_cache"))
 
 
 # -- blockwise quantization ------------------------------------------------------------
@@ -252,13 +267,6 @@ def test_nan_loss_reports_block_and_stage(monkeypatch):
         run_pipeline(bundle, calib, _cfg())
 
 
-def test_learned_rres_stub_unsupported():
-    bundle, calib = _setup(11)
-    cfg = replace(_cfg(), learned_rres=True)
-    with pytest.raises(QuantizationError, match="unsupported"):
-        run_pipeline(bundle, calib, cfg)
-
-
 def test_rres_kinds_all_run():
     bundle, calib = _setup(12, config=ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1))
     for kind in ("pca-hadamard", "hadamard", "random-hadamard"):
@@ -266,4 +274,4 @@ def test_rres_kinds_all_run():
         result = run_pipeline(bundle, calib, cfg)
         assert np.isfinite(result.final_mse)
         if kind == "hadamard":
-            assert np.allclose(result.rotation.materialize(), hadamard_matrix(32))
+            assert np.allclose(result.rotation.matrix, hadamard_matrix(32))

@@ -6,14 +6,11 @@ import pytest
 from rotquant import autodiff as ad
 from rotquant.transforms import (
     CayleyParam,
-    ComposedRotation,
-    MatrixRotation,
-    SylvesterHadamard,
+    Rotation,
     cayley,
     compose_rres,
     fwht,
     hadamard_matrix,
-    jacobi_eigh,
     pca_basis,
     random_hadamard,
 )
@@ -77,10 +74,10 @@ def test_fwht_differentiable():
 def _all_rotations(n, seed=0):
     u = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
     return [
-        SylvesterHadamard(n),
+        Rotation(hadamard_matrix(n)),
         random_hadamard(n, seed),
-        ComposedRotation(u),
-        MatrixRotation(u),
+        compose_rres(u),
+        Rotation(u),
     ]
 
 
@@ -90,7 +87,7 @@ def test_rotations_preserve_norm_and_are_orthogonal():
         x = rng.normal(size=(7, 16))
         y = rot.apply(x)
         assert np.allclose(np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), rtol=1e-8)
-        m = rot.materialize()
+        m = rot.matrix
         assert np.max(np.abs(m @ m.T - np.eye(16))) < 1e-8
         # inverse undoes apply
         back = rot.inverse().apply(y)
@@ -101,14 +98,14 @@ def test_random_hadamard_deterministic_per_seed():
     r1 = random_hadamard(64, 7)
     r2 = random_hadamard(64, 7)
     r3 = random_hadamard(64, 8)
-    assert np.array_equal(r1.signs, r2.signs)
-    assert not np.array_equal(r1.signs, r3.signs)
+    assert np.array_equal(r1.matrix, r2.matrix)
+    assert not np.array_equal(r1.matrix, r3.matrix)
 
 
 def test_random_hadamard_inverse_roundtrip():
     rot = random_hadamard(32, 5)
     x = np.random.default_rng(0).normal(size=(4, 32))
-    assert np.max(np.abs(rot.apply_inverse(rot.apply(x)) - x)) < 1e-10
+    assert np.max(np.abs(rot.inverse().apply(rot.apply(x)) - x)) < 1e-10
 
 
 def test_random_hadamard_disperses_spike():
@@ -180,14 +177,21 @@ def test_pca_dimension_mismatch():
         pca_basis([])
 
 
-def test_jacobi_matches_numpy_eigh():
+def test_pca_basis_spectrum_and_sign_rule():
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(12, 12))
-    c = a @ a.T
-    vals, v = jacobi_eigh(c)
+    ws = [rng.normal(size=(12, 12)) for _ in range(2)]
+    c = sum(w.T @ w for w in ws)
+    u = pca_basis(ws)
+    vals = np.diag(u.T @ c @ u)
     ref = np.sort(np.linalg.eigvalsh(c))[::-1]
-    assert np.allclose(vals, ref, rtol=1e-10, atol=1e-10)
-    assert np.max(np.abs(v @ np.diag(vals) @ v.T - c)) < 1e-8
+    assert np.allclose(vals, ref, rtol=1e-10, atol=1e-10)  # descending, eigvalsh spectrum
+    assert np.max(np.abs(u @ np.diag(vals) @ u.T - c)) < 1e-8
+    # each column's largest-magnitude component is positive
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(12)]
+    assert np.all(peak > 0)
+    # diagonal covariance: the basis is the positive permutation sorting it
+    u = pca_basis([np.diag([1.0, 3.0, 2.0])])
+    assert np.array_equal(u, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 # -- composed residual rotation ------------------------------------------------------
@@ -195,7 +199,7 @@ def test_jacobi_matches_numpy_eigh():
 
 def test_compose_rres_identity_is_hadamard():
     rot = compose_rres(np.eye(16))
-    assert np.max(np.abs(rot.materialize() - hadamard_matrix(16))) < 1e-12
+    assert np.max(np.abs(rot.matrix - hadamard_matrix(16))) < 1e-12
     x = np.random.default_rng(1).normal(size=16)
     assert np.allclose(rot.apply(x), fwht(x))
 
@@ -204,7 +208,7 @@ def test_compose_rres_matches_dense_product():
     u = np.linalg.qr(np.random.default_rng(2).normal(size=(32, 32)))[0]
     rot = compose_rres(u)
     dense = u @ kron_hadamard(32)
-    assert np.max(np.abs(rot.materialize() - dense)) < 1e-10
+    assert np.max(np.abs(rot.matrix - dense)) < 1e-10
     x = np.random.default_rng(3).normal(size=(5, 32))
     assert np.max(np.abs(rot.apply(x) - x @ dense)) < 1e-10
     assert np.allclose(np.linalg.norm(rot.apply(x), axis=1), np.linalg.norm(x, axis=1), rtol=1e-8)
