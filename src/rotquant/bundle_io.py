@@ -177,6 +177,16 @@ def write_bundle(path, bundle: ModelBundle):
     _write_container(path, "model", header, tensors)
 
 
+def _block_shapes(config: ModelConfig) -> dict:
+    """The shape of every block tensor under config (weights are [out x in])."""
+    n, m = config.hidden, config.mlp_dim
+    shapes = {name: (n, n) for name in ("wq", "wk", "wv", "wo")}
+    shapes.update(wgate=(m, n), wup=(m, n), wdown=(n, m))
+    shapes.update({name: (n,) for name in ("bq", "bk", "bv", "bo", "bdown", "g_attn", "g_mlp")})
+    shapes.update(bgate=(m,), bup=(m,))
+    return shapes
+
+
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model")
     try:
@@ -202,6 +212,12 @@ def read_bundle(path) -> ModelBundle:
         missing = [n for n in WEIGHT_NAMES if kwargs[n] is None]
         if missing:
             raise BundleFormatError(f"{path}: block {i} missing weights {missing}")
+        for name, shape in _block_shapes(config).items():
+            arr = kwargs[name]
+            if arr is not None and arr.shape != shape:
+                raise BundleFormatError(
+                    f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}"
+                )
         blocks.append(BlockWeights(**kwargs))
     return ModelBundle(config, blocks, meta)
 

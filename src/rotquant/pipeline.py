@@ -168,14 +168,16 @@ def _clip(lo, hi):
     return project
 
 
-def _seed_alpha(bp: BlockParams, sites, qcfg: QuantConfig):
-    """Seed learnable clip factors from the grid-searched threshold.
+def _clip_seeds(sites, qcfg: QuantConfig):
+    """Clip-factor seeds from the grid-searched threshold, one search per site.
 
     alpha maps the searched absolute threshold onto the observed dynamic
-    range of each site's pooled samples.
+    range of each site's pooled samples.  Returns {BlockParams field: alpha}
+    for the sites whose samples support a search.
     """
     targets = [("alpha_" + s, s, qcfg.act) for s in ACT_SITES]
     targets += [("alpha_k", "k_cache", qcfg.kv), ("alpha_v", "v_cache", qcfg.kv)]
+    seeds = {}
     for attr, site, spec in targets:
         if spec is None:
             continue
@@ -187,8 +189,8 @@ def _seed_alpha(bp: BlockParams, sites, qcfg: QuantConfig):
         theta = search_clip(samples, spec.bits)
         limit = float(np.max(np.abs(samples)))
         if limit > 0.0:
-            setattr(bp, attr, np.float64(np.clip(theta / limit, _ALPHA_MIN, 1.0)))
-    return bp
+            seeds[attr] = np.float64(np.clip(theta / limit, _ALPHA_MIN, 1.0))
+    return seeds
 
 
 def _stage1(bundle, index, bp, qcfg, x_in, y_fp, cfg):
@@ -242,7 +244,8 @@ def _stage2(bundle, index, bp, qcfg, x_in, y_fp, weights_q, cfg):
         if cfg.train_bias and qcfg.act is not None:
             candidates.append(_seed_bias(bp.as_arrays(), sites))
         if cfg.train_clip:
-            candidates.extend(_seed_alpha(c.as_arrays(), sites, qcfg) for c in list(candidates))
+            seeds = _clip_seeds(sites, qcfg)
+            candidates.extend([replace(c, **seeds) for c in candidates])
         scores = [
             _block_mse(bundle, index, c, qcfg, x_in, y_fp, weights_q) for c in candidates
         ]

@@ -1,8 +1,11 @@
 """Uniform integer quantizers, clip-threshold search, and GPTQ rounding.
 
-Fake quantization (quantize then dequantize in floating point) is built on
-the straight-through ops so it can sit inside a differentiable calibration
-objective; the same functions run on plain ndarrays outside a graph.
+`resolve_params` and `fake_quantize` (quantize then dequantize in floating
+point) are plain ndarray functions.  Inside a differentiable calibration
+objective, `quantize_dynamic` is one graph node: its forward is the same
+arithmetic, and its vector-Jacobian product is the closed form of the
+straight-through chain (range reduction, scale floor, round, clamp,
+dequantize) for both the input and the learnable clip factor.
 
 Integer codes are never packed: quantized tensors are float64 arrays whose
 values lie exactly on the lattice {zero + k * scale, k in 0..2^b - 1}.
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import round_half_away, value_of
+from .autodiff import Var, _unbroadcast, round_half_away, value_of
 
 __all__ = [
     "QuantSpec",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 SCALE_FLOOR = 1e-12
+#: Most elements one clip-search pass holds at once (grid points x samples);
+#: larger inputs are scanned one grid point at a time.
+CLIP_CHUNK = 1 << 16
 
 _SCHEMES = ("symmetric", "asymmetric")
 _GRANULARITIES = ("per-tensor", "per-channel", "per-token", "per-head")
@@ -82,8 +87,8 @@ class QuantParams:
     bound for asymmetric groups, -scale * 2^{b-1} for symmetric ones.
     """
 
-    scale: object
-    zero: object
+    scale: np.ndarray
+    zero: np.ndarray
 
 
 def _grouped(x, spec):
@@ -93,7 +98,7 @@ def _grouped(x, spec):
         n = shape[-1]
         if n % spec.head_dim != 0:
             raise ValueError(f"last axis {n} not divisible by head_dim {spec.head_dim}")
-        return ad.reshape(x, (*shape[:-1], n // spec.head_dim, spec.head_dim))
+        return x.reshape(*shape[:-1], n // spec.head_dim, spec.head_dim)
     return x
 
 
@@ -101,61 +106,131 @@ def _reduce_axis(spec):
     return None if spec.granularity == "per-tensor" else -1
 
 
+def _step_factor(spec):
+    """The raw scale per unit of clip-scaled range: 1/(2^b - 1) or 1/(2^{b-1} - 1)."""
+    return 1.0 / (spec.levels - 1 if spec.scheme == "asymmetric" else 2 ** (spec.bits - 1) - 1)
+
+
+def _raw_params(view, spec, a):
+    """(raw scale, zero, extremes) per group of the grouped view.
+
+    The raw scale is the clip-scaled range step before the SCALE_FLOOR
+    clamp; extremes are (min, max) for asymmetric groups and (max |x|,)
+    for symmetric ones.
+    """
+    axis = _reduce_axis(spec)
+    if spec.scheme == "asymmetric":
+        mn = np.amin(view, axis=axis, keepdims=True)
+        mx = np.amax(view, axis=axis, keepdims=True)
+        return a * (mx - mn) * _step_factor(spec), a * mn, (mn, mx)
+    m = np.amax(np.abs(view), axis=axis, keepdims=True)
+    raw = a * m * _step_factor(spec)
+    return raw, raw * (-(2 ** (spec.bits - 1))), (m,)
+
+
 def resolve_params(x, spec: QuantSpec, alpha=None) -> QuantParams:
     """Resolve (scale, zero) groups for x under spec.
 
-    alpha overrides spec.clip_factor (it may be a Var to make the clip
-    factor learnable).  Degenerate all-equal groups get a tiny positive
-    scale floor so constant inputs reproduce exactly.
+    alpha overrides spec.clip_factor.  Degenerate all-equal groups get a
+    tiny positive scale floor so constant inputs reproduce exactly.
     """
-    if value_of(x).size == 0:
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
         raise QuantizationError("empty group")
-    view = _grouped(x, spec)
-    axis = _reduce_axis(spec)
     a = spec.clip_factor if alpha is None else alpha
-    if spec.scheme == "asymmetric":
-        mn = ad.amin(view, axis=axis, keepdims=True)
-        mx = ad.amax(view, axis=axis, keepdims=True)
-        zero = a * mn
-        scale = a * (mx - mn) * (1.0 / (spec.levels - 1))
-    else:
-        m = ad.amax(ad.absolute(view), axis=axis, keepdims=True)
-        scale = a * m * (1.0 / (2 ** (spec.bits - 1) - 1))
-        zero = scale * (-(2 ** (spec.bits - 1)))
-    scale = ad.clamp_ste(scale, SCALE_FLOOR, np.inf)
-    return QuantParams(scale=scale, zero=zero)
+    raw, zero, _ = _raw_params(_grouped(x, spec), spec, a)
+    return QuantParams(scale=np.clip(raw, SCALE_FLOOR, np.inf), zero=zero)
+
+
+def _rounded(view, scale, zero):
+    """Integer codes of the grouped view before the clamp to 0..2^b - 1."""
+    return round_half_away((view - zero) / scale)
 
 
 def fake_quantize(x, params: QuantParams, spec: QuantSpec):
-    """Quantize-dequantize onto the lattice {zero + k*scale, k in 0..2^b-1}.
+    """Quantize-dequantize onto the lattice {zero + k*scale, k in 0..2^b-1}."""
+    x = np.asarray(x, dtype=np.float64)
+    q = np.clip(_rounded(_grouped(x, spec), params.scale, params.zero), 0.0, spec.levels - 1.0)
+    return (q * params.scale + params.zero).reshape(x.shape)
 
-    Uses straight-through round/clamp so gradients flow to x, to the clip
-    factor, and through the dynamic range reduction.
-    """
-    shape = x.shape
-    view = _grouped(x, spec)
-    q = ad.clamp_ste(ad.round_ste((view - params.zero) / params.scale), 0.0, spec.levels - 1.0)
-    deq = q * params.scale + params.zero
-    if spec.granularity == "per-head":
-        deq = ad.reshape(deq, shape)
-    return deq
+
+def _tie_split(values, extreme, g, axis):
+    """Gradient of a min/max reduction: ties split it evenly."""
+    hit = (values == extreme).astype(np.float64)
+    hit /= np.sum(hit, axis=axis, keepdims=True)
+    return g * hit
 
 
 def quantize_dynamic(x, spec: QuantSpec, alpha=None):
-    """resolve_params + fake_quantize in one step (dynamic quantization)."""
-    return fake_quantize(x, resolve_params(x, spec, alpha=alpha), spec)
+    """Dynamic quantization: resolve the groups of x, then fake-quantize it.
+
+    alpha overrides spec.clip_factor.  When x or alpha is a Var the result
+    is one graph node whose forward is the same arithmetic and whose
+    vector-Jacobian products are the closed form of the straight-through
+    chain, for x and for alpha.
+    """
+    a = spec.clip_factor if alpha is None else alpha
+    if not isinstance(x, Var) and not isinstance(a, Var):
+        return fake_quantize(x, resolve_params(x, spec, a), spec)
+
+    xv, av = value_of(x), value_of(a)
+    if xv.size == 0:
+        raise QuantizationError("empty group")
+    view = _grouped(xv, spec)
+    raw, zero, extremes = _raw_params(view, spec, av)
+    scale = np.clip(raw, SCALE_FLOOR, np.inf)
+    r = _rounded(view, scale, zero)
+    q = np.clip(r, 0.0, spec.levels - 1.0)
+    out = (q * scale + zero).reshape(xv.shape)
+    axis = _reduce_axis(spec)
+    step = _step_factor(spec)
+
+    def group_sum(t):
+        return np.sum(t, axis=axis, keepdims=True)
+
+    def partials(g):
+        """dL/d(view) through the codes; per group dL/dzero and dL/d(range).
+
+        range is the clip-scaled extent alpha * (max - min), or alpha *
+        max|x| for symmetric groups; the raw scale is range * step.
+        Straight-through: round passes the gradient, the code clamp passes
+        it only inside [0, 2^b - 1], the scale floor only where it is idle.
+        A symmetric zero is -2^{b-1} times the raw scale, so its gradient
+        joins the raw scale's.  The arithmetic follows the primitive chain
+        term by term.
+        """
+        g = g.reshape(view.shape)
+        g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))  # dL/d((x - zero) / scale)
+        g_u = g_t / scale
+        g_zero = group_sum(g) - group_sum(g_u)
+        g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
+        g_raw = g_raw * (raw >= SCALE_FLOOR)
+        if spec.scheme == "symmetric":
+            g_raw = g_raw + g_zero * (-(2 ** (spec.bits - 1)))
+        return g_u, g_zero, g_raw * step
+
+    def grad_x(g):
+        g_u, g_zero, g_range = partials(g)
+        if spec.scheme == "asymmetric":
+            mn, mx = extremes
+            g_u = g_u + _tie_split(view, mn, g_zero * av - g_range * av, axis)
+            g_u = g_u + _tie_split(view, mx, g_range * av, axis)
+        else:
+            g_u = g_u + _tie_split(np.abs(view), extremes[0], g_range * av, axis) * np.sign(view)
+        return g_u.reshape(xv.shape)
+
+    def grad_alpha(g):
+        _, g_zero, g_range = partials(g)
+        if spec.scheme == "asymmetric":
+            mn, mx = extremes
+            return _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
+        return _unbroadcast(g_range * extremes[0], av.shape)
+
+    links = [(p, vjp) for p, vjp in ((x, grad_x), (a, grad_alpha)) if isinstance(p, Var)]
+    return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(vjp for _, vjp in links))
 
 
 # -- clip-threshold search ---------------------------------------------------
-
-
-def _clip_error(x, theta, bits):
-    # signed b-bit lattice: codes -2^{b-1}..2^{b-1}-1, step theta / 2^{b-1};
-    # objective is the mean error magnitude (unsquared norm)
-    half = 2 ** (bits - 1)
-    step = theta / half
-    q = np.clip(round_half_away(x / step), -half, half - 1) * step
-    return float(np.mean(np.abs(x - q)))
 
 
 def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
@@ -165,6 +240,11 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
     (grid_points values, exhaustive, no early exit) and returns the
     arg-min threshold in absolute units.  For INT4 standard-Gaussian input
     the optimum lands near 2.2 sigma.
+
+    Each theta quantizes onto the signed b-bit lattice (codes
+    -2^{b-1}..2^{b-1}-1, step theta / 2^{b-1}, round half away from zero)
+    and scores the mean error magnitude (unsquared norm).  The grid is
+    scanned in blocks of at most CLIP_CHUNK elements.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 1000:
@@ -173,7 +253,25 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
     if sigma == 0.0:
         raise QuantizationError("zero-variance samples")
     thetas = np.linspace(lo, hi, grid_points) * sigma
-    errors = [_clip_error(x, t, bits) for t in thetas]
+    half = 2 ** (bits - 1)
+    # rounding commutes with the sign, so work on magnitudes: each sample's
+    # code magnitude is capped at 2^{b-1} - 1 when positive, 2^{b-1} when not
+    mag = np.abs(x)
+    cap = np.where(x >= 0.0, half - 1.0, float(half))
+    rows = max(1, CLIP_CHUNK // x.size)
+    buf = np.empty((rows, x.size))
+    errors = np.empty(grid_points)
+    for i in range(0, grid_points, rows):
+        step = (thetas[i : i + rows] / half)[:, None]
+        err = buf[: len(step)]
+        np.divide(mag, step, out=err)
+        err += 0.5
+        np.floor(err, out=err)
+        np.minimum(err, cap, out=err)
+        err *= step
+        np.subtract(mag, err, out=err)
+        np.abs(err, out=err)
+        errors[i : i + rows] = np.mean(err, axis=1)
     return float(thetas[int(np.argmin(errors))])
 
 
@@ -181,8 +279,11 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
 
 
 def rtn_quantize(w, spec: QuantSpec):
-    """Round-to-nearest onto the per-group lattice (GPTQ's baseline)."""
-    return fake_quantize(w, resolve_params(w, spec), spec)
+    """Round-to-nearest onto the per-group lattice (GPTQ's baseline).
+
+    Differentiable through the straight-through estimator when w is a Var.
+    """
+    return quantize_dynamic(w, spec)
 
 
 def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):

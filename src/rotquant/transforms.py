@@ -9,11 +9,17 @@ floating-point product unchanged when paired.
 
 The normalized Sylvester-Hadamard matrix is symmetric and involutory, so the
 fast transform along the last axis computes both ``x @ H`` and ``H @ x.T``.
+It factors as a Kronecker product, H_n = H_{n/b} (x) H_b, so the transform
+is one small matmul per factor against cached +-1 Sylvester matrices of at
+most HADAMARD_FACTOR rows, with the 1/sqrt(n) normalization applied once at
+the end.  No dense n x n matrix is built: at n = 1024 the factored form is
+faster than a dense matmul and pins 8 KiB instead of 8 MiB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,26 +47,49 @@ def _check_pow2(n: int):
         raise ValueError(f"dimension must be 2^k, got {n}")
 
 
-def _fwht_array(x):
-    """Normalized Walsh-Hadamard transform along the last axis.
+#: Largest Kronecker factor of the fast Hadamard transform.
+HADAMARD_FACTOR = 32
 
-    Radix-2 Cooley-Tukey butterflies, O(n log n).  The recursion
-    H_{2m} = [[H_m, H_m], [H_m, -H_m]] is unrolled level by level on a
-    reshaped view so each level is a single vectorized add/sub.
+
+@cache
+def _sylvester(n: int):
+    """Read-only unnormalized (+-1) Sylvester-Hadamard matrix of order n."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _sylvester_apply(y):
+    """y @ H_n for the +-1 Sylvester matrix, y of shape [rows x n].
+
+    With b = HADAMARD_FACTOR and m = n / b, H_n = H_m (x) H_b: the columns
+    of y viewed as [rows x m x b] take H_b on the low index and H_m on the
+    high index (recursively once m exceeds b).  Products of +-1 and exact
+    sums keep every entry of H itself exact.
     """
+    rows, n = y.shape
+    if n <= HADAMARD_FACTOR:
+        return y @ _sylvester(n)
+    m = n // HADAMARD_FACTOR
+    y = y.reshape(rows, m, HADAMARD_FACTOR) @ _sylvester(HADAMARD_FACTOR)
+    if m <= HADAMARD_FACTOR:
+        y = _sylvester(m) @ y  # H_m is symmetric
+    else:
+        y = _sylvester_apply(y.swapaxes(1, 2).reshape(-1, m))
+        y = y.reshape(rows, HADAMARD_FACTOR, m).swapaxes(1, 2)
+    return y.reshape(rows, n)
+
+
+def _fwht_array(x):
+    """Normalized Walsh-Hadamard transform along the last axis."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     _check_pow2(n)
-    shape = x.shape
-    y = x.reshape(-1, n).copy()
-    h = 1
-    while h < n:
-        y = y.reshape(-1, n // (2 * h), 2, h)
-        top = y[:, :, 0, :] + y[:, :, 1, :]
-        bot = y[:, :, 0, :] - y[:, :, 1, :]
-        y = np.stack((top, bot), axis=2).reshape(-1, n)
-        h *= 2
-    return (y / np.sqrt(n)).reshape(shape)
+    y = _sylvester_apply(x.reshape(-1, n))
+    y /= np.sqrt(n)
+    return y.reshape(x.shape)
 
 
 def fwht(x):

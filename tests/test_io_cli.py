@@ -129,6 +129,14 @@ def _drop_tensor(name):
     return mutate
 
 
+def _set_config(**fields):
+    def mutate(header):
+        header["config"].update(fields)
+        return header
+
+    return mutate
+
+
 def _write_model(path):
     write_bundle(path, build_toy_model(CFG, seed=0))
 
@@ -145,8 +153,18 @@ def _write_params(path):
         (_write_model, read_bundle, lambda h: dict(h, meta={}), "meta"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
+        (_write_model, read_bundle, _set_config(hidden=64), "block0.wq has shape"),
+        (_write_model, read_bundle, _set_config(mlp_dim=32), "block0.wgate has shape"),
     ],
-    ids=["no-offset", "no-config", "no-meta-flags", "tensors-not-list", "params-missing-tensor"],
+    ids=[
+        "no-offset",
+        "no-config",
+        "no-meta-flags",
+        "tensors-not-list",
+        "params-missing-tensor",
+        "config-hidden-disagrees",
+        "config-mlp-disagrees",
+    ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
     path = tmp_path / "m.rqb"
@@ -520,6 +538,42 @@ def test_cli_malformed_header_is_runtime_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "offset" in capsys.readouterr().err
+
+
+def test_cli_config_shape_mismatch_is_runtime_error(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path)
+    gen_dir = tmp_path / "g"
+    main(["gen", "--config", cfg, "--out", str(gen_dir), "--seed", "0"])
+    model = gen_dir / "model.rqb"
+    _rewrite_header(model, _set_config(hidden=64))  # tensors stay 32 wide
+    rc = main(
+        [
+            "quantize",
+            "--config",
+            cfg,
+            "--model",
+            str(model),
+            "--calib",
+            str(gen_dir / "calib.rqb"),
+            "--out",
+            str(tmp_path / "q"),
+        ]
+    )
+    assert rc == 2
+    assert "config needs (64, 64)" in capsys.readouterr().err
+
+
+def test_bundle_rejects_every_tensor_of_the_wrong_shape(tmp_path):
+    bundle = build_toy_model(CFG, seed=0)
+    path = tmp_path / "m.rqb"
+    names = ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown", "bq", "bup", "bdown", "g_attn", "g_mlp")
+    for name in names:
+        bad = bundle.copy()
+        arr = getattr(bad.blocks[1], name)
+        setattr(bad.blocks[1], name, arr[..., : arr.shape[-1] // 2])
+        write_bundle(path, bad)
+        with pytest.raises(BundleFormatError, match=f"block1.{name} has shape"):
+            read_bundle(path)
 
 
 def test_cli_ablate_single_mode(tmp_path):

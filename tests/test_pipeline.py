@@ -275,3 +275,20 @@ def test_rres_kinds_all_run():
         assert np.isfinite(result.final_mse)
         if kind == "hadamard":
             assert np.allclose(result.rotation.matrix, hadamard_matrix(32))
+
+
+def test_one_clip_search_per_site_per_block(monkeypatch):
+    from rotquant import pipeline as pl
+
+    calls = []
+    search = pl.search_clip
+
+    def counting(samples, bits, *args, **kwargs):
+        calls.append(bits)
+        return search(samples, bits, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "search_clip", counting)
+    bundle, calib = _setup(3)
+    run_pipeline(bundle, calib, _cfg(bits=(4, 4, 4)))
+    # four activation sites plus the k and v caches, once each per block
+    assert calls == [4] * 6 * SMALL.n_blocks

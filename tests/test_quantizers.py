@@ -1,5 +1,6 @@
 """Quantizer resolution, fake quantization, clip search, GPTQ rounding."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotquant import autodiff as ad
 from rotquant.quantizers import (
+    SCALE_FLOOR,
     QuantParams,
     QuantSpec,
     QuantizationError,
@@ -19,6 +22,7 @@ from rotquant.quantizers import (
     rtn_quantize,
     search_clip,
 )
+from rotquant.autodiff import round_half_away
 from rotquant.transforms import hadamard_matrix
 
 ASYM_TOKEN = QuantSpec(4, "asymmetric", "per-token")
@@ -148,6 +152,75 @@ def test_per_head_grouping_isolated_heads():
     assert np.array_equal(out, manual)
 
 
+# -- fused fake-quant gradients ----------------------------------------------------
+
+
+def _primitive_chain(x, spec, alpha):
+    """quantize_dynamic spelled out in straight-through primitives."""
+    shape = x.shape
+    view = x
+    if spec.granularity == "per-head":
+        view = ad.reshape(x, (*shape[:-1], shape[-1] // spec.head_dim, spec.head_dim))
+    if spec.scheme == "asymmetric":
+        mn = ad.amin(view, axis=-1, keepdims=True)
+        mx = ad.amax(view, axis=-1, keepdims=True)
+        zero = alpha * mn
+        scale = alpha * (mx - mn) * (1.0 / (spec.levels - 1))
+    else:
+        m = ad.amax(ad.absolute(view), axis=-1, keepdims=True)
+        scale = alpha * m * (1.0 / (2 ** (spec.bits - 1) - 1))
+        zero = scale * (-(2 ** (spec.bits - 1)))
+    scale = ad.clamp_ste(scale, SCALE_FLOOR, np.inf)
+    q = ad.clamp_ste(ad.round_ste((view - zero) / scale), 0.0, spec.levels - 1.0)
+    return ad.reshape(q * scale + zero, shape)
+
+
+def _value_and_grads(quantize, x0, alpha0, weights, spec):
+    x = ad.parameter(x0)
+    alpha = ad.parameter(np.float64(alpha0))
+    y = quantize(x, spec, alpha)
+    ad.backward(ad.vsum(y * weights))
+    return y.value, x.grad, alpha.grad
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        QuantSpec(4, "asymmetric", "per-token"),
+        QuantSpec(3, "asymmetric", "per-head", head_dim=8),
+        QuantSpec(4, "symmetric", "per-channel"),
+        QuantSpec(8, "symmetric", "per-channel"),
+    ],
+    ids=["asym-per-token", "asym-per-head", "sym-per-channel", "sym-per-channel-8bit"],
+)
+def test_quantize_dynamic_matches_primitive_chain(spec):
+    rng = np.random.default_rng(17)
+    for trial in range(10):
+        x0 = rng.normal(size=(2, 6, 32))
+        x0[0, 1] = 0.7  # constant row: the range is 0 and the scale floor binds
+        x0[1, 2, :3] = x0[1, 2].max() + 0.5  # tied maxima
+        x0[1, 3, 5:9] = x0[1, 3].min() - 0.5  # tied minima
+        if trial % 2:
+            x0 = np.round(4.0 * x0) / 4.0  # many ties, values on the code grid
+        weights = rng.normal(size=x0.shape)
+        alpha0 = rng.uniform(0.6, 1.0)
+        value, gx, ga = _value_and_grads(quantize_dynamic, x0, alpha0, weights, spec)
+        ref_value, ref_gx, ref_ga = _value_and_grads(_primitive_chain, x0, alpha0, weights, spec)
+        assert np.array_equal(value, ref_value)
+        assert np.max(np.abs(gx - ref_gx)) <= 1e-12 * np.max(np.abs(ref_gx))
+        assert abs(ga - ref_ga) <= 1e-12 * abs(ref_ga)
+
+
+def test_quantize_dynamic_one_node_per_call():
+    x = ad.parameter(np.random.default_rng(1).normal(size=(4, 16)))
+    alpha = ad.parameter(np.float64(0.8))
+    y = quantize_dynamic(x, ASYM_TOKEN, alpha)
+    assert y._parents == (x, alpha)
+    w = rtn_quantize(x, SYM_CHANNEL)
+    assert w._parents == (x,)
+    assert np.array_equal(w.value, rtn_quantize(x.value, SYM_CHANNEL))
+
+
 # -- clip threshold search ----------------------------------------------------------
 
 
@@ -191,6 +264,40 @@ def test_search_clip_input_validation():
         search_clip(np.ones(10), 4)
     with pytest.raises(QuantizationError, match="zero-variance"):
         search_clip(np.ones(5000), 4)
+
+
+def _search_clip_reference(x, bits, grid_points=128, lo=0.5, hi=4.0):
+    """One theta at a time, exactly as the search defines its objective."""
+    thetas = np.linspace(lo, hi, grid_points) * float(x.std())
+    half = 2 ** (bits - 1)
+    errors = []
+    for theta in thetas:
+        step = theta / half
+        q = np.clip(round_half_away(x / step), -half, half - 1) * step
+        errors.append(float(np.mean(np.abs(x - q))))
+    return float(thetas[int(np.argmin(errors))])
+
+
+@pytest.mark.parametrize("size", [1_000, 65_537, 200_000])
+def test_search_clip_matches_per_theta_loop(size):
+    rng = np.random.default_rng(size)
+    for bits in range(2, 9):
+        x = rng.standard_t(4, size=size)
+        if bits % 2:
+            x = np.round(8.0 * x) / 8.0  # samples on exact rounding ties
+        assert search_clip(x, bits) == _search_clip_reference(x, bits)
+
+
+def test_search_clip_memory_bounded():
+    x = np.random.default_rng(0).standard_normal(200_000)
+    search_clip(x, 4)
+    tracemalloc.start()
+    try:
+        search_clip(x, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # a few sample-sized buffers, never grid x samples
 
 
 # -- GPTQ ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Hadamard transforms, PCA basis, rotation composition, Cayley map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,45 @@ def test_fwht_matches_dense_oracle():
     x = rng.normal(size=(5, 256))
     dense = x @ kron_hadamard(256)
     assert np.max(np.abs(fwht(x) - dense)) < 1e-10
+
+
+def test_fwht_matches_kron_oracle_every_size():
+    # n up to 4096 takes the Kronecker recursion past two 32-point factors
+    rng = np.random.default_rng(4)
+    for k in range(1, 13):
+        n = 2**k
+        x = rng.normal(size=(3, n))
+        assert np.max(np.abs(fwht(x) - x @ kron_hadamard(n))) < 1e-13, n
+
+
+def test_hadamard_matrix_entries_exact():
+    for k in range(13):
+        n = 2**k
+        h = hadamard_matrix(n)
+        assert set(np.unique(h)) <= {1.0 / np.sqrt(n), -1.0 / np.sqrt(n)}, n
+        assert np.array_equal(h * np.sqrt(n), np.sign(kron_hadamard(n))), n
+
+
+def test_fwht_var_backward_large():
+    rng = np.random.default_rng(6)
+    x = ad.parameter(rng.normal(size=(4, 1024)))
+    w = rng.normal(size=(4, 1024))
+    ad.backward(ad.vsum(fwht(x) * w))
+    # d/dx sum(w * (x @ H)) = w @ H.T = w @ H
+    assert np.max(np.abs(x.grad - w @ kron_hadamard(1024))) < 1e-12
+
+
+def test_fwht_memory_bounded():
+    x = np.random.default_rng(0).normal(size=(1024, 1024))
+    fwht(x)
+    tracemalloc.start()
+    try:
+        out = fwht(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one input-sized temporary; no dense n x n matrix
+    assert peak < out.nbytes + x.nbytes + (1 << 20)
 
 
 def test_fwht_rejects_non_power_of_two():
