@@ -7,7 +7,9 @@ AM-GM-optimal paired channel scaling.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +82,9 @@ def variance_decomposition(x):
     return mean_channel_var, cs.var_of_means, cs.var_of_means / cs.total_var
 
 
+NOISE_MAX_WORKERS = 4  # threads of one noise_propagation call, at most
+
+
 def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
     """Predicted vs simulated output-noise variance for w @ a.
 
@@ -88,31 +93,106 @@ def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
     E[w^2] s_a^2/12 + E[a^2] s_w^2/12 + (s_w^2/12)(s_a^2/12); the empirical
     value is the Monte-Carlo variance of the product error normalized the
     same way (per contraction coordinate).
+
+    The trials run in chunks of about 2e6 weight draws, each chunk split
+    across up to NOISE_MAX_WORKERS threads.  Every thread draws its trials'
+    noise from the point of the seed's PCG64 stream where a serial loop
+    would, and the squared errors are summed in trial order, so the result
+    is bit-identical whatever the number of cores.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or w.shape[-1] != a.shape[0]:
         raise ValueError("shapes not conformable for the product")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    for name, s in (("s_w", s_w), ("s_a", s_a)):
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {s}")
     n = a.shape[0]
     vw = s_w * s_w / 12.0
     va = s_a * s_a / 12.0
     predicted = float(np.mean(w * w) * va + np.mean(a * a) * vw + vw * va)
 
-    rng = np.random.default_rng(seed)
     w2 = w.reshape(-1, n)
-    clean = w2 @ a
-    err_sq = np.zeros(w2.shape[0])
-    done = 0
     chunk = max(1, int(2_000_000 // max(w2.size, n)))
-    while done < trials:
-        c = min(chunk, trials - done)
-        ew = rng.uniform(-0.5 * s_w, 0.5 * s_w, size=(c, *w2.shape)) if s_w > 0 else np.zeros((c, 1, 1))
-        ea = rng.uniform(-0.5 * s_a, 0.5 * s_a, size=(c, n)) if s_a > 0 else np.zeros((c, n))
-        noisy = (w2 + ew) @ (a + ea)[:, :, None]  # [c, out, 1]
-        err_sq += np.sum((noisy[:, :, 0] - clean) ** 2, axis=0)
-        done += c
+    workers = min(_cpu_count(), chunk, trials, NOISE_MAX_WORKERS)
+    err_sq = _noise_err_sq(w2, a, s_w, s_a, trials, seed, chunk, workers)
     empirical = float(np.mean(err_sq) / trials / n)
     return predicted, empirical
+
+
+def _cpu_count():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _noise_err_sq(w2, a, s_w, s_a, trials, seed, chunk, workers):
+    """Per-output sum over trials of the squared error of (w2 + ew) @ (a + ea).
+
+    The draws are those of one serial PCG64 stream: a chunk of c trials
+    starting at trial d reads c weight-noise matrices and then c
+    activation-noise vectors from offset d * per_trial (a zero scale draws
+    nothing).  Each chunk is cut into at most `workers` slices of trials;
+    a slice fills its rows of the shared buffers from its own copy of the
+    stream, advanced to its offsets, and the chunk's squared errors are
+    summed over trials here, in order.  The buffers hold one chunk.
+    """
+    out, n = w2.shape
+    nw = out * n if s_w > 0 else 0
+    na = n if s_a > 0 else 0
+    per_trial = nw + na
+    state = np.random.PCG64(seed).state
+    rows = min(chunk, trials)
+    clean = w2 @ a
+    wbuf = np.empty((rows, out, n)) if nw else np.broadcast_to(w2, (rows, out, n))
+    abuf = np.empty((rows, n)) if na else np.broadcast_to(a, (rows, n))
+    noisy = np.empty((rows, out, 1))
+    err_sq = np.zeros(out)
+
+    def run_slice(d, c, i0, i1):
+        bits = np.random.PCG64()
+        bits.state = state
+        gen = np.random.Generator(bits.advance(d * per_trial + i0 * nw))
+        if nw:
+            ew = wbuf[i0:i1]
+            gen.random(out=ew)
+            ew *= s_w
+            ew += -0.5 * s_w  # the rounding of uniform(-s_w/2, s_w/2), then w2 + ew
+            ew += w2
+        if na:
+            bits.advance((c - i1) * nw + i0 * na)
+            ea = abuf[i0:i1]
+            gen.random(out=ea)
+            ea *= s_a
+            ea += -0.5 * s_a
+            ea += a
+        np.matmul(wbuf[i0:i1], abuf[i0:i1, :, None], out=noisy[i0:i1])
+        err = noisy[i0:i1, :, 0]
+        err -= clean
+        np.square(err, out=err)
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+    else:
+        pool = contextlib.nullcontext()
+    with pool:
+        done = 0
+        while done < trials:
+            c = min(chunk, trials - done)
+            k = min(workers, c)
+            cuts = [c * j // k for j in range(k + 1)]
+            jobs = [(done, c, i0, i1) for i0, i1 in zip(cuts, cuts[1:])]
+            if k == 1:
+                run_slice(*jobs[0])
+            else:
+                list(pool.map(lambda job: run_slice(*job), jobs))
+            err_sq += np.sum(noisy[:c, :, 0], axis=0)
+            done += c
+    return err_sq
 
 
 def optimal_scale(w, a):

@@ -161,6 +161,32 @@ def _tie_split(values, extreme, g, axis):
     return g * hit
 
 
+def _ste_partials(g, view, raw, scale, zero, r, q, spec):
+    """dL/d(view) through the codes; per group dL/dzero and dL/d(range).
+
+    range is the clip-scaled extent alpha * (max - min), or alpha *
+    max|x| for symmetric groups; the raw scale is range * step.
+    Straight-through: round passes the gradient, the code clamp passes
+    it only inside [0, 2^b - 1], the scale floor only where it is idle.
+    A symmetric zero is -2^{b-1} times the raw scale, so its gradient
+    joins the raw scale's.  The arithmetic follows the primitive chain
+    term by term.
+    """
+    axis = _reduce_axis(spec)
+
+    def group_sum(t):
+        return np.sum(t, axis=axis, keepdims=True)
+
+    g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))  # dL/d((x - zero) / scale)
+    g_u = g_t / scale
+    g_zero = group_sum(g) - group_sum(g_u)
+    g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
+    g_raw = g_raw * (raw >= SCALE_FLOOR)
+    if spec.scheme == "symmetric":
+        g_raw = g_raw + g_zero * (-(2 ** (spec.bits - 1)))
+    return g_u, g_zero, g_raw * _step_factor(spec)
+
+
 def quantize_dynamic(x, spec: QuantSpec, alpha=None):
     """Dynamic quantization: resolve the groups of x, then fake-quantize it.
 
@@ -183,31 +209,21 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=None):
     q = np.clip(r, 0.0, spec.levels - 1.0)
     out = (q * scale + zero).reshape(xv.shape)
     axis = _reduce_axis(spec)
-    step = _step_factor(spec)
 
-    def group_sum(t):
-        return np.sum(t, axis=axis, keepdims=True)
+    both = all(isinstance(p, Var) and p.needs_grad for p in (x, a))
+    memo = []
 
     def partials(g):
-        """dL/d(view) through the codes; per group dL/dzero and dL/d(range).
-
-        range is the clip-scaled extent alpha * (max - min), or alpha *
-        max|x| for symmetric groups; the raw scale is range * step.
-        Straight-through: round passes the gradient, the code clamp passes
-        it only inside [0, 2^b - 1], the scale floor only where it is idle.
-        A symmetric zero is -2^{b-1} times the raw scale, so its gradient
-        joins the raw scale's.  The arithmetic follows the primitive chain
-        term by term.
-        """
-        g = g.reshape(view.shape)
-        g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))  # dL/d((x - zero) / scale)
-        g_u = g_t / scale
-        g_zero = group_sum(g) - group_sum(g_u)
-        g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
-        g_raw = g_raw * (raw >= SCALE_FLOOR)
-        if spec.scheme == "symmetric":
-            g_raw = g_raw + g_zero * (-(2 ** (spec.bits - 1)))
-        return g_u, g_zero, g_raw * step
+        # backward calls grad_x and then grad_alpha with the same g; when it
+        # calls both, the first computation is handed to the second
+        if memo:
+            g_seen, parts = memo.pop()
+            if g_seen is g:
+                return parts
+        parts = _ste_partials(g.reshape(view.shape), view, raw, scale, zero, r, q, spec)
+        if both:
+            memo.append((g, parts))
+        return parts
 
     def grad_x(g):
         g_u, g_zero, g_range = partials(g)
@@ -341,11 +357,14 @@ def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
     q_direct = np.asarray(fake_quantize(w_orig, params, spec))
     e_greedy = w_orig - q
     e_direct = w_orig - q_direct
-    loss_greedy = np.einsum("ij,jk,ik->i", e_greedy, h_raw, e_greedy)
-    loss_direct = np.einsum("ij,jk,ik->i", e_direct, h_raw, e_direct)
-    keep_direct = loss_direct < loss_greedy
+    keep_direct = _row_proxy_loss(e_direct, h_raw) < _row_proxy_loss(e_greedy, h_raw)
     q[keep_direct] = q_direct[keep_direct]
     return q
+
+
+def _row_proxy_loss(e, h):
+    """Per-row e_i H e_i^T: one GEMM, then a row-wise dot product."""
+    return np.einsum("ij,ij->i", e @ h, e)
 
 
 def quant_proxy_loss(w, w_hat, x_calib):

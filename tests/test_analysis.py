@@ -1,9 +1,16 @@
 """Clipping energy, variance decomposition, noise propagation, optimal scaling."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rotquant import analysis
 from rotquant.analysis import (
+    _noise_err_sq,
     clipping_energy,
     emit_report,
     gaussian_clip_energy,
@@ -148,6 +155,134 @@ def test_noise_propagation_two_sided_monte_carlo():
 def test_noise_propagation_shape_check():
     with pytest.raises(ValueError, match="conformable"):
         noise_propagation(np.ones(4), np.ones(5), 0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"trials": 0}, "trial"),
+        ({"trials": -5}, "trial"),
+        ({"s_w": -0.1}, "s_w"),
+        ({"s_a": -0.1}, "s_a"),
+        ({"s_w": float("nan")}, "s_w"),
+        ({"s_a": float("inf")}, "s_a"),
+    ],
+)
+def test_noise_propagation_input_validation(kwargs, match):
+    args = {"s_w": 0.1, "s_a": 0.1, "trials": 10} | kwargs
+    with pytest.raises(ValueError, match=match):
+        noise_propagation(np.ones((3, 4)), np.ones(4), **args)
+
+
+def _serial_noise_oracle(w, a, s_w, s_a, trials, seed):
+    """The single-threaded trial loop, one uniform() call per noise block."""
+    w = np.asarray(w, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    w2 = w.reshape(-1, n)
+    clean = w2 @ a
+    err_sq = np.zeros(w2.shape[0])
+    done = 0
+    chunk = max(1, int(2_000_000 // max(w2.size, n)))
+    while done < trials:
+        c = min(chunk, trials - done)
+        ew = rng.uniform(-0.5 * s_w, 0.5 * s_w, size=(c, *w2.shape)) if s_w > 0 else np.zeros((c, 1, 1))
+        ea = rng.uniform(-0.5 * s_a, 0.5 * s_a, size=(c, n)) if s_a > 0 else np.zeros((c, n))
+        noisy = (w2 + ew) @ (a + ea)[:, :, None]
+        err_sq += np.sum((noisy[:, :, 0] - clean) ** 2, axis=0)
+        done += c
+    return err_sq
+
+
+@pytest.mark.parametrize(
+    "shape, trials",
+    [
+        ((384, 128), 41),  # quantize-wide qkv: 40 trials per chunk
+        ((128, 128), 250),  # quantize-wide o
+        ((2048, 128), 23),  # quantize-wide up: 7 trials per chunk
+        ((128, 1024), 31),  # quantize-wide down: 15 trials per chunk
+        ((192, 64), 500),  # quantize-default qkv
+        ((64,), 1001),  # one output row
+        ((300, 128), 1),
+        ((300, 128), 2),
+        ((300, 128), 3),
+    ],
+)
+@pytest.mark.parametrize("s_w, s_a", [(0.07, 0.2), (0.0, 0.2), (0.07, 0.0), (0.0, 0.0)])
+def test_noise_propagation_matches_serial_loop(shape, trials, s_w, s_a):
+    rng = np.random.default_rng(trials)
+    w = rng.normal(size=shape)
+    a = rng.normal(size=shape[-1])
+    err_sq = _serial_noise_oracle(w, a, s_w, s_a, trials, seed=5)
+    _, empirical = noise_propagation(w, a, s_w, s_a, trials=trials, seed=5)
+    assert empirical == float(np.mean(err_sq) / trials / shape[-1])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 46])
+def test_noise_workers_do_not_change_the_result(trials):
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=(96, 48))
+    a = rng.normal(size=48)
+    chunk = 2_000_000 // w.size  # 434: one chunk; 15 below splits 46 trials into 4 chunks
+    oracle = _serial_noise_oracle(w, a, 0.1, 0.3, trials, seed=9)
+    serial = _noise_err_sq(w, a, 0.1, 0.3, trials, 9, 15, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the slices as finely as the interpreter allows
+    try:
+        for workers in (1, 2, 3, 4):
+            assert np.array_equal(_noise_err_sq(w, a, 0.1, 0.3, trials, 9, chunk, workers), oracle), workers
+            assert np.array_equal(_noise_err_sq(w, a, 0.1, 0.3, trials, 9, 15, workers), serial), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_noise_propagation_caps_its_threads(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 64)
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(32, 16))
+    a = rng.normal(size=16)
+    _, empirical = noise_propagation(w, a, 0.1, 0.1, trials=50, seed=1)
+    assert pools == [analysis.NOISE_MAX_WORKERS] == [4]
+    assert empirical == float(np.mean(_serial_noise_oracle(w, a, 0.1, 0.1, 50, 1)) / 50 / 16)
+    noise_propagation(w, a, 0.1, 0.1, trials=1)
+    assert len(pools) == 1  # one trial: no pool
+
+
+def test_noise_propagation_imports_no_thread_pool_until_used():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rotquant.analysis import noise_propagation\n"
+        "noise_propagation(np.ones((4, 3)), np.ones(3), 0.1, 0.1, trials=1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_noise_propagation_memory_is_one_chunk():
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(2048, 128))  # 7 trials per chunk: 14.7 MiB of weight draws
+    a = rng.normal(size=128)
+    tracemalloc.start()
+    try:
+        noise_propagation(w, a, 0.05, 0.1, trials=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20  # one chunk of noisy weights, not a second copy
 
 
 # -- AM-GM optimal scale -------------------------------------------------------------------

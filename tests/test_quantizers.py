@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotquant import autodiff as ad
+from rotquant import quantizers
 from rotquant.quantizers import (
     SCALE_FLOOR,
     QuantParams,
@@ -211,6 +212,45 @@ def test_quantize_dynamic_matches_primitive_chain(spec):
         assert abs(ga - ref_ga) <= 1e-12 * abs(ref_ga)
 
 
+@pytest.mark.parametrize("spec", [ASYM_TOKEN, SYM_CHANNEL], ids=["asym-per-token", "sym-per-channel"])
+def test_quantize_dynamic_one_partials_per_node_per_backward(spec, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return partials(*args)
+
+    partials = quantizers._ste_partials
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=(6, 16))
+    weights = rng.normal(size=x0.shape)
+    ref = {}
+    for wrt in ("x", "alpha"):  # one gradient per node: nothing to share
+        x = ad.parameter(x0) if wrt == "x" else x0
+        alpha = ad.parameter(np.float64(0.8)) if wrt == "alpha" else np.float64(0.8)
+        ad.backward(ad.vsum(quantize_dynamic(x, spec, alpha) * weights))
+        ref[wrt] = (x if wrt == "x" else alpha).grad
+
+    monkeypatch.setattr(quantizers, "_ste_partials", counting)
+    x = ad.parameter(x0)
+    alpha = ad.parameter(np.float64(0.8))
+    y = quantize_dynamic(quantize_dynamic(x, spec, alpha) * 1.5, spec, alpha)
+    for step in (1, 2):
+        x.clear_grad()
+        alpha.clear_grad()
+        calls.clear()
+        ad.backward(ad.vsum(y * weights))
+        assert len(calls) == 2, step  # two nodes, each needing x and alpha gradients
+
+    calls.clear()
+    x.clear_grad()
+    alpha.clear_grad()
+    ad.backward(ad.vsum(quantize_dynamic(x, spec, alpha) * weights))
+    assert len(calls) == 1
+    assert np.array_equal(x.grad, ref["x"])  # the shared partials change no bit
+    assert alpha.grad == ref["alpha"]
+
+
 def test_quantize_dynamic_one_node_per_call():
     x = ad.parameter(np.random.default_rng(1).normal(size=(4, 16)))
     alpha = ad.parameter(np.float64(0.8))
@@ -373,6 +413,30 @@ def test_gptq_output_on_lattice():
     qp = resolve_params(w, SYM_CHANNEL)
     codes = (q - np.asarray(qp.zero)) / np.asarray(qp.scale)
     assert np.max(np.abs(codes - np.round(codes))) < 1e-8
+
+
+def test_gptq_row_proxy_loss_is_the_three_operand_form():
+    rng = np.random.default_rng(21)
+    e = rng.normal(size=(24, 96))
+    x = rng.normal(size=(300, 96)) @ rng.normal(size=(96, 96))
+    h = x.T @ x
+    ref = np.einsum("ij,jk,ik->i", e, h, e)
+    assert np.max(np.abs(quantizers._row_proxy_loss(e, h) - ref) / ref) <= 1e-12
+
+
+def test_gptq_row_choice_unchanged_by_gemm_loss(monkeypatch):
+    rng = np.random.default_rng(22)
+    # the direct rounding wins 2-4 of 16 rows at 8 columns and 0-2 of 32 at 64
+    cases = [
+        (rng.normal(size=(rows, cols)), rng.normal(size=(4 * cols, cols)) @ rng.normal(size=(cols, cols)))
+        for rows, cols in [(16, 8)] * 4 + [(32, 64)] * 2
+    ]
+    fast = [gptq_quantize(w, x, SYM_CHANNEL) for w, x in cases]
+    monkeypatch.setattr(
+        quantizers, "_row_proxy_loss", lambda e, h: np.einsum("ij,jk,ik->i", e, h, e)
+    )
+    for (w, x), q in zip(cases, fast):
+        assert np.array_equal(q, gptq_quantize(w, x, SYM_CHANNEL))
 
 
 def test_gptq_ill_conditioned_error():
