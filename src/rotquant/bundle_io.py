@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .analysis import BlockMse, ErrorReport, SiteRecord
 from .model import BIAS_NAMES, WEIGHT_NAMES, BlockParams, BlockWeights, ModelBundle, ModelConfig
+from .pipeline import ABLATION_MODES
 
 __all__ = [
     "BundleFormatError",
@@ -382,10 +384,27 @@ class RunConfig:
                 data = json.load(f)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{path}: not valid JSON ({err})") from err
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        if not isinstance(data, dict):
+            got = "null" if data is None else type(data).__name__
+            raise ConfigError(f"{path}: expected a JSON object of config fields, got {got}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in data.items():
+            default = defaults[name]
+            if default is None:
+                kind, ok = "a string or null", value is None or isinstance(value, str)
+            elif isinstance(default, float):  # ints widen; JSON NaN/Infinity do not pass
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                kind, ok = "a finite number", number and math.isfinite(value)
+                data[name] = float(value) if ok else value
+            elif isinstance(default, int):
+                kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+            else:
+                kind, ok = "a string", isinstance(value, str)
+            if not ok:
+                raise ConfigError(f"{name}: expected {kind}, got {value!r}")
         return cls(**data)
 
     def validate(self):
@@ -418,6 +437,8 @@ class RunConfig:
         for name in ("lr_scale", "lr_bias", "lr_clip"):
             if not getattr(self, name) > 0:
                 problems.append(f"schedule.{name}: must be > 0")
+        if self.mode is not None and self.mode not in ABLATION_MODES:
+            problems.append(f"mode: unknown mode {self.mode!r} (choose from {', '.join(ABLATION_MODES)})")
         if self.rres_kind not in ("pca-hadamard", "hadamard", "random-hadamard"):
             problems.append(f"rres_kind: unknown kind {self.rres_kind!r}")
         if not 0 < self.gptq_damp < 1:

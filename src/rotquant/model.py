@@ -604,18 +604,10 @@ def forward_quant_block(
     return ad.reshape(y, (seq, n)) if squeeze else y
 
 
-def forward_quant(bundle, params, qcfg, x, collect_sites=False):
-    """Quantized forward through all blocks.
-
-    `params` is one BlockParams per block.  With collect_sites=True also
-    returns {"block{i}.{site}.in"/".lin": [tokens x channels]} activations.
-    """
+def forward_quant(bundle, params, qcfg, x):
+    """Quantized forward through all blocks; `params` is one BlockParams per block."""
     if len(params) != len(bundle.blocks):
         raise ValueError(f"need {len(bundle.blocks)} BlockParams, got {len(params)}")
-    sites = {} if collect_sites else None
     for i, bp in enumerate(params):
-        rec = {} if collect_sites else None
-        x = forward_quant_block(bundle, i, bp, qcfg, x, rec=rec)
-        if collect_sites:
-            sites.update({f"block{i}.{k}": v for k, v in rec.items()})
-    return (x, sites) if collect_sites else x
+        x = forward_quant_block(bundle, i, bp, qcfg, x)
+    return x

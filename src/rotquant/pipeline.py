@@ -1,11 +1,13 @@
 """Staged blockwise quantization: rotations, scale training, GPTQ, corrections.
 
-Per block, in order: (1) record floating-point targets, (2) train the paired
-symmetric scales and the value-rotation parameter against the output MSE,
-(3) quantize weights with Hessian-aware rounding, (4) train bias
-corrections, unpaired scales, and clip factors.  Quantized outputs of block
-k feed block k+1's calibration inputs so later blocks compensate earlier
-errors; floating-point targets always come from the pristine model.
+Per block, in order: (1) compute its floating-point target, (2) train the
+paired symmetric scales and the value-rotation parameter against the output
+MSE, (3) quantize weights with Hessian-aware rounding, (4) train bias
+corrections, unpaired scales, and clip factors, (5) run one final forward,
+whose site inputs the report analyses before the next block starts.
+Quantized outputs of block k feed block k+1's calibration inputs so later
+blocks compensate earlier errors; floating-point targets always come from
+the pristine model.
 
 Only one block's parameters ever require gradients, which is the memory
 contract that replaces full-model backpropagation: the allocation tracker
@@ -193,29 +195,30 @@ def _clip_seeds(sites, qcfg: QuantConfig):
     return seeds
 
 
-def _stage1(bundle, index, bp, qcfg, x_in, y_fp, cfg):
-    """Train paired scales and the value-rotation parameter (pre-GPTQ)."""
-    groups = []
-    if cfg.train_scale:
-        s_o = ad.parameter(bp.s_o)
-        s_down = ad.parameter(bp.s_down)
-        bp.s_o, bp.s_down = s_o, s_down
-        groups.append(ParamGroup([s_o, s_down], cfg.schedule.lr_scale, project=_clip(_SCALE_MIN, np.inf)))
-    if cfg.train_rv:
-        a_v = ad.parameter(bp.a_v)
-        bp.a_v = a_v
-        groups.append(ParamGroup([a_v], cfg.schedule.lr_scale))
-    if not groups:
+def _train(bp: BlockParams, groups, loss_fn, steps, label):
+    """Train groups of bp fields in place; returns the loss curve.
+
+    `groups` holds (field names, learning rate, (lo, hi) bounds or None)
+    triples, or None for a group that is switched off.  The fields become
+    Vars for the run, and the best values are written back as arrays.  A
+    NaN loss is re-raised under `label`.
+    """
+    groups = [g for g in groups if g is not None]
+    param_groups = []
+    for names, lr, bounds in groups:
+        params = [ad.parameter(getattr(bp, f)) for f in names]
+        for f, p in zip(names, params):
+            setattr(bp, f, p)
+        param_groups.append(ParamGroup(params, lr, project=None if bounds is None else _clip(*bounds)))
+    if not param_groups:
         return []
-
-    def loss_fn():
-        y = forward_quant_block(bundle, index, bp, qcfg, x_in)
-        return mse(y, y_fp)
-
-    sched = OptimSchedule(steps=cfg.schedule.stage1_epochs * cfg.schedule.steps_per_epoch)
-    result = optimize(loss_fn, groups, sched)
-    for name in ("s_o", "s_down", "a_v"):
-        setattr(bp, name, np.array(ad.value_of(getattr(bp, name)), copy=True))
+    try:
+        result = optimize(loss_fn, param_groups, OptimSchedule(steps=steps))
+    except OptimizationError as err:
+        raise OptimizationError(f"{label}: {err}") from err
+    for names, _, _ in groups:
+        for f in names:
+            setattr(bp, f, np.array(ad.value_of(getattr(bp, f)), copy=True))
     return result.losses
 
 
@@ -230,68 +233,72 @@ def _seed_bias(bp: BlockParams, sites):
     return bp
 
 
-def _stage2(bundle, index, bp, qcfg, x_in, y_fp, weights_q, cfg):
-    """Train bias corrections, unpaired scales, and clip factors (post-GPTQ)."""
-    if qcfg.act is None and qcfg.kv is None:
-        return []  # corrections only touch activation/cache quantizers
-    if cfg.train_clip or cfg.train_bias:
-        _, sites = _block_eval(bundle, index, bp, qcfg, x_in, weights_q, collect=True)
-        # candidate starts: bias and clip seeds evaluated separately so a
-        # poor seed on one family cannot discard a good seed on the other;
-        # the neutral candidate keeps the stage from regressing past the
-        # post-GPTQ loss
-        candidates = [bp.as_arrays()]
-        if cfg.train_bias and qcfg.act is not None:
-            candidates.append(_seed_bias(bp.as_arrays(), sites))
-        if cfg.train_clip:
-            seeds = _clip_seeds(sites, qcfg)
-            candidates.extend([replace(c, **seeds) for c in candidates])
-        scores = [
-            _block_mse(bundle, index, c, qcfg, x_in, y_fp, weights_q) for c in candidates
+def _quantize_block(bundle, i, x_fp, x_q, cfg):
+    """Fit block i against its floating-point target, then fix it.
+
+    Stages: baseline, (1) paired scales and value rotation, GPTQ, (2) bias
+    corrections, unpaired scales and clip factors.  Returns (FP output,
+    quantized output, BlockParams, quantized weights, BlockStats, report
+    records); the records are empty unless cfg.with_report.
+    """
+    qcfg, sched = cfg.qcfg, cfg.schedule
+    y_fp = ad.value_of(forward_fp_block(bundle, i, x_fp))
+    bp = BlockParams.neutral(bundle.config)
+
+    def forward(params, weights=None, rec=None):
+        y = ad.value_of(forward_quant_block(bundle, i, params, qcfg, x_q, weight_override=weights, rec=rec))
+        return y, mse(y, y_fp)
+
+    def loss(weights):
+        return lambda: mse(forward_quant_block(bundle, i, bp, qcfg, x_q, weight_override=weights), y_fp)
+
+    _, baseline = forward(bp)
+    positive = (_SCALE_MIN, np.inf)
+    groups = [
+        (("s_o", "s_down"), sched.lr_scale, positive) if cfg.train_scale else None,
+        (("a_v",), sched.lr_scale, None) if cfg.train_rv else None,
+    ]
+    steps = sched.stage1_epochs * sched.steps_per_epoch
+    s1_losses = _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
+
+    weights_q = _gptq_block(bundle, i, bp, qcfg, x_q, cfg)
+    # corrections only touch activation/cache quantizers
+    correcting = qcfg.act is not None or qcfg.kv is not None
+    sites = {} if correcting and (cfg.train_clip or cfg.train_bias) else None
+    _, after_gptq = forward(bp, weights_q, sites)
+
+    s2_losses = []
+    if correcting:
+        if sites is not None:
+            # candidate starts: bias and clip seeds evaluated separately so a
+            # poor seed on one family cannot discard a good seed on the other;
+            # the neutral candidate keeps the stage from regressing past the
+            # post-GPTQ loss
+            candidates = [bp.as_arrays()]
+            if cfg.train_bias and qcfg.act is not None:
+                candidates.append(_seed_bias(bp.as_arrays(), sites))
+            if cfg.train_clip:
+                seeds = _clip_seeds(sites, qcfg)
+                candidates.extend([replace(c, **seeds) for c in candidates])
+            scores = [after_gptq] + [forward(c, weights_q)[1] for c in candidates[1:]]
+            bp = candidates[int(np.argmin(scores))]
+            del sites  # free the records before stage 2 builds its graphs
+        groups = [
+            (("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None) if cfg.train_bias else None,
+            (("sa_o", "sa_down"), sched.lr_scale, positive) if cfg.train_unpaired else None,
+            (BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)) if cfg.train_clip else None,
         ]
-        best = candidates[int(np.argmin(scores))]
-        for k in vars(best):
-            setattr(bp, k, getattr(best, k))
+        steps = sched.stage2_epochs * sched.steps_per_epoch
+        s2_losses = _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
 
-    groups = []
-    if cfg.train_bias:
-        bias = [ad.parameter(getattr(bp, f)) for f in ("bc_qkv", "bc_o", "bc_up", "bc_down")]
-        for f, p in zip(("bc_qkv", "bc_o", "bc_up", "bc_down"), bias):
-            setattr(bp, f, p)
-        groups.append(ParamGroup(bias, cfg.schedule.lr_bias))
-    if cfg.train_unpaired:
-        sa = [ad.parameter(getattr(bp, f)) for f in ("sa_o", "sa_down")]
-        for f, p in zip(("sa_o", "sa_down"), sa):
-            setattr(bp, f, p)
-        groups.append(ParamGroup(sa, cfg.schedule.lr_scale, project=_clip(_SCALE_MIN, np.inf)))
-    if cfg.train_clip:
-        alphas = [ad.parameter(getattr(bp, f)) for f in BlockParams.ALPHA_FIELDS]
-        for f, p in zip(BlockParams.ALPHA_FIELDS, alphas):
-            setattr(bp, f, p)
-        groups.append(ParamGroup(alphas, cfg.schedule.lr_clip, project=_clip(_ALPHA_MIN, 1.0)))
-    if not groups:
-        return []
-
-    def loss_fn():
-        y = forward_quant_block(bundle, index, bp, qcfg, x_in, weight_override=weights_q)
-        return mse(y, y_fp)
-
-    sched = OptimSchedule(steps=cfg.schedule.stage2_epochs * cfg.schedule.steps_per_epoch)
-    result = optimize(loss_fn, groups, sched)
-    for f in bp.__dataclass_fields__:
-        setattr(bp, f, np.array(ad.value_of(getattr(bp, f)), copy=True))
-    return result.losses
-
-
-def _block_eval(bundle, index, bp, qcfg, x_in, weights_q, collect=False):
-    rec = {} if collect else None
-    y = forward_quant_block(bundle, index, bp, qcfg, x_in, weight_override=weights_q, rec=rec)
-    return ad.value_of(y), rec
-
-
-def _block_mse(bundle, index, bp, qcfg, x_in, y_fp, weights_q=None):
-    y, _ = _block_eval(bundle, index, bp, qcfg, x_in, weights_q)
-    return float(np.mean((y - y_fp) ** 2))
+    rec = {} if cfg.with_report else None
+    y_q, final = forward(bp, weights_q, rec)
+    records = []
+    if rec is not None:
+        bits = qcfg.act.bits if qcfg.act else 4
+        records = emit_report(_site_rows(i, rec, weights_q), bits=bits).records
+    stats = BlockStats(i, baseline, after_gptq, final, s1_losses, s2_losses)
+    return y_fp, y_q, bp.as_arrays(), weights_q, stats, records
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
@@ -300,7 +307,8 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     `calib` is [sequences x seq_len x hidden] in the rotated basis.
     Returns a PipelineResult whose bundle stores fully fused, lattice-valued
     weights; the returned BlockParams carry the trained corrections applied
-    online at inference (b^c, s^a, alpha).
+    online at inference (b^c, s^a, alpha).  With cfg.with_report, each
+    block's quantizer sites are analysed from its final forward.
     """
     calib = np.asarray(calib, dtype=np.float64)
     if calib.ndim != 3 or calib.size == 0:
@@ -310,48 +318,19 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     if not (bundle.meta["norms_folded"] and bundle.meta["rres_fused"]):
         raise RuntimeError("bundle must be norm-folded and rotation-fused (see prepare_bundle)")
 
-    qcfg = cfg.qcfg
-    config = bundle.config
     ad.GRAD_TRACKER.reset()
-
-    # floating-point targets from the pristine chain
-    fp_out = []
-    x = calib
-    for i in range(len(bundle.blocks)):
-        x = ad.value_of(forward_fp_block(bundle, i, x))
-        fp_out.append(x)
-
-    out_blocks = []
-    all_params = []
-    stats = []
-    x_q = calib
+    out_blocks, all_params, stats, records = [], [], [], []
+    x_fp = x_q = calib  # floating-point targets always come from the pristine chain
     for i, bw in enumerate(bundle.blocks):
-        bp = BlockParams.neutral(config)
-        y_fp = fp_out[i]
-
-        baseline = _block_mse(bundle, i, bp, qcfg, x_q, y_fp)
-        try:
-            s1_losses = _stage1(bundle, i, bp, qcfg, x_q, y_fp, cfg)
-        except OptimizationError as err:
-            raise OptimizationError(f"block {i}, scale/rotation stage: {err}") from err
-
-        weights_q = _gptq_block(bundle, i, bp, qcfg, x_q, cfg)
-        after_gptq = _block_mse(bundle, i, bp, qcfg, x_q, y_fp, weights_q)
-
-        try:
-            s2_losses = _stage2(bundle, i, bp, qcfg, x_q, y_fp, weights_q, cfg)
-        except OptimizationError as err:
-            raise OptimizationError(f"block {i}, correction stage: {err}") from err
-        final = _block_mse(bundle, i, bp, qcfg, x_q, y_fp, weights_q)
-
-        x_q, _ = _block_eval(bundle, i, bp, qcfg, x_q, weights_q)
+        x_fp, x_q, bp, weights_q, block_stats, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
         out_blocks.append(_finalize_block(bw, weights_q))
-        all_params.append(bp.as_arrays())
-        stats.append(BlockStats(i, baseline, after_gptq, final, s1_losses, s2_losses))
+        all_params.append(bp)
+        stats.append(block_stats)
+        records.extend(block_records)
 
-    out = ModelBundle(config, out_blocks, dict(bundle.meta))
+    out = ModelBundle(bundle.config, out_blocks, dict(bundle.meta))
     out.meta["rv_scale_fused"] = True
-    out.meta["weights_quantized"] = qcfg.weight is not None
+    out.meta["weights_quantized"] = cfg.qcfg.weight is not None
 
     max_block = max(bp.n_params() for bp in all_params)
     peak = ad.GRAD_TRACKER.peak
@@ -360,18 +339,14 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
             f"gradient footprint {peak} exceeds one block's parameters ({max_block})"
         )
 
-    final_mse = float(np.mean((x_q - fp_out[-1]) ** 2))
-    if cfg.with_report:
-        report = _pipeline_report(out, all_params, qcfg, calib, stats)
-    else:
-        report = ErrorReport(blocks=[BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in stats])
+    blocks = [BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in stats]
     return PipelineResult(
         bundle=out,
         params=all_params,
-        report=report,
+        report=ErrorReport(records=records, blocks=blocks),
         rotation=None,
         block_stats=stats,
-        final_mse=final_mse,
+        final_mse=mse(x_q, x_fp),
         grad_peak_elements=peak,
         max_block_param_elements=max_block,
     )
@@ -408,28 +383,30 @@ def _finalize_block(bw: BlockWeights, weights_q) -> BlockWeights:
 def site_layers(bundle: ModelBundle, params, qcfg: QuantConfig, x):
     """Quantizer-site inputs of a quantized forward, as analysis-report rows.
 
-    Returns (block, site, activations, weight) tuples: blocks in order, and
-    within a block the sites sorted by name.  `activations` is the site's
-    [tokens x channels] input and `weight` stacks the matrices the site
-    feeds (None for the cache sites).
+    Returns the `_site_rows` of every block, blocks in order.
     """
     layers = []
     for i, bp in enumerate(params):
         rec = {}
         x = ad.value_of(forward_quant_block(bundle, i, bp, qcfg, x, rec=rec))
-        for key in sorted(k for k in rec if k.endswith(".in")):
-            site = key[: -len(".in")]
-            names = ACT_SITES.get(site)
-            weight = np.vstack([getattr(bundle.blocks[i], nm) for nm in names]) if names else None
-            layers.append((i, site, rec[key], weight))
+        layers.extend(_site_rows(i, rec, vars(bundle.blocks[i])))
     return layers
 
 
-def _pipeline_report(bundle_q, params, qcfg, calib, stats) -> ErrorReport:
-    layers = site_layers(bundle_q, params, qcfg, calib)
-    report = emit_report(layers, bits=qcfg.act.bits if qcfg.act else 4)
-    report.blocks = [BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in stats]
-    return report
+def _site_rows(index, rec, weights):
+    """(block, site, activations, weight) rows of one block's site records.
+
+    Sites are sorted by name.  `activations` is the site's [tokens x
+    channels] input and `weight` stacks the matrices of `weights` that the
+    site feeds (None for the cache sites).
+    """
+    rows = []
+    for key in sorted(k for k in rec if k.endswith(".in")):
+        site = key[: -len(".in")]
+        names = ACT_SITES.get(site)
+        weight = np.vstack([weights[nm] for nm in names]) if names else None
+        rows.append((index, site, rec[key], weight))
+    return rows
 
 
 def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineResult:

@@ -1,7 +1,11 @@
 """File formats, run configuration, and the command-line surface."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +338,49 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
     path.write_text(json.dumps({"hidden": 32, "bogus": 1}))
     with pytest.raises(ConfigError, match="bogus"):
         RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "document, named",
+    [
+        ('{"hidden": "64"}', "hidden"),
+        ('{"hidden": 64.0}', "hidden"),
+        ('{"hidden": true}', "hidden"),
+        ('{"n_blocks": "2"}', "n_blocks"),
+        ('{"lr_bias": "x"}', "lr_bias"),
+        ('{"seed": "abc"}', "seed"),
+        ('{"base_std": Infinity}', "base_std"),
+        ('{"offset_std": NaN}', "offset_std"),
+        ('{"mode": "bogus"}', "mode"),
+        ("[1, 2]", "JSON object"),
+        ("null", "JSON object"),
+    ],
+    ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str",
+         "base_std-inf", "offset_std-nan", "mode-unknown", "list", "null"],
+)
+def test_cli_malformed_config_is_validation_error(tmp_path, document, named):
+    path = tmp_path / "config.json"
+    path.write_text(document)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotquant.cli", "gen", "--config", str(path), "--out", str(tmp_path / "g")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error:") and named in line for line in proc.stderr.splitlines()), proc.stderr
+
+
+def test_runconfig_float_fields_accept_ints(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lr_bias": 1, "mode": None}))
+    rc = RunConfig.from_file(path)
+    assert rc.lr_bias == 1.0 and isinstance(rc.lr_bias, float)
+    assert rc.mode is None
 
 
 # -- CLI ---------------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Staged blockwise quantization: rotations, GPTQ, corrections, ablation."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rotquant import autodiff as ad
+from rotquant.analysis import BlockMse, SiteRecord, emit_report
 from rotquant.model import (
     BlockParams,
     ModelConfig,
@@ -254,16 +255,27 @@ def test_ablation_ladder_improves():
     assert means[-1] < 0.5 * means[0]
 
 
-def test_nan_loss_reports_block_and_stage(monkeypatch):
+@pytest.mark.parametrize(
+    "failing_call, stage",
+    [(1, "scale/rotation stage"), (2, "correction stage")],
+    ids=["scale-rotation", "correction"],
+)
+def test_nan_loss_reports_block_and_stage(monkeypatch, failing_call, stage):
     from rotquant import pipeline as pl
     from rotquant.optim import OptimizationError
 
+    calls = []
+    optimize = pl.optimize
+
     def boom(*args, **kwargs):
-        raise OptimizationError("NaN loss at step 1")
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise OptimizationError("NaN loss at step 1")
+        return optimize(*args, **kwargs)
 
     monkeypatch.setattr(pl, "optimize", boom)
     bundle, calib = _setup(13)
-    with pytest.raises(OptimizationError, match="block 0, scale/rotation stage: NaN loss at step 1"):
+    with pytest.raises(OptimizationError, match=f"block 0, {stage}: NaN loss at step 1"):
         run_pipeline(bundle, calib, _cfg())
 
 
@@ -292,3 +304,46 @@ def test_one_clip_search_per_site_per_block(monkeypatch):
     run_pipeline(bundle, calib, _cfg(bits=(4, 4, 4)))
     # four activation sites plus the k and v caches, once each per block
     assert calls == [4] * 6 * SMALL.n_blocks
+
+
+@pytest.mark.parametrize(
+    "mode, with_report, calls",
+    [("scale", False, 82), ("scale", True, 82), ("rotation-only", True, 8)],
+)
+def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
+    # per block: baseline 1, stage 1 12 steps + 1, GPTQ 1, after GPTQ 1 (also
+    # the neutral stage-2 candidate), 3 seeded candidates, stage 2 20 steps
+    # + 1, final 1 (also the report's site pass and the next block's input)
+    from rotquant import pipeline as pl
+
+    count = []
+    forward = pl.forward_quant_block
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "forward_quant_block", counting)
+    bundle, calib = _setup(3)
+    run_pipeline(bundle, calib, mode_config(_cfg(with_report=with_report), mode))
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("bits, report_bits", [((4, 4, 4), 4), ((4, 16, 4), 4), ((4, 8, 4), 8)])
+def test_report_equals_a_fresh_site_pass(bits, report_bits):
+    bundle, calib = _setup(3)
+    cfg = _cfg(bits=bits, with_report=True)
+    result = run_pipeline(bundle, calib, cfg)
+    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.rotation.apply(calib))
+    fresh = emit_report(layers, bits=report_bits)
+    assert len(result.report.records) == len(fresh.records) == 6 * SMALL.n_blocks
+    for got, want in zip(result.report.records, fresh.records):
+        for f in fields(SiteRecord):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+    assert result.report.blocks == [
+        BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in result.block_stats
+    ]
