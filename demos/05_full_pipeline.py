@@ -53,5 +53,9 @@ print("(the whole model never needs simultaneous gradients)")
 print("\nper-site error analysis from the report:")
 for rec in result.report.records:
     if rec.block == 0:
+        noise = ""
+        if rec.measured_noise_var is not None:
+            noise = (f"   linear noise measured {rec.measured_noise_var:.2e}"
+                     f" (closed form {rec.predicted_noise_var:.2e})")
         print(f"  block0.{rec.site:<8s} var-of-means share {rec.var_of_means_fraction:6.1%}   "
-              f"clipped energy {rec.clipping_energy_fraction:6.1%}")
+              f"clipped energy {rec.clipping_energy_fraction:6.1%}{noise}")

@@ -3,8 +3,10 @@ asymmetric scaling, and a quantization-error analysis suite."""
 
 from .analysis import (
     BlockMse,
+    ChannelStats,
     ErrorReport,
     SiteRecord,
+    channel_stats,
     clipping_energy,
     emit_report,
     gaussian_clip_energy,
@@ -66,7 +68,6 @@ from .quantizers import (
     rtn_quantize,
     search_clip,
 )
-from .stats import ChannelStats, channel_stats
 from .transforms import (
     CayleyParam,
     Rotation,

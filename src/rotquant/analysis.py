@@ -1,23 +1,30 @@
 """Closed-form and Monte-Carlo quantization-error analysis.
 
-Covers the rounding/clipping energy split, the variance-of-means share of
-rounding error, uniform-noise propagation through a linear layer, and the
-AM-GM-optimal paired channel scaling.
+Covers per-channel activation statistics, the rounding/clipping energy
+split, the variance-of-means share of rounding error, uniform-noise
+propagation through a linear layer, the AM-GM-optimal paired channel
+scaling, and the per-site error report.  The report's noise prediction is
+the closed form alone; the error a site produced in a run is measured by
+the caller and stored with it.  All variances are population (biased) so
+the decomposition
+
+    total_var == mean(channel_vars) + var_of_means
+
+is an exact algebraic identity rather than an approximation.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quantizers import QuantSpec, resolve_params
-from .stats import channel_stats
 
 __all__ = [
+    "ChannelStats",
+    "channel_stats",
     "clipping_energy",
     "gaussian_clip_energy",
     "variance_decomposition",
@@ -28,6 +35,31 @@ __all__ = [
     "ErrorReport",
     "emit_report",
 ]
+
+
+@dataclass(frozen=True)
+class ChannelStats:
+    means: np.ndarray       # per-channel mean
+    vars: np.ndarray        # per-channel population variance
+    total_var: float        # population variance over all elements
+    var_of_means: float     # population variance of the channel means
+
+
+def channel_stats(x) -> ChannelStats:
+    """Population statistics of a [tokens x channels] matrix.
+
+    Channels are columns.  Raises on empty input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError("empty input")
+    means = x.mean(axis=0)
+    return ChannelStats(
+        means=means,
+        vars=x.var(axis=0),
+        total_var=float(x.var()),
+        var_of_means=float(means.var()),
+    )
 
 
 def clipping_energy(samples, lo, hi):
@@ -72,17 +104,18 @@ def variance_decomposition(x):
     var_of_means / total_var -- the share of rounding error attributable to
     misaligned channel means.  A constant matrix has fraction 0.
     """
+    return _decompose(x)[1:]
+
+
+def _decompose(x):
+    """(ChannelStats, mean_channel_var, var_of_means, fraction) of x."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2 or x.size == 0:
         raise ValueError("expected a [tokens x channels] matrix with >= 2 columns")
     cs = channel_stats(x)
     mean_channel_var = float(cs.vars.mean())
-    if cs.total_var == 0.0:
-        return mean_channel_var, cs.var_of_means, 0.0
-    return mean_channel_var, cs.var_of_means, cs.var_of_means / cs.total_var
-
-
-NOISE_MAX_WORKERS = 4  # threads of one noise_propagation call, at most
+    fraction = 0.0 if cs.total_var == 0.0 else cs.var_of_means / cs.total_var
+    return cs, mean_channel_var, cs.var_of_means, fraction
 
 
 def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
@@ -94,11 +127,9 @@ def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
     value is the Monte-Carlo variance of the product error normalized the
     same way (per contraction coordinate).
 
-    The trials run in chunks of about 2e6 weight draws, each chunk split
-    across up to NOISE_MAX_WORKERS threads.  Every thread draws its trials'
-    noise from the point of the seed's PCG64 stream where a serial loop
-    would, and the squared errors are summed in trial order, so the result
-    is bit-identical whatever the number of cores.
+    The trials run in chunks of about 2e6 weight draws.  One PCG64 stream
+    fills each chunk's weight noise and then its activation noise (a zero
+    scale draws nothing) into buffers that hold one chunk.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -110,89 +141,38 @@ def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
         if not (math.isfinite(s) and s >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {s}")
     n = a.shape[0]
-    vw = s_w * s_w / 12.0
-    va = s_a * s_a / 12.0
-    predicted = float(np.mean(w * w) * va + np.mean(a * a) * vw + vw * va)
-
     w2 = w.reshape(-1, n)
+    out = w2.shape[0]
     chunk = max(1, int(2_000_000 // max(w2.size, n)))
-    workers = min(_cpu_count(), chunk, trials, NOISE_MAX_WORKERS)
-    err_sq = _noise_err_sq(w2, a, s_w, s_a, trials, seed, chunk, workers)
-    empirical = float(np.mean(err_sq) / trials / n)
-    return predicted, empirical
-
-
-def _cpu_count():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _noise_err_sq(w2, a, s_w, s_a, trials, seed, chunk, workers):
-    """Per-output sum over trials of the squared error of (w2 + ew) @ (a + ea).
-
-    The draws are those of one serial PCG64 stream: a chunk of c trials
-    starting at trial d reads c weight-noise matrices and then c
-    activation-noise vectors from offset d * per_trial (a zero scale draws
-    nothing).  Each chunk is cut into at most `workers` slices of trials;
-    a slice fills its rows of the shared buffers from its own copy of the
-    stream, advanced to its offsets, and the chunk's squared errors are
-    summed over trials here, in order.  The buffers hold one chunk.
-    """
-    out, n = w2.shape
-    nw = out * n if s_w > 0 else 0
-    na = n if s_a > 0 else 0
-    per_trial = nw + na
-    state = np.random.PCG64(seed).state
     rows = min(chunk, trials)
+    gen = np.random.default_rng(seed)
     clean = w2 @ a
-    wbuf = np.empty((rows, out, n)) if nw else np.broadcast_to(w2, (rows, out, n))
-    abuf = np.empty((rows, n)) if na else np.broadcast_to(a, (rows, n))
+    wbuf = np.empty((rows, out, n)) if s_w > 0 else np.broadcast_to(w2, (rows, out, n))
+    abuf = np.empty((rows, n)) if s_a > 0 else np.broadcast_to(a, (rows, n))
     noisy = np.empty((rows, out, 1))
     err_sq = np.zeros(out)
-
-    def run_slice(d, c, i0, i1):
-        bits = np.random.PCG64()
-        bits.state = state
-        gen = np.random.Generator(bits.advance(d * per_trial + i0 * nw))
-        if nw:
-            ew = wbuf[i0:i1]
-            gen.random(out=ew)
-            ew *= s_w
-            ew += -0.5 * s_w  # the rounding of uniform(-s_w/2, s_w/2), then w2 + ew
-            ew += w2
-        if na:
-            bits.advance((c - i1) * nw + i0 * na)
-            ea = abuf[i0:i1]
-            gen.random(out=ea)
-            ea *= s_a
-            ea += -0.5 * s_a
-            ea += a
-        np.matmul(wbuf[i0:i1], abuf[i0:i1, :, None], out=noisy[i0:i1])
-        err = noisy[i0:i1, :, 0]
+    for done in range(0, trials, chunk):
+        c = min(chunk, trials - done)
+        for buf, s, base in ((wbuf[:c], s_w, w2), (abuf[:c], s_a, a)):
+            if s > 0:
+                gen.random(out=buf)
+                buf *= s
+                buf += -0.5 * s  # the rounding of uniform(-s/2, s/2), then base + noise
+                buf += base
+        np.matmul(wbuf[:c], abuf[:c, :, None], out=noisy[:c])
+        err = noisy[:c, :, 0]
         err -= clean
         np.square(err, out=err)
+        err_sq += np.sum(err, axis=0)
+    empirical = float(np.mean(err_sq) / trials / n)
+    return _predicted_noise_var(w, a, s_w, s_a), empirical
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=workers)
-    else:
-        pool = contextlib.nullcontext()
-    with pool:
-        done = 0
-        while done < trials:
-            c = min(chunk, trials - done)
-            k = min(workers, c)
-            cuts = [c * j // k for j in range(k + 1)]
-            jobs = [(done, c, i0, i1) for i0, i1 in zip(cuts, cuts[1:])]
-            if k == 1:
-                run_slice(*jobs[0])
-            else:
-                list(pool.map(lambda job: run_slice(*job), jobs))
-            err_sq += np.sum(noisy[:c, :, 0], axis=0)
-            done += c
-    return err_sq
+def _predicted_noise_var(w, a, s_w, s_a):
+    """Closed-form output-noise variance of w @ a per contraction coordinate."""
+    vw = s_w * s_w / 12.0
+    va = s_a * s_a / 12.0
+    return float(np.mean(w * w) * va + np.mean(a * a) * vw + vw * va)
 
 
 def optimal_scale(w, a):
@@ -224,7 +204,13 @@ def _channel_rms(x):
 
 @dataclass
 class SiteRecord:
-    """Error analysis of one quantizer site."""
+    """Error analysis of one quantizer site.
+
+    predicted_noise_var is noise_propagation's closed form for the site's
+    weights and channel-RMS token.  measured_noise_var is the error its
+    linear produced in the run, mean((lin @ W_q^T - in @ W_fp^T)^2) /
+    channels.  Both are None for cache sites, the latter also in `analyze`.
+    """
 
     block: int
     site: str
@@ -234,7 +220,7 @@ class SiteRecord:
     mean_channel_var: float
     var_of_means: float
     predicted_noise_var: float | None = None
-    empirical_noise_var: float | None = None
+    measured_noise_var: float | None = None
     channel_means: np.ndarray | None = None
     channel_vars: np.ndarray | None = None
 
@@ -249,7 +235,7 @@ class BlockMse:
 
 @dataclass
 class ErrorReport:
-    schema: int = 1
+    schema: int = 2
     records: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
 
@@ -257,10 +243,9 @@ class ErrorReport:
 _CLIP_SIGMAS = 2.2  # analysis bounds: mean +- 2.2 sigma-hat per channel pool
 
 
-def _analyze_site(block, site, act, weight, bits, noise_trials, seed):
+def _analyze_site(block, site, act, weight, measured, bits):
     act = np.asarray(act, dtype=np.float64)
-    cs = channel_stats(act)
-    mean_channel_var, var_of_means, fraction = variance_decomposition(act)
+    cs, mean_channel_var, var_of_means, fraction = _decompose(act)
 
     spec = QuantSpec(bits=bits, scheme="asymmetric", granularity="per-token")
     qp = resolve_params(act, spec)
@@ -273,14 +258,14 @@ def _analyze_site(block, site, act, weight, bits, noise_trials, seed):
         mu = float(act.mean())
         clip_frac = clipping_energy(act - mu, -_CLIP_SIGMAS * sd, _CLIP_SIGMAS * sd)
 
-    predicted = empirical = None
+    predicted = None
     if weight is not None and cs.total_var > 0.0:
         w = np.asarray(weight, dtype=np.float64)
         wspec = QuantSpec(bits=bits, scheme="symmetric", granularity="per-channel")
         s_w = float(np.mean(np.asarray(resolve_params(w, wspec).scale)))
         s_a = float(np.mean(np.asarray(qp.scale)))
-        a_repr = np.sqrt(np.mean(act * act, axis=0))  # representative token (channel RMS)
-        predicted, empirical = noise_propagation(w, a_repr, s_w, s_a, trials=noise_trials, seed=seed)
+        a_repr = _channel_rms(act)  # representative token
+        predicted = _predicted_noise_var(w, a_repr, s_w, s_a)
 
     return SiteRecord(
         block=block,
@@ -291,23 +276,26 @@ def _analyze_site(block, site, act, weight, bits, noise_trials, seed):
         mean_channel_var=mean_channel_var,
         var_of_means=var_of_means,
         predicted_noise_var=predicted,
-        empirical_noise_var=empirical,
+        measured_noise_var=measured,
         channel_means=cs.means.copy(),
         channel_vars=cs.vars.copy(),
     )
 
 
-def emit_report(layers, bits=4, noise_trials=2000, seed=0) -> ErrorReport:
+def emit_report(layers, bits=4) -> ErrorReport:
     """Analyze quantizer sites into a structured report.
 
     `layers` is an iterable of (block_index, site_name, activations,
-    weight_or_None); activations are [tokens x channels].  One record is
-    emitted per site.  Deterministic given inputs and seed.
+    weight_or_None[, measured_noise_var]) rows; activations are [tokens x
+    channels] and the optional fifth entry is stored as the record's
+    measured_noise_var (None when absent).  One record is emitted per site.
+    Deterministic given its inputs.
     """
     layers = list(layers)
     if not layers:
         raise ValueError("at least one layer required")
     report = ErrorReport()
-    for block, site, act, weight in layers:
-        report.records.append(_analyze_site(block, site, act, weight, bits, noise_trials, seed))
+    for block, site, act, weight, *rest in layers:
+        measured = rest[0] if rest else None
+        report.records.append(_analyze_site(block, site, act, weight, measured, bits))
     return report

@@ -41,7 +41,7 @@ __all__ = [
 
 _MAGIC = b"RQBNDL\x00\x01"
 _ALIGN = 64
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2  # schema 1 had empirical_noise_var in place of measured_noise_var
 
 
 class BundleFormatError(RuntimeError):
@@ -272,7 +272,7 @@ _SUMMARY_COLUMNS = [
     "mean_channel_var",
     "var_of_means",
     "predicted_noise_var",
-    "empirical_noise_var",
+    "measured_noise_var",
 ]
 
 
@@ -326,18 +326,51 @@ def _csv_cell(v):
 
 
 def read_report(json_path) -> ErrorReport:
+    """Load a report JSON of schema 1 or 2; schema-1 records load with
+    measured_noise_var None.  Any other document, or records and blocks
+    that are not objects of their fields' types, raise BundleFormatError.
+    """
     with open(json_path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    if "schema" not in payload:
+    if not isinstance(payload, dict) or "schema" not in payload:
         raise BundleFormatError(f"{json_path}: missing schema field")
-    records = []
-    for d in payload.get("records", []):
-        for k in ("channel_means", "channel_vars"):
-            if d.get(k) is not None:
-                d[k] = np.asarray(d[k], dtype=np.float64)
-        records.append(SiteRecord(**d))
-    blocks = [BlockMse(**b) for b in payload.get("blocks", [])]
-    return ErrorReport(schema=int(payload["schema"]), records=records, blocks=blocks)
+    schema = payload["schema"]
+    if type(schema) is not int or schema not in (1, REPORT_SCHEMA):
+        raise BundleFormatError(f"{json_path}: unknown report schema {schema!r}")
+    records, blocks = payload.get("records", []), payload.get("blocks", [])
+    try:
+        if not (isinstance(records, list) and isinstance(blocks, list)):
+            raise ValueError("records and blocks must be lists")
+        records = [_from_json(SiteRecord, d, schema) for d in records]
+        blocks = [_from_json(BlockMse, b, schema) for b in blocks]
+    except (TypeError, ValueError, OverflowError) as err:
+        raise BundleFormatError(f"{json_path}: malformed report: {err}") from err
+    return ErrorReport(schema=schema, records=records, blocks=blocks)
+
+
+def _from_json(cls, d, schema):
+    """A SiteRecord or BlockMse from a JSON object whose values match the
+    field annotations; schema 1's empirical_noise_var is dropped."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} entry {d!r} is not an object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    if schema == 1:
+        d = {k: v for k, v in d.items() if k != "empirical_noise_var"}
+    return cls(**{k: _json_value(k, kinds.get(k, "a known field"), v) for k, v in d.items()})
+
+
+def _json_value(name, kind, v):
+    if kind.endswith(" | None"):
+        if v is None:
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind == "int" and type(v) is int or kind == "str" and isinstance(v, str):
+        return v
+    if kind == "float" and type(v) in (int, float):
+        return float(v)
+    if kind == "np.ndarray" and isinstance(v, list) and all(type(x) in (int, float) for x in v):
+        return np.asarray(v, dtype=np.float64)
+    raise ValueError(f"{name} = {v!r} is not {kind}")
 
 
 # -- run configuration -------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import clipping_energy, emit_report, gaussian_clip_energy
+from .analysis import channel_stats, clipping_energy, emit_report, gaussian_clip_energy
 from .bundle_io import (
     BundleFormatError,
     ConfigError,
@@ -48,7 +48,6 @@ from .pipeline import (
     site_layers,
 )
 from .quantizers import QuantizationError, QuantSpec, quant_proxy_loss, rtn_quantize, search_clip, gptq_quantize
-from .stats import channel_stats
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -314,7 +313,7 @@ def cmd_verify(args) -> int:
 def _check_report_file(path):
     try:
         report = read_report(path)
-    except (OSError, BundleFormatError, TypeError, ValueError) as err:
+    except (OSError, BundleFormatError, ValueError) as err:  # ValueError: not JSON
         return False, f"unparseable: {err}"
     for r in report.records:
         for field in ("clipping_energy_fraction", "var_of_means_fraction"):

@@ -3,8 +3,9 @@
 Per block, in order: (1) compute its floating-point target, (2) train the
 paired symmetric scales and the value-rotation parameter against the output
 MSE, (3) quantize weights with Hessian-aware rounding, (4) train bias
-corrections, unpaired scales, and clip factors, (5) run one final forward,
-whose site inputs the report analyses before the next block starts.
+corrections, unpaired scales, and clip factors, (5) run one final forward
+(the after-GPTQ forward when step 4 trains nothing), whose site records
+the report analyses before the next block starts.
 Quantized outputs of block k feed block k+1's calibration inputs so later
 blocks compensate earlier errors; floating-point targets always come from
 the pristine model.
@@ -262,41 +263,45 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     s1_losses = _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
 
     weights_q = _gptq_block(bundle, i, bp, qcfg, x_q, cfg)
-    # corrections only touch activation/cache quantizers
-    correcting = qcfg.act is not None or qcfg.kv is not None
-    sites = {} if correcting and (cfg.train_clip or cfg.train_bias) else None
-    _, after_gptq = forward(bp, weights_q, sites)
+    groups = [
+        (("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None) if cfg.train_bias else None,
+        (("sa_o", "sa_down"), sched.lr_scale, positive) if cfg.train_unpaired else None,
+        (BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)) if cfg.train_clip else None,
+    ]
+    # corrections only touch activation/cache quantizers; without stage 2
+    # the after-GPTQ forward is also the final one
+    stage2 = (qcfg.act is not None or qcfg.kv is not None) and any(groups)
+    seeding = stage2 and (cfg.train_clip or cfg.train_bias)
+    rec = {} if seeding or (cfg.with_report and not stage2) else None
+    y_q, after_gptq = forward(bp, weights_q, rec)
+    final, s2_losses = after_gptq, []
 
-    s2_losses = []
-    if correcting:
-        if sites is not None:
+    if stage2:
+        if seeding:
             # candidate starts: bias and clip seeds evaluated separately so a
             # poor seed on one family cannot discard a good seed on the other;
             # the neutral candidate keeps the stage from regressing past the
             # post-GPTQ loss
             candidates = [bp.as_arrays()]
             if cfg.train_bias and qcfg.act is not None:
-                candidates.append(_seed_bias(bp.as_arrays(), sites))
+                candidates.append(_seed_bias(bp.as_arrays(), rec))
             if cfg.train_clip:
-                seeds = _clip_seeds(sites, qcfg)
+                seeds = _clip_seeds(rec, qcfg)
                 candidates.extend([replace(c, **seeds) for c in candidates])
             scores = [after_gptq] + [forward(c, weights_q)[1] for c in candidates[1:]]
             bp = candidates[int(np.argmin(scores))]
-            del sites  # free the records before stage 2 builds its graphs
-        groups = [
-            (("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None) if cfg.train_bias else None,
-            (("sa_o", "sa_down"), sched.lr_scale, positive) if cfg.train_unpaired else None,
-            (BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)) if cfg.train_clip else None,
-        ]
+            rec = None  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
         s2_losses = _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
+        rec = {} if cfg.with_report else None
+        y_q, final = forward(bp, weights_q, rec)
 
-    rec = {} if cfg.with_report else None
-    y_q, final = forward(bp, weights_q, rec)
     records = []
-    if rec is not None:
+    if cfg.with_report:
         bits = qcfg.act.bits if qcfg.act else 4
-        records = emit_report(_site_rows(i, rec, weights_q), bits=bits).records
+        fp = _effective_arrays(bundle, i, bp)
+        rows = [(*row, _measured_noise_var(rec, row[1], row[3], fp)) for row in _site_rows(i, rec, weights_q)]
+        records = emit_report(rows, bits=bits).records
     stats = BlockStats(i, baseline, after_gptq, final, s1_losses, s2_losses)
     return y_fp, y_q, bp.as_arrays(), weights_q, stats, records
 
@@ -358,9 +363,7 @@ def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
     Returns the full effective weight/bias dict with the seven matrices
     replaced by their lattice versions (biases stay floating point).
     """
-    bw = bundle.blocks[index]
-    eff = effective_weights(bw, bp, bundle.config)
-    eff = {k: None if v is None else np.asarray(ad.value_of(v)) for k, v in eff.items()}
+    eff = _effective_arrays(bundle, index, bp)
     if qcfg.weight is None:
         return eff
     rec = {}
@@ -370,6 +373,12 @@ def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
         for name in weight_names:
             eff[name] = gptq_quantize(eff[name], x_site, qcfg.weight, damp=cfg.gptq_damp)
     return eff
+
+
+def _effective_arrays(bundle, index, bp):
+    """effective_weights of block `index` at bp, as arrays."""
+    eff = effective_weights(bundle.blocks[index], bp, bundle.config)
+    return {k: None if v is None else np.asarray(ad.value_of(v)) for k, v in eff.items()}
 
 
 def _finalize_block(bw: BlockWeights, weights_q) -> BlockWeights:
@@ -407,6 +416,16 @@ def _site_rows(index, rec, weights):
         weight = np.vstack([weights[nm] for nm in names]) if names else None
         rows.append((index, site, rec[key], weight))
     return rows
+
+
+def _measured_noise_var(rec, site, weight, weights_fp):
+    """SiteRecord.measured_noise_var of a site's linear (None for caches)."""
+    names = ACT_SITES.get(site)
+    if names is None:
+        return None
+    err = rec[site + ".lin"] @ weight.T
+    err -= rec[site + ".in"] @ np.vstack([weights_fp[nm] for nm in names]).T
+    return float(np.mean(np.square(err, out=err)) / weight.shape[1])
 
 
 def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineResult:

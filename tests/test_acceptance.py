@@ -52,7 +52,7 @@ from rotquant.quantizers import (
     rtn_quantize,
     search_clip,
 )
-from rotquant.stats import channel_stats
+from rotquant.analysis import channel_stats
 from rotquant.transforms import random_hadamard
 
 

@@ -262,7 +262,7 @@ def _sample_report():
                 mean_channel_var=1.0,
                 var_of_means=4.0,
                 predicted_noise_var=0.002,
-                empirical_noise_var=0.0021,
+                measured_noise_var=0.0021,
                 channel_means=np.array([0.1, -0.2]),
                 channel_vars=np.array([1.0, 1.1]),
             ),
@@ -285,7 +285,7 @@ def test_report_roundtrip_lossless(tmp_path):
     base = tmp_path / "report"
     write_report(base, report)
     loaded = read_report(str(base) + ".json")
-    assert loaded.schema == 1
+    assert loaded.schema == 2
     assert len(loaded.records) == 2
     r0, l0 = report.records[0], loaded.records[0]
     for field in (
@@ -295,6 +295,7 @@ def test_report_roundtrip_lossless(tmp_path):
         "clipping_energy_fraction",
         "var_of_means_fraction",
         "predicted_noise_var",
+        "measured_noise_var",
     ):
         assert getattr(l0, field) == getattr(r0, field)
     assert np.array_equal(l0.channel_means, r0.channel_means)
@@ -305,6 +306,70 @@ def test_report_roundtrip_lossless(tmp_path):
     lines = (tmp_path / "report.csv").read_text().splitlines()
     summary = lines[1 : lines.index("")]
     assert len(summary) == 2
+
+
+# a report.json as written before measured_noise_var replaced empirical_noise_var
+_SCHEMA1_REPORT = (
+    '{"blocks":[{"block":0,"mse_after_gptq":0.5,"mse_baseline":1.0,"mse_final":0.25}],'
+    '"records":[{"block":0,"channel_means":[0.1,-0.2],"channel_vars":[1.0,1.1],'
+    '"clipping_energy_fraction":0.18,"empirical_noise_var":0.0021,"mean_channel_var":1.0,'
+    '"predicted_noise_var":0.002,"rounding_energy":0.01,"site":"qkv","var_of_means":4.0,'
+    '"var_of_means_fraction":0.8},{"block":0,"channel_means":null,"channel_vars":null,'
+    '"clipping_energy_fraction":0.0,"empirical_noise_var":null,"mean_channel_var":0.5,'
+    '"predicted_noise_var":null,"rounding_energy":0.0,"site":"k_cache","var_of_means":0.0,'
+    '"var_of_means_fraction":0.0}],"schema":1}\n'
+)
+
+
+def test_report_reads_schema_1(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(_SCHEMA1_REPORT)
+    loaded = read_report(path)
+    assert loaded.schema == 1
+    assert loaded.blocks == [BlockMse(0, 1.0, 0.5, 0.25)]
+    qkv, cache = loaded.records
+    assert (qkv.block, qkv.site, qkv.clipping_energy_fraction) == (0, "qkv", 0.18)
+    assert qkv.predicted_noise_var == 0.002
+    assert qkv.measured_noise_var is None and cache.measured_noise_var is None
+    assert np.array_equal(qkv.channel_vars, [1.0, 1.1]) and cache.channel_means is None
+
+
+def _record_json(**changes):
+    d = json.loads(_SCHEMA1_REPORT)["records"][0]
+    d.pop("empirical_noise_var")
+    return d | changes
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"schema": 1, "records": [1]},
+        {"schema": 2, "records": [_record_json(clipping_energy_fraction="a")]},
+        {"schema": 2, "records": [_record_json(clipping_energy_fraction=None)]},
+        {"schema": 2, "records": [_record_json(var_of_means_fraction=[0.5])]},
+        {"schema": 2, "records": [_record_json(block="0")]},
+        {"schema": 2, "records": [_record_json(channel_means=["x"])]},
+        {"schema": 2, "records": [_record_json(empirical_noise_var=0.1)]},
+        {"schema": 2, "records": [{"block": 0, "site": "qkv"}]},
+        {"schema": 2, "records": [], "blocks": [1]},
+        {"schema": 2, "records": [], "blocks": [{"block": 0, "mse_baseline": "x", "mse_after_gptq": 0.5,
+                                                 "mse_final": 0.25}]},
+        {"schema": 2, "records": {"a": 1}},
+        {"schema": 3, "records": []},
+        {"schema": True, "records": []},
+        [1, 2],
+    ],
+    ids=["record-not-object", "fraction-str", "fraction-null", "fraction-list", "block-str",
+         "means-str", "schema2-empirical", "record-missing-fields", "block-not-object",
+         "block-mse-str", "records-not-list", "schema-unknown", "schema-bool", "not-object"],
+)
+def test_cli_verify_malformed_report_fails_cleanly(tmp_path, capsys, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL report-file" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_report_twins_are_deterministic(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rotquant import autodiff as ad
 from rotquant.optim import OptimSchedule, OptimizationError, ParamGroup, cosine_lr, optimize
-from rotquant.stats import channel_stats
+from rotquant.analysis import channel_stats
 
 
 # -- channel statistics -------------------------------------------------------

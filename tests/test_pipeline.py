@@ -9,13 +9,16 @@ import pytest
 from rotquant import autodiff as ad
 from rotquant.analysis import BlockMse, SiteRecord, emit_report
 from rotquant.model import (
+    ACT_SITES,
     BlockParams,
     ModelConfig,
     QuantConfig,
     SynthSpec,
     build_toy_model,
+    effective_weights,
     forward_fp,
     forward_quant,
+    forward_quant_block,
     gen_calibration,
 )
 from rotquant.pipeline import (
@@ -308,12 +311,13 @@ def test_one_clip_search_per_site_per_block(monkeypatch):
 
 @pytest.mark.parametrize(
     "mode, with_report, calls",
-    [("scale", False, 82), ("scale", True, 82), ("rotation-only", True, 8)],
+    [("scale", False, 82), ("scale", True, 82), ("rotation-only", True, 6)],
 )
 def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
     # per block: baseline 1, stage 1 12 steps + 1, GPTQ 1, after GPTQ 1 (also
     # the neutral stage-2 candidate), 3 seeded candidates, stage 2 20 steps
-    # + 1, final 1 (also the report's site pass and the next block's input)
+    # + 1, final 1 (also the report's site pass and the next block's input);
+    # rotation-only trains nothing, so its after-GPTQ forward is the final one
     from rotquant import pipeline as pl
 
     count = []
@@ -339,6 +343,8 @@ def test_report_equals_a_fresh_site_pass(bits, report_bits):
     assert len(result.report.records) == len(fresh.records) == 6 * SMALL.n_blocks
     for got, want in zip(result.report.records, fresh.records):
         for f in fields(SiteRecord):
+            if f.name == "measured_noise_var":
+                continue  # needs the FP weights, see test_measured_noise_var_is_the_run_error
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
@@ -347,3 +353,39 @@ def test_report_equals_a_fresh_site_pass(bits, report_bits):
     assert result.report.blocks == [
         BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in result.block_stats
     ]
+
+
+@pytest.mark.parametrize("bits", [(4, 4, 4), (4, 16, 4), (4, 8, 4)])
+def test_measured_noise_var_is_the_run_error(bits):
+    # recompute each site's realized linear error from a separate forward of
+    # the quantized bundle and the FP effective weights at the final params
+    bundle, calib = _setup(3)
+    cfg = _cfg(bits=bits, with_report=True)
+    result = run_pipeline(bundle, calib, cfg)
+    prepared, rotation = prepare_bundle(bundle, cfg)
+    got = {(r.block, r.site): r.measured_noise_var for r in result.report.records}
+    x = rotation.apply(calib)
+    for i, bp in enumerate(result.params):
+        rec = {}
+        x = ad.value_of(forward_quant_block(result.bundle, i, bp, cfg.qcfg, x, rec=rec))
+        eff = effective_weights(prepared.blocks[i], bp, prepared.config)
+        for site, names in ACT_SITES.items():
+            w_q = np.vstack([getattr(result.bundle.blocks[i], nm) for nm in names])
+            w_fp = np.vstack([ad.value_of(eff[nm]) for nm in names])
+            err = rec[site + ".lin"] @ w_q.T - rec[site + ".in"] @ w_fp.T
+            want = np.mean(err**2) / w_fp.shape[1]
+            assert want > 0.0
+            assert got[(i, site)] == pytest.approx(want, rel=1e-12, abs=0.0), (i, site)
+        assert got[(i, "k_cache")] is None and got[(i, "v_cache")] is None
+
+
+def test_report_runs_no_noise_monte_carlo(monkeypatch):
+    from rotquant import analysis
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quantize report ran the noise Monte Carlo")
+
+    monkeypatch.setattr(analysis, "noise_propagation", forbidden)
+    bundle, calib = _setup(3)
+    result = run_pipeline(bundle, calib, _cfg(with_report=True))
+    assert len(result.report.records) == 6 * SMALL.n_blocks
