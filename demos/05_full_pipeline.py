@@ -32,7 +32,7 @@ result = run_pipeline(bundle, calib, cfg)
 
 print("per-block calibration MSE against the floating-point outputs")
 print(f"{'block':>6} {'neutral':>12} {'after gptq':>12} {'trained':>12}")
-for s in result.block_stats:
+for s in result.report.blocks:
     print(f"{s.block:>6} {s.mse_baseline:>12.5f} {s.mse_after_gptq:>12.5f} {s.mse_final:>12.5f}")
 print(f"\nend-to-end calibration MSE: {result.final_mse:.5f}")
 

@@ -43,7 +43,7 @@ from .model import (
     gen_calibration,
     gen_synthetic,
 )
-from .optim import OptimSchedule, OptimizationError, ParamGroup, cosine_lr, optimize
+from .optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from .pipeline import (
     ABLATION_MODES,
     PipelineConfig,

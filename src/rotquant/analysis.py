@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizers import QuantSpec, resolve_params
+from .model import KV_SITES
+from .quantizers import resolve_params
 
 __all__ = [
     "ChannelStats",
@@ -228,7 +229,7 @@ class SiteRecord:
 @dataclass
 class BlockMse:
     block: int
-    mse_baseline: float
+    mse_baseline: float  # neutral parameters, round-to-nearest weights
     mse_after_gptq: float
     mse_final: float
 
@@ -243,29 +244,31 @@ class ErrorReport:
 _CLIP_SIGMAS = 2.2  # analysis bounds: mean +- 2.2 sigma-hat per channel pool
 
 
-def _analyze_site(block, site, act, weight, measured, bits):
+def _mean_scale(x, spec):
+    """(mean step, mean squared step) of x's groups under spec; 0 for None."""
+    if spec is None:
+        return 0.0, 0.0
+    scale = np.asarray(resolve_params(x, spec).scale)
+    return float(np.mean(scale)), float(np.mean(scale**2))
+
+
+def _analyze_site(block, site, act, weight, measured, qcfg):
     act = np.asarray(act, dtype=np.float64)
     cs, mean_channel_var, var_of_means, fraction = _decompose(act)
 
-    spec = QuantSpec(bits=bits, scheme="asymmetric", granularity="per-token")
-    qp = resolve_params(act, spec)
-    rounding_energy = float(np.mean(np.asarray(qp.scale) ** 2) / 12.0)
-    if cs.total_var == 0.0:
-        rounding_energy = 0.0
-        clip_frac = 0.0
-    else:
+    rounding_energy = clip_frac = 0.0
+    predicted = None
+    if cs.total_var > 0.0:
+        s_a, s_a2 = _mean_scale(act, qcfg.kv if site in KV_SITES else qcfg.act)
+        rounding_energy = s_a2 / 12.0
         sd = math.sqrt(cs.total_var)
         mu = float(act.mean())
         clip_frac = clipping_energy(act - mu, -_CLIP_SIGMAS * sd, _CLIP_SIGMAS * sd)
-
-    predicted = None
-    if weight is not None and cs.total_var > 0.0:
-        w = np.asarray(weight, dtype=np.float64)
-        wspec = QuantSpec(bits=bits, scheme="symmetric", granularity="per-channel")
-        s_w = float(np.mean(np.asarray(resolve_params(w, wspec).scale)))
-        s_a = float(np.mean(np.asarray(qp.scale)))
-        a_repr = _channel_rms(act)  # representative token
-        predicted = _predicted_noise_var(w, a_repr, s_w, s_a)
+        if weight is not None:
+            w = np.asarray(weight, dtype=np.float64)
+            s_w, _ = _mean_scale(w, qcfg.weight)
+            a_repr = _channel_rms(act)  # representative token
+            predicted = _predicted_noise_var(w, a_repr, s_w, s_a)
 
     return SiteRecord(
         block=block,
@@ -282,14 +285,17 @@ def _analyze_site(block, site, act, weight, measured, bits):
     )
 
 
-def emit_report(layers, bits=4) -> ErrorReport:
+def emit_report(layers, qcfg) -> ErrorReport:
     """Analyze quantizer sites into a structured report.
 
     `layers` is an iterable of (block_index, site_name, activations,
     weight_or_None[, measured_noise_var]) rows; activations are [tokens x
     channels] and the optional fifth entry is stored as the record's
-    measured_noise_var (None when absent).  One record is emitted per site.
-    Deterministic given its inputs.
+    measured_noise_var (None when absent).  `qcfg` is the run's
+    QuantConfig: a site in KV_SITES is analysed with `qcfg.kv`, any other
+    with `qcfg.act`, and its weight with `qcfg.weight`.  A None spec has
+    no rounding energy and adds no noise on its side.  One record is
+    emitted per site.  Deterministic given its inputs.
     """
     layers = list(layers)
     if not layers:
@@ -297,5 +303,5 @@ def emit_report(layers, bits=4) -> ErrorReport:
     report = ErrorReport()
     for block, site, act, weight, *rest in layers:
         measured = rest[0] if rest else None
-        report.records.append(_analyze_site(block, site, act, weight, measured, bits))
+        report.records.append(_analyze_site(block, site, act, weight, measured, qcfg))
     return report

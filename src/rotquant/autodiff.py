@@ -11,8 +11,8 @@ Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward the surrogate used
 for quantization-aware calibration.
 
-Most helpers in this module accept either a `Var` or a plain ndarray and
-return the matching kind, so numeric code can be written once and reused
+The exported helpers accept either a `Var` or a plain ndarray and return
+the matching kind, so numeric code can be written once and reused
 both inside and outside a differentiation context.
 """
 
@@ -146,17 +146,6 @@ class Var:
     def __pow__(self, p):
         return power(self, p)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return vmean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         flag = ", param" if self.requires_grad else ""
         return f"Var(shape={self.value.shape}{flag})"
@@ -198,11 +187,11 @@ def _make(value, parents, vjps):
 
 
 # -- arithmetic -----------------------------------------------------------
+# The binary operators reach these through Var's dunder methods, so at
+# least one operand is always a Var.
 
 
 def add(a, b):
-    if not _is_var(a, b):
-        return np.asarray(a) + np.asarray(b)
     a, b = _lift(a), _lift(b)
     return _make(
         a.value + b.value,
@@ -212,8 +201,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not _is_var(a, b):
-        return np.asarray(a) - np.asarray(b)
     a, b = _lift(a), _lift(b)
     return _make(
         a.value - b.value,
@@ -223,8 +210,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if not _is_var(a, b):
-        return np.asarray(a) * np.asarray(b)
     a, b = _lift(a), _lift(b)
     return _make(
         a.value * b.value,
@@ -237,8 +222,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not _is_var(a, b):
-        return np.asarray(a) / np.asarray(b)
     a, b = _lift(a), _lift(b)
     return _make(
         a.value / b.value,
@@ -251,9 +234,6 @@ def div(a, b):
 
 
 def power(a, p):
-    if not _is_var(a):
-        return np.asarray(a) ** p
-    a = _lift(a)
     return _make(a.value**p, (a,), (lambda g: g * p * a.value ** (p - 1),))
 
 

@@ -149,7 +149,7 @@ def cmd_quantize(args) -> int:
     write_bundle(out / "quantized.rqb", result.bundle)
     write_params(out / "params.rqb", result.params)
     write_report(out / "report", result.report)
-    for s in result.block_stats:
+    for s in result.report.blocks:
         print(
             f"block {s.block}: mse baseline {s.mse_baseline:.6e} "
             f"-> gptq {s.mse_after_gptq:.6e} -> final {s.mse_final:.6e}"
@@ -171,8 +171,7 @@ def cmd_analyze(args) -> int:
     prepared, rotation = prepare_bundle(bundle, cfg)
     neutral = [BlockParams.neutral(prepared.config) for _ in prepared.blocks]
     layers = site_layers(prepared, neutral, QuantConfig(None, None, None), rotation.apply(calib))
-    bits = rc.a_bits if rc.a_bits < 16 else 4
-    report = emit_report(layers, bits=bits)
+    report = emit_report(layers, cfg.qcfg)
     write_report(out / "analysis", report)
     worst = max(report.records, key=lambda r: r.var_of_means_fraction)
     print(
@@ -212,8 +211,8 @@ def cmd_ablate(args) -> int:
 # -- verify suite ------------------------------------------------------------------
 
 
-def _check_gaussian_clip_energy(corrupt):
-    tol = 0.005 if not corrupt else 1e-9
+def _check_gaussian_clip_energy():
+    tol = 0.005
     analytic = gaussian_clip_energy(2.2)
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(1_000_000)
@@ -222,16 +221,16 @@ def _check_gaussian_clip_energy(corrupt):
     return ok, f"analytic {analytic:.4f}, monte-carlo {mc:.4f} (target 0.184 +- {tol})"
 
 
-def _check_clip_threshold(corrupt):
-    lo, hi = (2.1, 2.3) if not corrupt else (2.2000, 2.2001)
+def _check_clip_threshold():
+    lo, hi = 2.1, 2.3
     rng = np.random.default_rng(99)
     x = rng.standard_normal(1_000_000)
     theta = search_clip(x, 4) / x.std()
     return lo <= theta <= hi, f"theta* = {theta:.4f} sigma (band [{lo}, {hi}])"
 
 
-def _check_variance_identity(corrupt):
-    tol = 1e-10 if not corrupt else 1e-18
+def _check_variance_identity():
+    tol = 1e-10
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
@@ -243,11 +242,11 @@ def _check_variance_identity(corrupt):
     return worst <= tol, f"max relative identity error {worst:.3e} (tol {tol})"
 
 
-def _check_fusion_equivalence(corrupt):
+def _check_fusion_equivalence():
     from .model import fold_norms, fuse_rres
     from .transforms import random_hadamard
 
-    tol = 1e-6 if not corrupt else 1e-18
+    tol = 1e-6
     worst = 0.0
     for seed in range(3):
         config = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1)
@@ -262,9 +261,8 @@ def _check_fusion_equivalence(corrupt):
     return worst <= tol, f"max relative deviation {worst:.3e} (tol {tol})"
 
 
-def _check_gptq_dominance(corrupt):
+def _check_gptq_dominance():
     spec = QuantSpec(4, "symmetric", "per-channel")
-    margin = 0.0 if not corrupt else -1e9
     ok = True
     worst = 0.0
     for seed in range(10):
@@ -275,7 +273,7 @@ def _check_gptq_dominance(corrupt):
         q_r = np.asarray(rtn_quantize(w, spec))
         diff = quant_proxy_loss(w, q_g, x) - quant_proxy_loss(w, q_r, x)
         worst = max(worst, diff)
-        ok = ok and diff <= margin + 1e-12
+        ok = ok and diff <= 1e-12
     return ok, f"max(gptq - rtn proxy loss) = {worst:.3e} (must be <= 0)"
 
 
@@ -292,7 +290,7 @@ def cmd_verify(args) -> int:
     start = time.time()
     failures = []
     for name, fn in _CHECKS:
-        ok, detail = fn(corrupt=(args.corrupt_check == name))
+        ok, detail = fn()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures.append(name)
@@ -360,7 +358,6 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run the built-in oracle suite")
     sp.add_argument("--report", help="also validate a report JSON file")
-    sp.add_argument("--corrupt-check", default=None, help=argparse.SUPPRESS)
     sp.set_defaults(fn=cmd_verify)
     return p
 
@@ -376,7 +373,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BundleFormatError, QuantizationError, OptimizationError, FileNotFoundError,
+    except (BundleFormatError, QuantizationError, OptimizationError, OSError,
             np.linalg.LinAlgError, AssertionError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME

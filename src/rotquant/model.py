@@ -109,9 +109,6 @@ class BlockWeights:
 
         return BlockWeights(**{k: c(getattr(self, k)) for k in self.__dataclass_fields__})
 
-    def weight_count(self) -> int:
-        return sum(getattr(self, name).size for name in WEIGHT_NAMES)
-
 
 def _default_meta():
     return {
@@ -130,9 +127,6 @@ class ModelBundle:
 
     def copy(self) -> "ModelBundle":
         return ModelBundle(self.config, [b.copy() for b in self.blocks], dict(self.meta))
-
-    def weight_count(self) -> int:
-        return sum(b.weight_count() for b in self.blocks)
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -209,16 +203,14 @@ def gen_calibration(spec: SynthSpec, sequences: int, seq_len: int) -> np.ndarray
 # -- toy model ----------------------------------------------------------------
 
 
-def build_toy_model(
-    config: ModelConfig, seed: int, with_biases=True, outlier_columns=0, head_spread=3.0
-) -> ModelBundle:
-    """Seeded random bundle with Xavier-style init.
+def build_toy_model(config: ModelConfig, seed: int, outlier_columns=0) -> ModelBundle:
+    """Seeded random bundle with Xavier-style init and small random biases.
 
     Residual writers (wo, wdown) are shrunk by sqrt(2 * n_blocks) to keep
     the stacked output variance in the same decade as the input.
-    `head_spread` draws per-head value-path gains from [1/spread, spread]
-    (attention heads are never balanced in practice; the imbalance is what
-    gives per-channel scaling at the o projection something to fix).
+    Per-head value-path gains are drawn from [1/3, 3] (attention heads are
+    never balanced in practice; the imbalance is what gives per-channel
+    scaling at the o projection something to fix).
     `outlier_columns` scales up that many random input columns of wq and
     wdown to exercise Hessian-aware weight rounding.
     """
@@ -232,7 +224,7 @@ def build_toy_model(
 
     blocks = []
     for _ in range(config.n_blocks):
-        head_gain = np.exp(rng.uniform(-np.log(head_spread), np.log(head_spread), size=config.heads))
+        head_gain = np.exp(rng.uniform(-np.log(3.0), np.log(3.0), size=config.heads))
         wv = draw(n, n) * np.repeat(head_gain, config.head_dim)[:, None]
         bw = BlockWeights(
             wq=draw(n, n),
@@ -244,15 +236,14 @@ def build_toy_model(
             wdown=draw(n, m, shrink),
             g_attn=rng.uniform(0.7, 1.3, size=n),
             g_mlp=rng.uniform(0.7, 1.3, size=n),
+            bq=rng.normal(0.0, 0.02, size=n),
+            bk=rng.normal(0.0, 0.02, size=n),
+            bv=rng.normal(0.0, 0.02, size=n),
+            bo=rng.normal(0.0, 0.02, size=n),
+            bgate=rng.normal(0.0, 0.02, size=m),
+            bup=rng.normal(0.0, 0.02, size=m),
+            bdown=rng.normal(0.0, 0.02, size=n),
         )
-        if with_biases:
-            bw.bq = rng.normal(0.0, 0.02, size=n)
-            bw.bk = rng.normal(0.0, 0.02, size=n)
-            bw.bv = rng.normal(0.0, 0.02, size=n)
-            bw.bo = rng.normal(0.0, 0.02, size=n)
-            bw.bgate = rng.normal(0.0, 0.02, size=m)
-            bw.bup = rng.normal(0.0, 0.02, size=m)
-            bw.bdown = rng.normal(0.0, 0.02, size=n)
         if outlier_columns:
             for w, width in ((bw.wq, n), (bw.wdown, m)):
                 cols = rng.choice(width, size=min(outlier_columns, width), replace=False)
@@ -392,7 +383,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
     return out
 
 
-def effective_weights(bw: BlockWeights, bp: BlockParams | None, config: ModelConfig):
+def effective_weights(bw: BlockWeights, bp: BlockParams, config: ModelConfig):
     """Weights and biases with the value rotation and paired scales applied.
 
     Returns {name: array} for all of WEIGHT_NAMES and BIAS_NAMES (biases may
@@ -402,8 +393,6 @@ def effective_weights(bw: BlockWeights, bp: BlockParams | None, config: ModelCon
     trainable.
     """
     out = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
-    if bp is None:
-        return out
     n, m, h, d = config.hidden, config.mlp_dim, config.heads, config.head_dim
 
     rv = cayley(CayleyParam(bp.a_v, hadamard_matrix(d)))

@@ -9,29 +9,24 @@ import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["OptimSchedule", "ParamGroup", "OptimResult", "OptimizationError", "cosine_lr", "optimize"]
+__all__ = ["ParamGroup", "OptimResult", "OptimizationError", "cosine_lr", "optimize"]
 
 
 class OptimizationError(RuntimeError):
     pass
 
 
-@dataclass
-class OptimSchedule:
-    """First/second-moment adaptive updates, cosine-decayed learning rate."""
-
-    steps: int
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
+#: Adam's first/second-moment decay rates and denominator guard
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 @dataclass
 class ParamGroup:
     params: list
     lr: float
-    #: optional projection applied to raw values after each step (e.g. clamp
-    #: clip factors into (0, 1]); must be deterministic
-    project: object = None
+    #: optional (lo, hi) that every value is clamped into after each step
+    bounds: tuple | None = None
 
 
 @dataclass
@@ -46,8 +41,8 @@ def cosine_lr(lr_init, step, total_steps):
     return lr_init * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def optimize(loss_fn, groups, sched):
-    """Minimize `loss_fn` over the parameters in `groups`.
+def optimize(loss_fn, groups, steps):
+    """Minimize `loss_fn` over the parameters in `groups` in `steps` updates.
 
     `loss_fn` rebuilds the computation graph and returns a scalar Var.  The
     best-seen parameter values (including the initial point) are restored at
@@ -58,7 +53,7 @@ def optimize(loss_fn, groups, sched):
     params = [p for grp in groups for p in grp.params]
     m = [np.zeros_like(p.value) for p in params]
     v = [np.zeros_like(p.value) for p in params]
-    b1, b2 = sched.betas
+    b1, b2 = BETAS
 
     result = OptimResult()
     best_values = [p.value.copy() for p in params]
@@ -71,7 +66,7 @@ def optimize(loss_fn, groups, sched):
             raise OptimizationError(f"loss must be scalar, got shape {loss.value.shape}")
         return loss
 
-    for step in range(sched.steps):
+    for step in range(steps):
         loss = evaluate()
         lval = float(loss.value)
         if math.isnan(lval):
@@ -88,15 +83,15 @@ def optimize(loss_fn, groups, sched):
         bias2 = 1.0 - b2**t
         k = 0
         for grp in groups:
-            lr = cosine_lr(grp.lr, step, sched.steps)
+            lr = cosine_lr(grp.lr, step, steps)
             for p in grp.params:
                 g = p.grad if p.grad is not None else np.zeros_like(p.value)
                 g = np.asarray(g, dtype=np.float64)
                 m[k] = b1 * m[k] + (1.0 - b1) * g
                 v[k] = b2 * v[k] + (1.0 - b2) * g * g
-                p.value = p.value - lr * (m[k] / bias1) / (np.sqrt(v[k] / bias2) + sched.eps)
-                if grp.project is not None:
-                    p.value = np.asarray(grp.project(p.value), dtype=np.float64)
+                p.value = p.value - lr * (m[k] / bias1) / (np.sqrt(v[k] / bias2) + EPS)
+                if grp.bounds is not None:
+                    p.value = np.asarray(np.clip(p.value, *grp.bounds), dtype=np.float64)
                 p.clear_grad()
                 k += 1
 
@@ -107,7 +102,7 @@ def optimize(loss_fn, groups, sched):
         result.losses.append(fval)
         if fval < result.best_loss:
             result.best_loss = fval
-            result.best_step = sched.steps
+            result.best_step = steps
             best_values = [p.value.copy() for p in params]
 
     for p, best in zip(params, best_values):

@@ -17,7 +17,7 @@ asserts the peak gradient footprint stays bounded by a single block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,14 +38,13 @@ from .model import (
     fuse_rres,
     mse,
 )
-from .optim import OptimizationError, OptimSchedule, ParamGroup, optimize
+from .optim import OptimizationError, ParamGroup, optimize
 from .quantizers import gptq_quantize, search_clip
 from .transforms import Rotation, compose_rres, hadamard_matrix, pca_basis, random_hadamard
 
 __all__ = [
     "StageSchedule",
     "PipelineConfig",
-    "BlockStats",
     "PipelineResult",
     "ABLATION_MODES",
     "mode_config",
@@ -117,22 +116,11 @@ def mode_config(base: PipelineConfig, mode: str) -> PipelineConfig:
 
 
 @dataclass
-class BlockStats:
-    block: int
-    mse_baseline: float  # neutral parameters, round-to-nearest weights
-    mse_after_gptq: float
-    mse_final: float
-    stage1_losses: list = field(default_factory=list)
-    stage2_losses: list = field(default_factory=list)
-
-
-@dataclass
 class PipelineResult:
     bundle: ModelBundle
     params: list  # BlockParams per block
     report: ErrorReport
     rotation: Rotation
-    block_stats: list
     final_mse: float
     grad_peak_elements: int
     max_block_param_elements: int
@@ -164,13 +152,6 @@ def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig):
     return fuse_rres(folded, rotation), rotation
 
 
-def _clip(lo, hi):
-    def project(v):
-        return np.clip(v, lo, hi)
-
-    return project
-
-
 def _clip_seeds(sites, qcfg: QuantConfig):
     """Clip-factor seeds from the grid-searched threshold, one search per site.
 
@@ -197,7 +178,7 @@ def _clip_seeds(sites, qcfg: QuantConfig):
 
 
 def _train(bp: BlockParams, groups, loss_fn, steps, label):
-    """Train groups of bp fields in place; returns the loss curve.
+    """Train groups of bp fields in place.
 
     `groups` holds (field names, learning rate, (lo, hi) bounds or None)
     triples, or None for a group that is switched off.  The fields become
@@ -210,17 +191,16 @@ def _train(bp: BlockParams, groups, loss_fn, steps, label):
         params = [ad.parameter(getattr(bp, f)) for f in names]
         for f, p in zip(names, params):
             setattr(bp, f, p)
-        param_groups.append(ParamGroup(params, lr, project=None if bounds is None else _clip(*bounds)))
+        param_groups.append(ParamGroup(params, lr, bounds))
     if not param_groups:
-        return []
+        return
     try:
-        result = optimize(loss_fn, param_groups, OptimSchedule(steps=steps))
+        optimize(loss_fn, param_groups, steps)
     except OptimizationError as err:
         raise OptimizationError(f"{label}: {err}") from err
     for names, _, _ in groups:
         for f in names:
             setattr(bp, f, np.array(ad.value_of(getattr(bp, f)), copy=True))
-    return result.losses
 
 
 def _seed_bias(bp: BlockParams, sites):
@@ -239,7 +219,7 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
 
     Stages: baseline, (1) paired scales and value rotation, GPTQ, (2) bias
     corrections, unpaired scales and clip factors.  Returns (FP output,
-    quantized output, BlockParams, quantized weights, BlockStats, report
+    quantized output, BlockParams, quantized weights, BlockMse, report
     records); the records are empty unless cfg.with_report.
     """
     qcfg, sched = cfg.qcfg, cfg.schedule
@@ -260,7 +240,7 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
         (("a_v",), sched.lr_scale, None) if cfg.train_rv else None,
     ]
     steps = sched.stage1_epochs * sched.steps_per_epoch
-    s1_losses = _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
+    _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
 
     weights_q = _gptq_block(bundle, i, bp, qcfg, x_q, cfg)
     groups = [
@@ -274,7 +254,7 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     seeding = stage2 and (cfg.train_clip or cfg.train_bias)
     rec = {} if seeding or (cfg.with_report and not stage2) else None
     y_q, after_gptq = forward(bp, weights_q, rec)
-    final, s2_losses = after_gptq, []
+    final = after_gptq
 
     if stage2:
         if seeding:
@@ -292,18 +272,16 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
             bp = candidates[int(np.argmin(scores))]
             rec = None  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
-        s2_losses = _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
+        _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
         rec = {} if cfg.with_report else None
         y_q, final = forward(bp, weights_q, rec)
 
     records = []
     if cfg.with_report:
-        bits = qcfg.act.bits if qcfg.act else 4
         fp = _effective_arrays(bundle, i, bp)
         rows = [(*row, _measured_noise_var(rec, row[1], row[3], fp)) for row in _site_rows(i, rec, weights_q)]
-        records = emit_report(rows, bits=bits).records
-    stats = BlockStats(i, baseline, after_gptq, final, s1_losses, s2_losses)
-    return y_fp, y_q, bp.as_arrays(), weights_q, stats, records
+        records = emit_report(rows, qcfg).records
+    return y_fp, y_q, bp.as_arrays(), weights_q, BlockMse(i, baseline, after_gptq, final), records
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
@@ -324,13 +302,13 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         raise RuntimeError("bundle must be norm-folded and rotation-fused (see prepare_bundle)")
 
     ad.GRAD_TRACKER.reset()
-    out_blocks, all_params, stats, records = [], [], [], []
+    out_blocks, all_params, blocks, records = [], [], [], []
     x_fp = x_q = calib  # floating-point targets always come from the pristine chain
     for i, bw in enumerate(bundle.blocks):
-        x_fp, x_q, bp, weights_q, block_stats, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
+        x_fp, x_q, bp, weights_q, block_mse, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
         out_blocks.append(_finalize_block(bw, weights_q))
         all_params.append(bp)
-        stats.append(block_stats)
+        blocks.append(block_mse)
         records.extend(block_records)
 
     out = ModelBundle(bundle.config, out_blocks, dict(bundle.meta))
@@ -344,13 +322,11 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
             f"gradient footprint {peak} exceeds one block's parameters ({max_block})"
         )
 
-    blocks = [BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in stats]
     return PipelineResult(
         bundle=out,
         params=all_params,
         report=ErrorReport(records=records, blocks=blocks),
         rotation=None,
-        block_stats=stats,
         final_mse=mse(x_q, x_fp),
         grad_peak_elements=peak,
         max_block_param_elements=max_block,

@@ -39,7 +39,7 @@ SCALE_FLOOR = 1e-12
 CLIP_CHUNK = 1 << 16
 
 _SCHEMES = ("symmetric", "asymmetric")
-_GRANULARITIES = ("per-tensor", "per-channel", "per-token", "per-head")
+_GRANULARITIES = ("per-channel", "per-token", "per-head")
 
 
 class QuantizationError(RuntimeError):
@@ -50,16 +50,14 @@ class QuantizationError(RuntimeError):
 class QuantSpec:
     """Static quantizer configuration.
 
-    clip_factor multiplies the observed dynamic range of each group; the
-    learnable clip factor used during calibration overrides it per call.
-    per-head grouping splits the last axis into contiguous blocks of
-    head_dim columns (heads never straddle groups).
+    Every group is a slice of the last axis: a row for per-channel and
+    per-token, and a contiguous block of head_dim columns for per-head
+    (heads never straddle groups).  The clip factor is passed per call.
     """
 
     bits: int
     scheme: str
     granularity: str
-    clip_factor: float = 1.0
     head_dim: int | None = None
 
     def __post_init__(self):
@@ -69,8 +67,6 @@ class QuantSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.granularity not in _GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if not 0.0 < self.clip_factor <= 1.0:
-            raise ValueError(f"clip_factor must be in (0, 1], got {self.clip_factor}")
         if self.granularity == "per-head" and not self.head_dim:
             raise ValueError("per-head granularity requires head_dim")
 
@@ -102,10 +98,6 @@ def _grouped(x, spec):
     return x
 
 
-def _reduce_axis(spec):
-    return None if spec.granularity == "per-tensor" else -1
-
-
 def _step_factor(spec):
     """The raw scale per unit of clip-scaled range: 1/(2^b - 1) or 1/(2^{b-1} - 1)."""
     return 1.0 / (spec.levels - 1 if spec.scheme == "asymmetric" else 2 ** (spec.bits - 1) - 1)
@@ -118,27 +110,25 @@ def _raw_params(view, spec, a):
     clamp; extremes are (min, max) for asymmetric groups and (max |x|,)
     for symmetric ones.
     """
-    axis = _reduce_axis(spec)
     if spec.scheme == "asymmetric":
-        mn = np.amin(view, axis=axis, keepdims=True)
-        mx = np.amax(view, axis=axis, keepdims=True)
+        mn = np.amin(view, axis=-1, keepdims=True)
+        mx = np.amax(view, axis=-1, keepdims=True)
         return a * (mx - mn) * _step_factor(spec), a * mn, (mn, mx)
-    m = np.amax(np.abs(view), axis=axis, keepdims=True)
+    m = np.amax(np.abs(view), axis=-1, keepdims=True)
     raw = a * m * _step_factor(spec)
     return raw, raw * (-(2 ** (spec.bits - 1))), (m,)
 
 
-def resolve_params(x, spec: QuantSpec, alpha=None) -> QuantParams:
-    """Resolve (scale, zero) groups for x under spec.
+def resolve_params(x, spec: QuantSpec, alpha=1.0) -> QuantParams:
+    """Resolve (scale, zero) groups for x under spec and clip factor alpha.
 
-    alpha overrides spec.clip_factor.  Degenerate all-equal groups get a
-    tiny positive scale floor so constant inputs reproduce exactly.
+    Degenerate all-equal groups get a tiny positive scale floor so constant
+    inputs reproduce exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise QuantizationError("empty group")
-    a = spec.clip_factor if alpha is None else alpha
-    raw, zero, _ = _raw_params(_grouped(x, spec), spec, a)
+    raw, zero, _ = _raw_params(_grouped(x, spec), spec, alpha)
     return QuantParams(scale=np.clip(raw, SCALE_FLOOR, np.inf), zero=zero)
 
 
@@ -154,10 +144,10 @@ def fake_quantize(x, params: QuantParams, spec: QuantSpec):
     return (q * params.scale + params.zero).reshape(x.shape)
 
 
-def _tie_split(values, extreme, g, axis):
+def _tie_split(values, extreme, g):
     """Gradient of a min/max reduction: ties split it evenly."""
     hit = (values == extreme).astype(np.float64)
-    hit /= np.sum(hit, axis=axis, keepdims=True)
+    hit /= np.sum(hit, axis=-1, keepdims=True)
     return g * hit
 
 
@@ -172,10 +162,9 @@ def _ste_partials(g, view, raw, scale, zero, r, q, spec):
     joins the raw scale's.  The arithmetic follows the primitive chain
     term by term.
     """
-    axis = _reduce_axis(spec)
 
     def group_sum(t):
-        return np.sum(t, axis=axis, keepdims=True)
+        return np.sum(t, axis=-1, keepdims=True)
 
     g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))  # dL/d((x - zero) / scale)
     g_u = g_t / scale
@@ -187,19 +176,18 @@ def _ste_partials(g, view, raw, scale, zero, r, q, spec):
     return g_u, g_zero, g_raw * _step_factor(spec)
 
 
-def quantize_dynamic(x, spec: QuantSpec, alpha=None):
+def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
     """Dynamic quantization: resolve the groups of x, then fake-quantize it.
 
-    alpha overrides spec.clip_factor.  When x or alpha is a Var the result
-    is one graph node whose forward is the same arithmetic and whose
+    alpha is the clip factor.  When x or alpha is a Var the result is one
+    graph node whose forward is the same arithmetic and whose
     vector-Jacobian products are the closed form of the straight-through
     chain, for x and for alpha.
     """
-    a = spec.clip_factor if alpha is None else alpha
-    if not isinstance(x, Var) and not isinstance(a, Var):
-        return fake_quantize(x, resolve_params(x, spec, a), spec)
+    if not isinstance(x, Var) and not isinstance(alpha, Var):
+        return fake_quantize(x, resolve_params(x, spec, alpha), spec)
 
-    xv, av = value_of(x), value_of(a)
+    xv, av = value_of(x), value_of(alpha)
     if xv.size == 0:
         raise QuantizationError("empty group")
     view = _grouped(xv, spec)
@@ -208,9 +196,8 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=None):
     r = _rounded(view, scale, zero)
     q = np.clip(r, 0.0, spec.levels - 1.0)
     out = (q * scale + zero).reshape(xv.shape)
-    axis = _reduce_axis(spec)
 
-    both = all(isinstance(p, Var) and p.needs_grad for p in (x, a))
+    both = all(isinstance(p, Var) and p.needs_grad for p in (x, alpha))
     memo = []
 
     def partials(g):
@@ -229,10 +216,10 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=None):
         g_u, g_zero, g_range = partials(g)
         if spec.scheme == "asymmetric":
             mn, mx = extremes
-            g_u = g_u + _tie_split(view, mn, g_zero * av - g_range * av, axis)
-            g_u = g_u + _tie_split(view, mx, g_range * av, axis)
+            g_u = g_u + _tie_split(view, mn, g_zero * av - g_range * av)
+            g_u = g_u + _tie_split(view, mx, g_range * av)
         else:
-            g_u = g_u + _tie_split(np.abs(view), extremes[0], g_range * av, axis) * np.sign(view)
+            g_u = g_u + _tie_split(np.abs(view), extremes[0], g_range * av) * np.sign(view)
         return g_u.reshape(xv.shape)
 
     def grad_alpha(g):
@@ -242,7 +229,7 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=None):
             return _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
         return _unbroadcast(g_range * extremes[0], av.shape)
 
-    links = [(p, vjp) for p, vjp in ((x, grad_x), (a, grad_alpha)) if isinstance(p, Var)]
+    links = [(p, vjp) for p, vjp in ((x, grad_x), (alpha, grad_alpha)) if isinstance(p, Var)]
     return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(vjp for _, vjp in links))
 
 

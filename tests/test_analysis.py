@@ -13,8 +13,11 @@ from rotquant.analysis import (
     optimal_scale,
     variance_decomposition,
 )
+from rotquant.model import QuantConfig
 from rotquant.quantizers import QuantSpec, resolve_params
 from rotquant.transforms import random_hadamard
+
+W4A4KV4 = QuantConfig.for_bits(4, 4, 4, head_dim=4)
 
 
 # -- clipped energy -------------------------------------------------------------
@@ -283,7 +286,7 @@ def test_optimal_scale_degenerate_channel():
 
 def test_emit_report_constant_layer():
     act = np.full((100, 8), 3.0)
-    report = emit_report([(0, "qkv", act, None)])
+    report = emit_report([(0, "qkv", act, None)], W4A4KV4)
     rec = report.records[0]
     assert rec.rounding_energy == 0.0
     assert rec.clipping_energy_fraction == 0.0
@@ -294,7 +297,7 @@ def test_emit_report_misaligned_layer():
     rng = np.random.default_rng(9)
     act = rng.normal(size=(5000, 32)) + rng.normal(size=32) * 4.0
     w = rng.normal(size=(16, 32))
-    report = emit_report([(0, "qkv", act, w)])
+    report = emit_report([(0, "qkv", act, w)], W4A4KV4)
     rec = report.records[0]
     assert rec.var_of_means_fraction > 0.5
     assert 0.0 <= rec.clipping_energy_fraction <= 1.0
@@ -309,7 +312,7 @@ def test_emit_report_stores_the_measured_noise_var():
     rng = np.random.default_rng(11)
     act = rng.normal(size=(400, 16))
     w = rng.normal(size=(8, 16))
-    report = emit_report([(0, "o", act, w, 0.125), (0, "v_cache", act, None, None)], bits=4)
+    report = emit_report([(0, "o", act, w, 0.125), (0, "v_cache", act, None, None)], W4A4KV4)
     assert [r.measured_noise_var for r in report.records] == [0.125, None]
     # the prediction is noise_propagation's closed form at the site's mean
     # quantizer steps and its channel-RMS token
@@ -321,14 +324,14 @@ def test_emit_report_stores_the_measured_noise_var():
 
 def test_emit_report_requires_layers():
     with pytest.raises(ValueError):
-        emit_report([])
+        emit_report([], W4A4KV4)
 
 
 def test_emit_report_deterministic():
     rng = np.random.default_rng(10)
     act = rng.normal(size=(800, 16))
     w = rng.normal(size=(8, 16))
-    r1 = emit_report([(0, "o", act, w)])
-    r2 = emit_report([(0, "o", act, w)])
+    r1 = emit_report([(0, "o", act, w)], W4A4KV4)
+    r2 = emit_report([(0, "o", act, w)], W4A4KV4)
     assert r1.records[0].predicted_noise_var == r2.records[0].predicted_noise_var
     assert np.array_equal(r1.records[0].channel_vars, r2.records[0].channel_vars)

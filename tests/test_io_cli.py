@@ -616,19 +616,24 @@ def test_cli_analyze_zero_offsets(tmp_path):
     assert report.records and all(r.var_of_means_fraction < 0.05 for r in report.records)
 
 
-def test_cli_missing_file_is_runtime_error(tmp_path):
-    rc = main(
-        [
-            "quantize",
-            "--model",
-            str(tmp_path / "nope.rqb"),
-            "--calib",
-            str(tmp_path / "nope2.rqb"),
-            "--out",
-            str(tmp_path / "o"),
-        ]
-    )
-    assert rc == 2
+def test_cli_missing_file_is_runtime_error(tmp_path, capsys):
+    # a path that names nothing, or an entry of the wrong kind, is an OSError
+    gen = tmp_path / "g"
+    assert main(["gen", "--config", _tiny_config(tmp_path), "--out", str(gen)]) == 0
+    model, calib, out = str(gen / "model.rqb"), str(gen / "calib.rqb"), str(tmp_path / "o")
+    cases = {
+        "missing inputs": ["--model", str(tmp_path / "nope.rqb"), "--calib", str(tmp_path / "nope2.rqb")],
+        "--out is a file": ["--model", model, "--calib", calib, "--out", model],
+        "--model is a directory": ["--model", str(gen), "--calib", calib],
+        "--config is a directory": ["--config", str(gen), "--model", model, "--calib", calib],
+    }
+    capsys.readouterr()
+    for case, argv in cases.items():
+        if "--out" not in argv:
+            argv = argv + ["--out", out]
+        assert main(["quantize", *argv]) == 2, case
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, case
 
 
 def test_cli_corrupt_model_file(tmp_path, capsys):
@@ -727,8 +732,13 @@ def test_cli_verify_passes(capsys):
         assert f"PASS {name}" in out
 
 
-def test_cli_verify_corrupted_tolerance_fails(capsys):
-    assert main(["verify", "--corrupt-check", "variance-identity"]) == 3
+def test_cli_verify_corrupted_tolerance_fails(capsys, monkeypatch):
+    from rotquant import cli
+
+    checks = [(n, lambda: (False, "forced failure")) if n == "variance-identity" else (n, fn)
+              for n, fn in cli._CHECKS]
+    monkeypatch.setattr(cli, "_CHECKS", checks)
+    assert main(["verify"]) == 3
     captured = capsys.readouterr()
     assert "FAIL variance-identity" in captured.out
     assert "variance-identity" in captured.err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotquant import autodiff as ad
-from rotquant.optim import OptimSchedule, OptimizationError, ParamGroup, cosine_lr, optimize
+from rotquant.optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from rotquant.analysis import channel_stats
 
 
@@ -192,7 +192,7 @@ def test_backward_rejects_nonscalar():
 
 def test_optimize_convex_quadratic():
     p = ad.parameter(0.0)
-    result = optimize(lambda: (p - 3.0) ** 2, [ParamGroup([p], 0.1)], OptimSchedule(steps=200))
+    result = optimize(lambda: (p - 3.0) ** 2, [ParamGroup([p], 0.1)], 200)
     assert 2.99 <= float(p.value) <= 3.01
     assert result.losses[-1] <= result.losses[0]
 
@@ -207,7 +207,7 @@ def test_cosine_schedule_decays():
 def test_optimize_rejects_nonscalar_loss():
     p = ad.parameter(np.ones(3))
     with pytest.raises(OptimizationError, match="scalar"):
-        optimize(lambda: p * 2.0, [ParamGroup([p], 0.1)], OptimSchedule(steps=2))
+        optimize(lambda: p * 2.0, [ParamGroup([p], 0.1)], 2)
 
 
 def test_optimize_aborts_on_nan_with_step_index():
@@ -221,7 +221,7 @@ def test_optimize_aborts_on_nan_with_step_index():
         return p * p
 
     with pytest.raises(OptimizationError, match="step 2"):
-        optimize(loss_fn, [ParamGroup([p], 0.1)], OptimSchedule(steps=10))
+        optimize(loss_fn, [ParamGroup([p], 0.1)], 10)
 
 
 def test_optimize_deterministic_trajectories():
@@ -234,7 +234,7 @@ def test_optimize_deterministic_trajectories():
             d = w - t
             return ad.vmean(d * d)
 
-        res = optimize(loss_fn, [ParamGroup([w], 1e-2)], OptimSchedule(steps=50))
+        res = optimize(loss_fn, [ParamGroup([w], 1e-2)], 50)
         return np.array(res.losses), w.value.copy()
 
     l1, w1 = run()
@@ -243,10 +243,32 @@ def test_optimize_deterministic_trajectories():
     assert np.array_equal(w1, w2)
 
 
+def test_optimize_keeps_bounded_parameters_inside_their_bounds():
+    # the loss pulls p above 1 and q below 0; every evaluated point, and so
+    # the value after every step, stays in [0, 1]
+    p = ad.parameter(0.5)
+    q = ad.parameter(np.array([0.5, 0.9]))
+    seen = []
+
+    def loss_fn():
+        seen.append(np.append(p.value, q.value))
+        return (p - 3.0) ** 2 + ad.vsum((q + 2.0) ** 2)
+
+    optimize(loss_fn, [ParamGroup([p, q], 0.5, bounds=(0.0, 1.0))], 20)
+    seen = np.array(seen)
+    assert len(seen) == 21
+    assert np.all((seen >= 0.0) & (seen <= 1.0))
+    assert float(p.value) == 1.0 and np.array_equal(q.value, [0.0, 0.0])
+
+    free = ad.parameter(0.5)  # without bounds the same pull leaves [0, 1]
+    optimize(lambda: (free - 3.0) ** 2, [ParamGroup([free], 0.5)], 20)
+    assert float(free.value) > 1.0
+
+
 def test_optimize_restores_best_seen_parameters():
     p = ad.parameter(0.0)
 
     # large lr overshoots; best-checkpointing must still end at the best seen
-    result = optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.9)], OptimSchedule(steps=8))
+    result = optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.9)], 8)
     assert float((float(p.value) - 1.0) ** 2) == pytest.approx(result.best_loss, abs=1e-12)
     assert result.best_loss <= result.losses[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotquant import autodiff as ad
-from rotquant.analysis import BlockMse, SiteRecord, emit_report
+from rotquant.analysis import SiteRecord, emit_report
 from rotquant.model import (
     ACT_SITES,
     BlockParams,
@@ -33,6 +33,7 @@ from rotquant.pipeline import (
     run_pipeline,
     site_layers,
 )
+from rotquant.quantizers import SCALE_FLOOR
 from rotquant.transforms import hadamard_matrix
 
 SMALL = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
@@ -135,7 +136,7 @@ def test_passthrough_pipeline_is_lossless():
     cfg = _cfg(bits=(16, 16, 16))
     result = run_pipeline(bundle, calib, cfg)
     assert result.final_mse < 1e-10
-    for s in result.block_stats:
+    for s in result.report.blocks:
         assert s.mse_baseline < 1e-10
         assert s.mse_final < 1e-10
 
@@ -144,9 +145,9 @@ def test_stagewise_mse_ordering():
     # strict improvement at every stage boundary on the misaligned model
     bundle, calib = _setup(4)
     result = run_pipeline(bundle, calib, _cfg())
-    s0 = result.block_stats[0]
+    s0 = result.report.blocks[0]
     assert s0.mse_final < s0.mse_after_gptq < s0.mse_baseline
-    for s in result.block_stats:
+    for s in result.report.blocks:
         assert s.mse_final <= s.mse_after_gptq <= s.mse_baseline
 
 
@@ -333,13 +334,15 @@ def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
     assert len(count) == calls
 
 
-@pytest.mark.parametrize("bits, report_bits", [((4, 4, 4), 4), ((4, 16, 4), 4), ((4, 8, 4), 8)])
-def test_report_equals_a_fresh_site_pass(bits, report_bits):
+# the ids keep each case's name stable; the trailing number is its activation
+# bits, or 4 when activations are not quantized
+@pytest.mark.parametrize("bits", [(4, 4, 4), (4, 16, 4), (4, 8, 4)], ids=["bits0-4", "bits1-4", "bits2-8"])
+def test_report_equals_a_fresh_site_pass(bits):
     bundle, calib = _setup(3)
     cfg = _cfg(bits=bits, with_report=True)
     result = run_pipeline(bundle, calib, cfg)
     layers = site_layers(result.bundle, result.params, cfg.qcfg, result.rotation.apply(calib))
-    fresh = emit_report(layers, bits=report_bits)
+    fresh = emit_report(layers, cfg.qcfg)
     assert len(result.report.records) == len(fresh.records) == 6 * SMALL.n_blocks
     for got, want in zip(result.report.records, fresh.records):
         for f in fields(SiteRecord):
@@ -350,9 +353,61 @@ def test_report_equals_a_fresh_site_pass(bits, report_bits):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
-    assert result.report.blocks == [
-        BlockMse(s.block, s.mse_baseline, s.mse_after_gptq, s.mse_final) for s in result.block_stats
-    ]
+
+
+def _steps(x, bits, group, symmetric=False):
+    """Quantizer steps per group of `group` trailing columns, at clip factor
+    1, from the definition; zeros when `bits` disables the quantizer."""
+    if bits >= 16:
+        return np.zeros(1)
+    g = x.reshape(x.shape[0], -1, group)
+    if symmetric:
+        raw = np.abs(g).max(axis=-1) / (2 ** (bits - 1) - 1)
+    else:
+        raw = (g.max(axis=-1) - g.min(axis=-1)) / (2**bits - 1)
+    return np.maximum(raw, SCALE_FLOOR)
+
+
+@pytest.mark.parametrize("bits", [(4, 4, 4), (8, 4, 4), (4, 16, 4), (4, 4, 8)])
+def test_report_analyses_each_site_with_the_runs_quantizers(bits):
+    # each record's rounding energy and closed-form noise, recomputed from
+    # the run's own spec for the site: per-token activations, per-head
+    # caches, per-channel symmetric weights; a disabled side contributes 0
+    w_bits, a_bits, kv_bits = bits
+    bundle, calib = _setup(3)
+    cfg = _cfg(bits=bits, with_report=True)
+    result = run_pipeline(bundle, calib, cfg)
+    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.rotation.apply(calib))
+    assert len(layers) == len(result.report.records) == 6 * SMALL.n_blocks
+    for (block, site, act, weight), rec in zip(layers, result.report.records):
+        assert (rec.block, rec.site) == (block, site)
+        if site in ("k_cache", "v_cache"):
+            s_a = _steps(act, kv_bits, SMALL.head_dim)
+        else:
+            s_a = _steps(act, a_bits, act.shape[1])
+        assert rec.rounding_energy == pytest.approx(np.mean(s_a**2) / 12.0, rel=1e-12, abs=0.0), site
+        if weight is None:
+            assert rec.predicted_noise_var is None
+            continue
+        vw = np.mean(_steps(weight, w_bits, weight.shape[1], symmetric=True)) ** 2 / 12.0
+        va = np.mean(s_a) ** 2 / 12.0
+        a_rms2 = np.mean(act * act, axis=0)
+        want = np.mean(weight * weight) * va + np.mean(a_rms2) * vw + vw * va
+        assert rec.predicted_noise_var == pytest.approx(want, rel=1e-12, abs=0.0), site
+
+
+def test_trained_clip_factors_and_scales_stay_in_bounds():
+    # with these learning rates the unclamped updates take a clip factor
+    # above 1 and the scales below 0: clip factors stay in [1e-3, 1] and
+    # scales at least 1e-6
+    bundle, calib = _setup(1)
+    sched = StageSchedule(steps_per_epoch=4, lr_scale=3.0, lr_clip=0.1)
+    result = run_pipeline(bundle, calib, _cfg(schedule=sched))
+    for bp in result.params:
+        for name in BlockParams.ALPHA_FIELDS:
+            assert 1e-3 <= float(getattr(bp, name)) <= 1.0, name
+        for name in ("s_o", "s_down", "sa_o", "sa_down"):
+            assert np.all(getattr(bp, name) >= 1e-6), name
 
 
 @pytest.mark.parametrize("bits", [(4, 4, 4), (4, 16, 4), (4, 8, 4)])

@@ -66,7 +66,7 @@ def test_quant_spec_validation():
     with pytest.raises(ValueError):
         QuantSpec(4, "sym", "per-token")
     with pytest.raises(ValueError):
-        QuantSpec(4, "symmetric", "per-token", clip_factor=0.0)
+        QuantSpec(4, "asymmetric", "per-tensor")  # every group is a last-axis slice
     with pytest.raises(ValueError):
         QuantSpec(4, "asymmetric", "per-head")  # head_dim required
 
@@ -74,9 +74,8 @@ def test_quant_spec_validation():
 def test_asymmetric_params_cover_clipped_range():
     rng = np.random.default_rng(0)
     for alpha in (1.0, 0.7, 0.3):
-        spec = QuantSpec(4, "asymmetric", "per-token", clip_factor=alpha)
         x = rng.normal(size=(20, 32)) * rng.uniform(0.1, 30)
-        qp = resolve_params(x, spec)
+        qp = resolve_params(x, ASYM_TOKEN, alpha=alpha)
         z = np.asarray(qp.zero)
         s = np.asarray(qp.scale)
         mn = x.min(axis=-1, keepdims=True)
@@ -126,15 +125,6 @@ def test_fake_quantize_lattice_membership(bits, seed):
     assert np.all(codes > -1e-6)
     assert np.all(codes < 2**bits - 1 + 1e-6)
     assert np.max(np.abs(codes - np.round(codes))) < 1e-6
-
-
-def test_per_tensor_granularity_single_group():
-    spec = QuantSpec(4, "asymmetric", "per-tensor")
-    x = np.array([[0.0, 3.0], [15.0, 7.0]])
-    qp = resolve_params(x, spec)
-    assert np.asarray(qp.scale).size == 1
-    assert float(np.asarray(qp.zero).ravel()[0]) == 0.0
-    assert np.array_equal(fake_quantize(x, qp, spec), x)
 
 
 def test_per_head_grouping_isolated_heads():
