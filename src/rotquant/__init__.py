@@ -16,8 +16,6 @@ from .analysis import (
 )
 from .bundle_io import (
     BundleFormatError,
-    ConfigError,
-    RunConfig,
     read_bundle,
     read_calibration,
     read_params,

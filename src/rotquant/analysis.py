@@ -34,6 +34,7 @@ __all__ = [
     "SiteRecord",
     "BlockMse",
     "ErrorReport",
+    "REPORT_SCHEMA",
     "emit_report",
 ]
 
@@ -234,9 +235,16 @@ class BlockMse:
     mse_final: float
 
 
+#: Report file schema.  1: records carry a Monte Carlo empirical_noise_var
+#: in place of measured_noise_var.  2: measured_noise_var; the k/v cache
+#: rounding_energy is per token at the activation bits.  3: the k/v cache
+#: rounding_energy is per head at the KV bits.
+REPORT_SCHEMA = 3
+
+
 @dataclass
 class ErrorReport:
-    schema: int = 2
+    schema: int = REPORT_SCHEMA
     records: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
 

@@ -1,4 +1,4 @@
-"""Bundle/report file formats and run configuration.
+"""Bundle and report file formats.
 
 Bundle container: an 8-byte magic+version, a little-endian u64 length
 prefix, a UTF-8 JSON header naming every tensor (name, dtype, shape,
@@ -15,20 +15,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .analysis import BlockMse, ErrorReport, SiteRecord
+from .analysis import REPORT_SCHEMA, BlockMse, ErrorReport, SiteRecord
 from .model import BIAS_NAMES, WEIGHT_NAMES, BlockParams, BlockWeights, ModelBundle, ModelConfig
-from .pipeline import ABLATION_MODES
 
 __all__ = [
     "BundleFormatError",
-    "ConfigError",
-    "RunConfig",
     "write_bundle",
     "read_bundle",
     "write_calibration",
@@ -41,14 +37,10 @@ __all__ = [
 
 _MAGIC = b"RQBNDL\x00\x01"
 _ALIGN = 64
-REPORT_SCHEMA = 2  # schema 1 had empirical_noise_var in place of measured_noise_var
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class BundleFormatError(RuntimeError):
-    pass
-
-
-class ConfigError(ValueError):
     pass
 
 
@@ -159,23 +151,13 @@ def _read_container(path, expect_kind=None):
 
 
 def write_bundle(path, bundle: ModelBundle):
-    cfg = bundle.config
     tensors = {}
     for i, bw in enumerate(bundle.blocks):
         for name in WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp"):
             arr = getattr(bw, name)
             if arr is not None:
                 tensors[f"block{i}.{name}"] = arr
-    header = {
-        "config": {
-            "hidden": cfg.hidden,
-            "heads": cfg.heads,
-            "mlp_dim": cfg.mlp_dim,
-            "n_blocks": cfg.n_blocks,
-            "eps": cfg.eps,
-        },
-        "meta": dict(bundle.meta),
-    }
+    header = {"config": asdict(bundle.config), "meta": dict(bundle.meta)}
     _write_container(path, "model", header, tensors)
 
 
@@ -192,16 +174,10 @@ def _block_shapes(config: ModelConfig) -> dict:
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model")
     try:
-        c = header["config"]
-        config = ModelConfig(
-            hidden=int(c["hidden"]),
-            heads=int(c["heads"]),
-            mlp_dim=int(c["mlp_dim"]),
-            n_blocks=int(c["n_blocks"]),
-            eps=float(c["eps"]),
-        )
+        c = header["config"]  # every field is required, though ModelConfig has defaults
+        config = _from_json(ModelConfig, {f.name: c[f.name] for f in fields(ModelConfig)})
         meta = dict(header["meta"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise BundleFormatError(f"{path}: malformed model header: {err!r}") from err
     flags = ModelBundle(config, []).meta
     if not all(isinstance(meta.get(k), bool) for k in flags):
@@ -326,36 +302,39 @@ def _csv_cell(v):
 
 
 def read_report(json_path) -> ErrorReport:
-    """Load a report JSON of schema 1 or 2; schema-1 records load with
-    measured_noise_var None.  Any other document, or records and blocks
-    that are not objects of their fields' types, raise BundleFormatError.
+    """Load a report JSON of schema 1 to REPORT_SCHEMA; schema-1 records
+    load with measured_noise_var None.  Any other document, or records and
+    blocks that are not objects of their fields' types, raise
+    BundleFormatError.
     """
     with open(json_path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if not isinstance(payload, dict) or "schema" not in payload:
         raise BundleFormatError(f"{json_path}: missing schema field")
     schema = payload["schema"]
-    if type(schema) is not int or schema not in (1, REPORT_SCHEMA):
+    if type(schema) is not int or not 1 <= schema <= REPORT_SCHEMA:
         raise BundleFormatError(f"{json_path}: unknown report schema {schema!r}")
     records, blocks = payload.get("records", []), payload.get("blocks", [])
     try:
         if not (isinstance(records, list) and isinstance(blocks, list)):
             raise ValueError("records and blocks must be lists")
-        records = [_from_json(SiteRecord, d, schema) for d in records]
-        blocks = [_from_json(BlockMse, b, schema) for b in blocks]
-    except (TypeError, ValueError, OverflowError) as err:
+        if schema == 1:  # measured_noise_var superseded empirical_noise_var
+            for d in records:
+                if isinstance(d, dict):
+                    d.pop("empirical_noise_var", None)
+        records = [_from_json(SiteRecord, d) for d in records]
+        blocks = [_from_json(BlockMse, b) for b in blocks]
+    except (TypeError, ValueError) as err:
         raise BundleFormatError(f"{json_path}: malformed report: {err}") from err
     return ErrorReport(schema=schema, records=records, blocks=blocks)
 
 
-def _from_json(cls, d, schema):
-    """A SiteRecord or BlockMse from a JSON object whose values match the
-    field annotations; schema 1's empirical_noise_var is dropped."""
+def _from_json(cls, d):
+    """A dataclass instance from a JSON object whose values match the field
+    annotations; unknown names and non-finite floats are ValueErrors."""
     if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} entry {d!r} is not an object")
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {d!r}")
     kinds = {f.name: f.type for f in fields(cls)}
-    if schema == 1:
-        d = {k: v for k, v in d.items() if k != "empirical_noise_var"}
     return cls(**{k: _json_value(k, kinds.get(k, "a known field"), v) for k, v in d.items()})
 
 
@@ -366,120 +345,13 @@ def _json_value(name, kind, v):
         kind = kind.removesuffix(" | None")
     if kind == "int" and type(v) is int or kind == "str" and isinstance(v, str):
         return v
-    if kind == "float" and type(v) in (int, float):
+    if kind == "float" and _finite(v):
         return float(v)
-    if kind == "np.ndarray" and isinstance(v, list) and all(type(x) in (int, float) for x in v):
+    if kind == "np.ndarray" and isinstance(v, list) and all(map(_finite, v)):
         return np.asarray(v, dtype=np.float64)
     raise ValueError(f"{name} = {v!r} is not {kind}")
 
 
-# -- run configuration -------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """End-to-end run settings; validated before any work starts."""
-
-    seed: int = 0
-    # model
-    hidden: int = 64
-    heads: int = 4
-    mlp_dim: int = 256
-    n_blocks: int = 2
-    # synthetic data
-    calib_sequences: int = 128
-    seq_len: int = 8
-    offset_std: float = 4.0
-    base_std: float = 1.0
-    n_outliers: int = 2
-    # quantization (>= 16 disables that quantizer)
-    w_bits: int = 4
-    a_bits: int = 4
-    kv_bits: int = 4
-    # schedule
-    stage1_epochs: int = 3
-    stage2_epochs: int = 5
-    steps_per_epoch: int = 10
-    lr_scale: float = 1e-2
-    lr_bias: float = 1e-3
-    lr_clip: float = 1e-2
-    # rotations
-    rres_kind: str = "pca-hadamard"
-    gptq_damp: float = 0.01
-    mode: str | None = None
-    # toy-model extras
-    weight_outlier_cols: int = 2
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}: not valid JSON ({err})") from err
-        if not isinstance(data, dict):
-            got = "null" if data is None else type(data).__name__
-            raise ConfigError(f"{path}: expected a JSON object of config fields, got {got}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = sorted(set(data) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-        for name, value in data.items():
-            default = defaults[name]
-            if default is None:
-                kind, ok = "a string or null", value is None or isinstance(value, str)
-            elif isinstance(default, float):  # ints widen; JSON NaN/Infinity do not pass
-                number = isinstance(value, (int, float)) and not isinstance(value, bool)
-                kind, ok = "a finite number", number and math.isfinite(value)
-                data[name] = float(value) if ok else value
-            elif isinstance(default, int):
-                kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-            else:
-                kind, ok = "a string", isinstance(value, str)
-            if not ok:
-                raise ConfigError(f"{name}: expected {kind}, got {value!r}")
-        return cls(**data)
-
-    def validate(self):
-        """Raise ConfigError naming the offending field; cheap (< 1 s)."""
-        problems = []
-
-        def pow2(field_name, v):
-            if v < 1 or v & (v - 1):
-                problems.append(f"{field_name}: dimension must be 2^k, got {v}")
-
-        pow2("model.hidden", self.hidden)
-        pow2("model.mlp_dim", self.mlp_dim)
-        if self.heads < 1 or self.hidden % self.heads:
-            problems.append(f"model.heads: hidden {self.hidden} not divisible by {self.heads}")
-        else:
-            pow2("model.head_dim", self.hidden // self.heads)
-        if self.n_blocks < 1:
-            problems.append(f"model.n_blocks: must be >= 1, got {self.n_blocks}")
-
-        for name in ("w_bits", "a_bits", "kv_bits"):
-            b = getattr(self, name)
-            if not (2 <= b <= 8 or b >= 16):
-                problems.append(f"quant.{name}: must be 2..8 (or >= 16 for pass-through), got {b}")
-
-        if self.calib_sequences < 1 or self.seq_len < 2:
-            problems.append("calib: need >= 1 sequence of length >= 2")
-        for name in ("stage1_epochs", "stage2_epochs", "steps_per_epoch"):
-            if getattr(self, name) < 0:
-                problems.append(f"schedule.{name}: must be >= 0")
-        for name in ("lr_scale", "lr_bias", "lr_clip"):
-            if not getattr(self, name) > 0:
-                problems.append(f"schedule.{name}: must be > 0")
-        if self.mode is not None and self.mode not in ABLATION_MODES:
-            problems.append(f"mode: unknown mode {self.mode!r} (choose from {', '.join(ABLATION_MODES)})")
-        if self.rres_kind not in ("pca-hadamard", "hadamard", "random-hadamard"):
-            problems.append(f"rres_kind: unknown kind {self.rres_kind!r}")
-        if not 0 < self.gptq_damp < 1:
-            problems.append(f"gptq_damp: must be in (0, 1), got {self.gptq_damp}")
-        if self.offset_std < 0 or self.base_std <= 0:
-            problems.append("synth: offset_std must be >= 0 and base_std > 0")
-        if self.n_outliers < 0:
-            problems.append(f"synth.n_outliers: must be >= 0, got {self.n_outliers}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        return self
+def _finite(v):
+    """True for a JSON number that converts to a finite float (NaN compares False)."""
+    return type(v) in (int, float) and abs(v) <= _FLOAT_MAX

@@ -8,8 +8,11 @@ and seed; output files are byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,7 @@ import numpy as np
 from .analysis import channel_stats, clipping_energy, emit_report, gaussian_clip_energy
 from .bundle_io import (
     BundleFormatError,
-    ConfigError,
-    RunConfig,
+    _from_json,
     read_bundle,
     read_calibration,
     read_report,
@@ -55,37 +57,109 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-def _model_config(rc: RunConfig) -> ModelConfig:
-    return ModelConfig(hidden=rc.hidden, heads=rc.heads, mlp_dim=rc.mlp_dim, n_blocks=rc.n_blocks)
+class ConfigError(ValueError):
+    pass
 
 
-def _synth_spec(rc: RunConfig) -> SynthSpec:
-    return SynthSpec.misaligned(
-        rc.hidden,
-        rc.calib_sequences * rc.seq_len,
-        seed=rc.seed,
-        offset_std=rc.offset_std,
-        base_std=rc.base_std,
-        n_outliers=rc.n_outliers,
-    )
+@dataclass
+class RunConfig:
+    """End-to-end run settings.  The library types they build own the rules
+    on their values; validate() reports the violations before work starts."""
 
+    seed: int = 0
+    # model
+    hidden: int = 64
+    heads: int = 4
+    mlp_dim: int = 256
+    n_blocks: int = 2
+    # synthetic data
+    calib_sequences: int = 128
+    seq_len: int = 8
+    offset_std: float = 4.0
+    base_std: float = 1.0
+    n_outliers: int = 2
+    # quantization (>= 16 disables that quantizer)
+    w_bits: int = 4
+    a_bits: int = 4
+    kv_bits: int = 4
+    # schedule
+    stage1_epochs: int = 3
+    stage2_epochs: int = 5
+    steps_per_epoch: int = 10
+    lr_scale: float = 1e-2
+    lr_bias: float = 1e-3
+    lr_clip: float = 1e-2
+    # rotations
+    rres_kind: str = "pca-hadamard"
+    gptq_damp: float = 0.01
+    mode: str | None = None
+    # toy-model extras
+    weight_outlier_cols: int = 2
 
-def _pipeline_config(rc: RunConfig) -> PipelineConfig:
-    cfg = PipelineConfig(
-        qcfg=QuantConfig.for_bits(rc.w_bits, rc.a_bits, rc.kv_bits, rc.hidden // rc.heads),
-        schedule=StageSchedule(
-            stage1_epochs=rc.stage1_epochs,
-            stage2_epochs=rc.stage2_epochs,
-            steps_per_epoch=rc.steps_per_epoch,
-            lr_scale=rc.lr_scale,
-            lr_bias=rc.lr_bias,
-            lr_clip=rc.lr_clip,
-        ),
-        rres_kind=rc.rres_kind,
-        rres_seed=rc.seed,
-        gptq_damp=rc.gptq_damp,
-    )
-    return mode_config(cfg, rc.mode) if rc.mode else cfg
+    @classmethod
+    def from_file(cls, path) -> "RunConfig":
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                data = json.load(f)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{path}: not valid JSON ({err})") from err
+        try:
+            return _from_json(cls, data)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(hidden=self.hidden, heads=self.heads, mlp_dim=self.mlp_dim, n_blocks=self.n_blocks)
+
+    def synth_spec(self) -> SynthSpec:
+        return SynthSpec.misaligned(
+            self.hidden,
+            self.calib_sequences * self.seq_len,
+            seed=self.seed,
+            offset_std=self.offset_std,
+            base_std=self.base_std,
+            n_outliers=self.n_outliers,
+        )
+
+    def pipeline_config(self) -> PipelineConfig:
+        cfg = PipelineConfig(
+            qcfg=QuantConfig.for_bits(self.w_bits, self.a_bits, self.kv_bits, self.model_config().head_dim),
+            schedule=StageSchedule(
+                stage1_epochs=self.stage1_epochs,
+                stage2_epochs=self.stage2_epochs,
+                steps_per_epoch=self.steps_per_epoch,
+                lr_scale=self.lr_scale,
+                lr_bias=self.lr_bias,
+                lr_clip=self.lr_clip,
+            ),
+            rres_kind=self.rres_kind,
+            rres_seed=self.seed,
+            gptq_damp=self.gptq_damp,
+        )
+        return cfg if self.mode is None else mode_config(cfg, self.mode)
+
+    def validate(self):
+        """Raise one ConfigError joining the errors of the objects a run
+        builds (the model first: the others read its widths) and of the two
+        rules no library type owns; each names its field.  Cheap (< 1 s)."""
+        problems = []
+        if self.calib_sequences < 1 or self.seq_len < 2:
+            problems.append("calib: need >= 1 sequence of length >= 2")
+        if self.weight_outlier_cols < 0:
+            problems.append(f"weight_outlier_cols: must be >= 0, got {self.weight_outlier_cols}")
+        try:
+            self.model_config()
+        except ValueError as err:  # the synthetic data and the pipeline read its widths
+            problems.append(str(err))
+        else:
+            for build in (self.synth_spec, self.pipeline_config):
+                try:
+                    build()
+                except ValueError as err:
+                    problems.append(str(err))
+        if problems:
+            raise ConfigError("; ".join(problems))
+        return self
 
 
 def _load_config(args) -> RunConfig:
@@ -118,9 +192,9 @@ def _outdir(args) -> Path:
 def cmd_gen(args) -> int:
     rc = _load_config(args)
     out = _outdir(args)
-    config = _model_config(rc)
+    config = rc.model_config()
     bundle = build_toy_model(config, rc.seed, outlier_columns=rc.weight_outlier_cols)
-    spec = _synth_spec(rc)
+    spec = rc.synth_spec()
     calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len)
     write_bundle(out / "model.rqb", bundle)
     write_calibration(
@@ -143,7 +217,7 @@ def cmd_quantize(args) -> int:
     out = _outdir(args)
     bundle = read_bundle(args.model)
     calib = read_calibration(args.calib)
-    cfg = _pipeline_config(rc)
+    cfg = rc.pipeline_config()
     result = run_pipeline(bundle, calib, cfg)
 
     write_bundle(out / "quantized.rqb", result.bundle)
@@ -167,7 +241,7 @@ def cmd_analyze(args) -> int:
 
     # post-rotation analysis: prepare exactly as the quantizer would, then
     # collect every quantizer-site input on the floating-point forward
-    cfg = _pipeline_config(rc)
+    cfg = rc.pipeline_config()
     prepared, rotation = prepare_bundle(bundle, cfg)
     neutral = [BlockParams.neutral(prepared.config) for _ in prepared.blocks]
     layers = site_layers(prepared, neutral, QuantConfig(None, None, None), rotation.apply(calib))
@@ -188,18 +262,15 @@ def cmd_ablate(args) -> int:
     out = _outdir(args)
     bundle = read_bundle(args.model)
     calib = read_calibration(args.calib)
-    cfg = _pipeline_config(rc)
+    cfg = rc.pipeline_config()
     modes = [args.mode] if args.mode else list(ABLATION_MODES)
     rows = ablate(bundle, calib, cfg, modes=modes)
 
-    import csv as _csv
-    import json as _json
-
     with open(out / "ablation.json", "w", encoding="utf-8") as f:
-        _json.dump({"schema": 1, "rows": rows}, f, sort_keys=True, separators=(",", ":"))
+        json.dump({"schema": 1, "rows": rows}, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
     with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(["mode", "final_mse"])
         for row in rows:
             w.writerow([row["mode"], repr(row["final_mse"])])

@@ -71,13 +71,13 @@ class ModelConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        for name in ("hidden", "mlp_dim"):
+        if self.heads < 1 or self.hidden % self.heads:
+            raise ValueError(f"heads: hidden {self.hidden} not divisible by {self.heads}")
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks: must be >= 1, got {self.n_blocks}")
+        for name in ("hidden", "mlp_dim", "head_dim"):
             if not is_power_of_two(getattr(self, name)):
                 raise ValueError(f"{name}: dimension must be 2^k, got {getattr(self, name)}")
-        if not is_power_of_two(self.head_dim):
-            raise ValueError(f"head_dim: dimension must be 2^k, got {self.head_dim}")
 
     @property
     def head_dim(self) -> int:
@@ -159,6 +159,8 @@ class SynthSpec:
                 raise ValueError(f"outlier amplitude must exceed 1, got {a}")
         if self.mean_offsets is not None and np.shape(self.mean_offsets) != (self.channels,):
             raise ValueError("mean_offsets must have one entry per channel")
+        if not self.base_std > 0:
+            raise ValueError(f"base_std: must be > 0, got {self.base_std}")
 
     @classmethod
     def misaligned(cls, channels, tokens, seed=0, offset_std=4.0, base_std=1.0, n_outliers=2):
@@ -168,6 +170,10 @@ class SynthSpec:
         offsets; set both offset_std=0 and n_outliers=0 for a mean-aligned
         pure-Gaussian stream.
         """
+        if not offset_std >= 0:
+            raise ValueError(f"offset_std: must be >= 0, got {offset_std}")
+        if n_outliers < 0:
+            raise ValueError(f"n_outliers: must be >= 0, got {n_outliers}")
         rng = np.random.default_rng(seed + 7919)
         offsets = rng.normal(0.0, offset_std, size=channels) if offset_std > 0 else None
         k = min(n_outliers, channels // 16)
@@ -318,6 +324,9 @@ class QuantConfig:
     @classmethod
     def for_bits(cls, w_bits, a_bits, kv_bits, head_dim) -> "QuantConfig":
         """Paper-default granularities; bits >= 16 disables that quantizer."""
+        for name, bits in (("w_bits", w_bits), ("a_bits", a_bits), ("kv_bits", kv_bits)):
+            if not (2 <= bits <= 8 or bits >= 16):
+                raise ValueError(f"{name}: must be 2..8 (or >= 16 for pass-through), got {bits}")
 
         def act(bits):
             return None if bits >= 16 else QuantSpec(bits, "asymmetric", "per-token")

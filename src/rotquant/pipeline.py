@@ -47,6 +47,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "ABLATION_MODES",
+    "RRES_KINDS",
     "mode_config",
     "compute_rres",
     "build_rres",
@@ -57,9 +58,17 @@ __all__ = [
     "ablate",
 ]
 
-#: Table-row order of the ablation feature ladder; each mode trains a
-#: superset of the previous mode's parameters.
-ABLATION_MODES = ("rotation-only", "learned-rv", "bias", "unpaired-scale", "scale")
+#: The ablation feature ladder in table-row order: the training flags each
+#: mode sets, a superset of the previous mode's; the last sets them all.
+_LADDER = {
+    "rotation-only": (),
+    "learned-rv": ("train_rv",),
+    "bias": ("train_rv", "train_bias", "train_clip"),
+    "unpaired-scale": ("train_rv", "train_bias", "train_clip", "train_unpaired"),
+    "scale": ("train_rv", "train_bias", "train_clip", "train_unpaired", "train_scale"),
+}
+ABLATION_MODES = tuple(_LADDER)
+RRES_KINDS = ("pca-hadamard", "hadamard", "random-hadamard")
 
 _ALPHA_MIN = 1e-3
 _SCALE_MIN = 1e-6
@@ -77,12 +86,20 @@ class StageSchedule:
     lr_bias: float = 1e-3
     lr_clip: float = 1e-2
 
+    def __post_init__(self):
+        for name in ("stage1_epochs", "stage2_epochs", "steps_per_epoch"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name in ("lr_scale", "lr_bias", "lr_clip"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be > 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     qcfg: QuantConfig
     schedule: StageSchedule = StageSchedule()
-    rres_kind: str = "pca-hadamard"  # pca-hadamard | hadamard | random-hadamard
+    rres_kind: str = "pca-hadamard"  # one of RRES_KINDS
     rres_seed: int = 0
     train_rv: bool = True
     train_scale: bool = True
@@ -93,26 +110,18 @@ class PipelineConfig:
     with_report: bool = True
 
     def __post_init__(self):
-        if self.rres_kind not in ("pca-hadamard", "hadamard", "random-hadamard"):
-            raise ValueError(f"unknown rres kind {self.rres_kind!r}")
+        if self.rres_kind not in RRES_KINDS:
+            kinds = ", ".join(RRES_KINDS)
+            raise ValueError(f"rres_kind: unknown kind {self.rres_kind!r} (choose from {kinds})")
+        if not 0 < self.gptq_damp < 1:
+            raise ValueError(f"gptq_damp: must be in (0, 1), got {self.gptq_damp}")
 
 
 def mode_config(base: PipelineConfig, mode: str) -> PipelineConfig:
     """Feature toggles for one ablation mode."""
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode {mode!r} (choose from {ABLATION_MODES})")
-    ladder = {
-        "rotation-only": {},
-        "learned-rv": {"train_rv"},
-        "bias": {"train_rv", "train_bias", "train_clip"},
-        "unpaired-scale": {"train_rv", "train_bias", "train_clip", "train_unpaired"},
-        "scale": {"train_rv", "train_bias", "train_clip", "train_unpaired", "train_scale"},
-    }[mode]
-    flags = {
-        f: (f in ladder)
-        for f in ("train_rv", "train_scale", "train_bias", "train_unpaired", "train_clip")
-    }
-    return replace(base, **flags)
+    if mode not in _LADDER:
+        raise ValueError(f"mode: unknown ablation mode {mode!r} (choose from {', '.join(ABLATION_MODES)})")
+    return replace(base, **{flag: flag in _LADDER[mode] for flag in _LADDER[ABLATION_MODES[-1]]})
 
 
 @dataclass
@@ -147,6 +156,8 @@ def build_rres(bundle: ModelBundle, cfg: PipelineConfig) -> Rotation:
 
 def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig):
     """Fold norms, choose the residual rotation, fuse it into the weights."""
+    if bundle.meta["rres_fused"]:
+        raise RuntimeError("the bundle already has a residual rotation fused in; pass the original model")
     folded = fold_norms(bundle)
     rotation = build_rres(folded, cfg)
     return fuse_rres(folded, rotation), rotation

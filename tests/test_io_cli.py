@@ -1,5 +1,6 @@
 """File formats, run configuration, and the command-line surface."""
 
+import ast
 import json
 import os
 import struct
@@ -15,8 +16,6 @@ from hypothesis import strategies as st
 from rotquant.analysis import BlockMse, ErrorReport, SiteRecord
 from rotquant.bundle_io import (
     BundleFormatError,
-    ConfigError,
-    RunConfig,
     read_bundle,
     read_calibration,
     read_params,
@@ -26,7 +25,7 @@ from rotquant.bundle_io import (
     write_params,
     write_report,
 )
-from rotquant.cli import main
+from rotquant.cli import ConfigError, RunConfig, main
 from rotquant.model import BlockParams, ModelConfig, build_toy_model
 
 CFG = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
@@ -159,6 +158,9 @@ def _write_params(path):
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
         (_write_model, read_bundle, _set_config(hidden=64), "block0.wq has shape"),
         (_write_model, read_bundle, _set_config(mlp_dim=32), "block0.wgate has shape"),
+        # eps 1e-06 -> 0.1 keeps the header's length, so the tensor table stays valid
+        (_write_model, read_bundle, _set_config(hidden=32.0, eps=0.1), "hidden"),
+        (_write_model, read_bundle, _set_config(hidden="32", eps=0.1), "hidden"),
     ],
     ids=[
         "no-offset",
@@ -168,6 +170,8 @@ def _write_params(path):
         "params-missing-tensor",
         "config-hidden-disagrees",
         "config-mlp-disagrees",
+        "config-hidden-float",
+        "config-hidden-str",
     ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
@@ -285,7 +289,7 @@ def test_report_roundtrip_lossless(tmp_path):
     base = tmp_path / "report"
     write_report(base, report)
     loaded = read_report(str(base) + ".json")
-    assert loaded.schema == 2
+    assert loaded.schema == 3
     assert len(loaded.records) == 2
     r0, l0 = report.records[0], loaded.records[0]
     for field in (
@@ -334,6 +338,32 @@ def test_report_reads_schema_1(tmp_path):
     assert np.array_equal(qkv.channel_vars, [1.0, 1.1]) and cache.channel_means is None
 
 
+# a report.json as written while the k/v cache rounding_energy was per token
+# at the activation bits
+_SCHEMA2_REPORT = (
+    '{"blocks":[{"block":0,"mse_after_gptq":0.5,"mse_baseline":1.0,"mse_final":0.25}],'
+    '"records":[{"block":0,"channel_means":[0.1,-0.2],"channel_vars":[1.0,1.1],'
+    '"clipping_energy_fraction":0.18,"mean_channel_var":1.0,"measured_noise_var":0.0021,'
+    '"predicted_noise_var":0.002,"rounding_energy":0.01,"site":"qkv","var_of_means":4.0,'
+    '"var_of_means_fraction":0.8},{"block":0,"channel_means":[0.3,0.4],"channel_vars":[0.5,0.5],'
+    '"clipping_energy_fraction":0.0,"mean_channel_var":0.5,"measured_noise_var":null,'
+    '"predicted_noise_var":null,"rounding_energy":0.009,"site":"k_cache","var_of_means":0.0025,'
+    '"var_of_means_fraction":0.005}],"schema":2}\n'
+)
+
+
+def test_report_reads_schema_2(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(_SCHEMA2_REPORT)
+    loaded = read_report(path)
+    assert loaded.schema == 2
+    assert loaded.blocks == [BlockMse(0, 1.0, 0.5, 0.25)]
+    qkv, cache = loaded.records
+    assert (qkv.site, qkv.measured_noise_var, qkv.predicted_noise_var) == ("qkv", 0.0021, 0.002)
+    assert (cache.site, cache.rounding_energy, cache.measured_noise_var) == ("k_cache", 0.009, None)
+    assert np.array_equal(cache.channel_means, [0.3, 0.4])
+
+
 def _record_json(**changes):
     d = json.loads(_SCHEMA1_REPORT)["records"][0]
     d.pop("empirical_noise_var")
@@ -355,7 +385,7 @@ def _record_json(**changes):
         {"schema": 2, "records": [], "blocks": [{"block": 0, "mse_baseline": "x", "mse_after_gptq": 0.5,
                                                  "mse_final": 0.25}]},
         {"schema": 2, "records": {"a": 1}},
-        {"schema": 3, "records": []},
+        {"schema": 4, "records": []},
         {"schema": True, "records": []},
         [1, 2],
     ],
@@ -417,11 +447,12 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ('{"base_std": Infinity}', "base_std"),
         ('{"offset_std": NaN}', "offset_std"),
         ('{"mode": "bogus"}', "mode"),
+        ('{"weight_outlier_cols": -1}', "weight_outlier_cols"),
         ("[1, 2]", "JSON object"),
         ("null", "JSON object"),
     ],
     ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str",
-         "base_std-inf", "offset_std-nan", "mode-unknown", "list", "null"],
+         "base_std-inf", "offset_std-nan", "mode-unknown", "weight_outlier_cols-negative", "list", "null"],
 )
 def test_cli_malformed_config_is_validation_error(tmp_path, document, named):
     path = tmp_path / "config.json"
@@ -446,6 +477,19 @@ def test_runconfig_float_fields_accept_ints(tmp_path):
     rc = RunConfig.from_file(path)
     assert rc.lr_bias == 1.0 and isinstance(rc.lr_bias, float)
     assert rc.mode is None
+
+
+def test_bundle_io_imports_only_analysis_and_model():
+    # the file-format module stays a leaf: it imports neither pipeline nor cli
+    path = Path(__file__).resolve().parents[1] / "src" / "rotquant" / "bundle_io.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rotquant")):
+            module = (node.module or "").removeprefix("rotquant").lstrip(".")
+            imported |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("rotquant.") for a in node.names if a.name.startswith("rotquant.")}
+    assert imported == {"analysis", "model"}
 
 
 # -- CLI ---------------------------------------------------------------------------------
@@ -634,6 +678,22 @@ def test_cli_missing_file_is_runtime_error(tmp_path, capsys):
         assert main(["quantize", *argv]) == 2, case
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, case
+
+
+def test_cli_rejects_a_rotation_fused_model(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path)
+    gen_dir, q = tmp_path / "g", tmp_path / "q"
+    calib = str(gen_dir / "calib.rqb")
+    assert main(["gen", "--config", cfg, "--out", str(gen_dir)]) == 0
+    assert main(["quantize", "--config", cfg, "--model", str(gen_dir / "model.rqb"), "--calib", calib,
+                 "--out", str(q)]) == 0
+    capsys.readouterr()
+    for command in ("analyze", "quantize"):
+        argv = [command, "--config", cfg, "--model", str(q / "quantized.rqb"), "--calib", calib,
+                "--out", str(tmp_path / command)]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual rotation" in err and "Traceback" not in err, command
 
 
 def test_cli_corrupt_model_file(tmp_path, capsys):

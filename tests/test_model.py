@@ -102,6 +102,10 @@ def test_model_config_validation():
         ModelConfig(hidden=64, heads=4, mlp_dim=100)
     with pytest.raises(ValueError):
         ModelConfig(hidden=64, heads=5, mlp_dim=256)
+    with pytest.raises(ValueError, match="heads"):
+        ModelConfig(hidden=64, heads=0, mlp_dim=256)
+    with pytest.raises(ValueError, match="n_blocks"):
+        ModelConfig(hidden=64, heads=4, mlp_dim=256, n_blocks=0)
 
 
 # -- folding and fusion -----------------------------------------------------------------
