@@ -271,6 +271,7 @@ def matmul(a, b):
         return _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape)
 
     def db(g):
+        # kept batched, not one flattened GEMM: see the CHANGES.md FOUND line on its page faults
         return _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape)
 
     return _make(out, (a, b), (da, db))

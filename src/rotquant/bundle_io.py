@@ -226,7 +226,12 @@ def read_params(path):
     header, tensors = _read_container(path, expect_kind="params")
     out = []
     try:
-        for i in range(int(header["n_blocks"])):
+        n_blocks = _json_value("n_blocks", "int", header["n_blocks"])
+        blocks = {f"block{i}" for i in range(n_blocks)}
+        stray = sorted(str(n) for n in tensors if str(n).split(".", 1)[0] not in blocks)
+        if stray:
+            raise ValueError(f"tensors {stray} belong to no block below n_blocks = {n_blocks}")
+        for i in range(n_blocks):
             kwargs = {}
             for f in [fl.name for fl in fields(BlockParams)]:
                 arr = tensors[f"block{i}.{f}"]

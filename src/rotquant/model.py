@@ -62,6 +62,10 @@ ACT_SITES = {"qkv": ("wq", "wk", "wv"), "o": ("wo",), "up": ("wgate", "wup"), "d
 KV_SITES = ("k_cache", "v_cache")
 
 
+#: The largest array dimension numpy can index.
+_MAX_DIM = np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     hidden: int = 64
@@ -76,8 +80,11 @@ class ModelConfig:
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks: must be >= 1, got {self.n_blocks}")
         for name in ("hidden", "mlp_dim", "head_dim"):
-            if not is_power_of_two(getattr(self, name)):
-                raise ValueError(f"{name}: dimension must be 2^k, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_power_of_two(value):
+                raise ValueError(f"{name}: dimension must be 2^k, got {value}")
+            if value > _MAX_DIM:
+                raise ValueError(f"{name}: dimension must be at most {_MAX_DIM}, got {value}")
 
     @property
     def head_dim(self) -> int:

@@ -1,11 +1,18 @@
 """Uniform integer quantizers, clip-threshold search, and GPTQ rounding.
 
 `resolve_params` and `fake_quantize` (quantize then dequantize in floating
-point) are plain ndarray functions.  Inside a differentiable calibration
-objective, `quantize_dynamic` is one graph node: its forward is the same
-arithmetic, and its vector-Jacobian product is the closed form of the
+point) are plain ndarray functions that reduce each group with
+np.amin/np.amax.  Inside a differentiable calibration objective,
+`quantize_dynamic` is one graph node: its forward is the same arithmetic,
+and its vector-Jacobian product is the closed form of the
 straight-through chain (range reduction, scale floor, round, clamp,
-dequantize) for both the input and the learnable clip factor.
+dequantize) for both the input and the learnable clip factor.  The node
+finds each group's extremes by position (argmin/argmax, the same bits as
+the reductions) and keeps only those positions.  Its input gradient
+gives each extreme's gradient to its one position; only the rare group
+whose extreme is tied splits it evenly over the hits, as the min/max
+reduction's gradient does.  The hits are counted there, in the backward,
+so a forward that is never differentiated does not count them.
 
 Integer codes are never packed: quantized tensors are float64 arrays whose
 values lie exactly on the lattice {zero + k * scale, k in 0..2^b - 1}.
@@ -103,20 +110,20 @@ def _step_factor(spec):
     return 1.0 / (spec.levels - 1 if spec.scheme == "asymmetric" else 2 ** (spec.bits - 1) - 1)
 
 
-def _raw_params(view, spec, a):
-    """(raw scale, zero, extremes) per group of the grouped view.
+def _raw_params(extremes, spec, a):
+    """(raw scale, zero) per group from the group extremes.
 
-    The raw scale is the clip-scaled range step before the SCALE_FLOOR
-    clamp; extremes are (min, max) for asymmetric groups and (max |x|,)
-    for symmetric ones.
+    extremes are (min, max) for asymmetric groups and (max |x|,) for
+    symmetric ones, each with a trailing axis of 1: reductions in
+    `resolve_params`, values read at the `_locate_extreme` positions in
+    `quantize_dynamic`'s graph node.  The raw scale is the clip-scaled
+    range step before the SCALE_FLOOR clamp.
     """
     if spec.scheme == "asymmetric":
-        mn = np.amin(view, axis=-1, keepdims=True)
-        mx = np.amax(view, axis=-1, keepdims=True)
-        return a * (mx - mn) * _step_factor(spec), a * mn, (mn, mx)
-    m = np.amax(np.abs(view), axis=-1, keepdims=True)
-    raw = a * m * _step_factor(spec)
-    return raw, raw * (-(2 ** (spec.bits - 1))), (m,)
+        mn, mx = extremes
+        return a * (mx - mn) * _step_factor(spec), a * mn
+    raw = a * extremes[0] * _step_factor(spec)
+    return raw, raw * (-(2 ** (spec.bits - 1)))
 
 
 def resolve_params(x, spec: QuantSpec, alpha=1.0) -> QuantParams:
@@ -128,7 +135,12 @@ def resolve_params(x, spec: QuantSpec, alpha=1.0) -> QuantParams:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise QuantizationError("empty group")
-    raw, zero, _ = _raw_params(_grouped(x, spec), spec, alpha)
+    view = _grouped(x, spec)
+    if spec.scheme == "asymmetric":
+        extremes = (np.amin(view, axis=-1, keepdims=True), np.amax(view, axis=-1, keepdims=True))
+    else:
+        extremes = (np.amax(np.abs(view), axis=-1, keepdims=True),)
+    raw, zero = _raw_params(extremes, spec, alpha)
     return QuantParams(scale=np.clip(raw, SCALE_FLOOR, np.inf), zero=zero)
 
 
@@ -144,11 +156,56 @@ def fake_quantize(x, params: QuantParams, spec: QuantSpec):
     return (q * params.scale + params.zero).reshape(x.shape)
 
 
+def _locate_extreme(rows, find):
+    """Each row's first extreme: (value, flat position).
+
+    rows is a C-contiguous [groups, group size] array and find is
+    np.argmin or np.argmax; the value read at the position holds the same
+    bits as np.amin/np.amax.
+    """
+    n_rows, n = rows.shape
+    pos = find(rows, axis=1)
+    pos += np.arange(0, n_rows * n, n)
+    return rows.reshape(-1)[pos], pos
+
+
 def _tie_split(values, extreme, g):
-    """Gradient of a min/max reduction: ties split it evenly."""
+    """Gradient of a min/max reduction over the last axis: ties split it evenly.
+
+    Each element equal to the extreme gets g * (1 / hits).  Only tied rows
+    come here; `_add_extreme_grad` gives every other row's g to its one
+    extreme directly, which is the same bits since g * (1 / 1) is g.
+    """
     hit = (values == extreme).astype(np.float64)
     hit /= np.sum(hit, axis=-1, keepdims=True)
     return g * hit
+
+
+def _add_extreme_grad(g_rows, rows, pos, g_ext, signed=False):
+    """Add the gradient g_ext of each row's extreme into g_rows, in place.
+
+    g_rows and rows are [groups, group size], pos holds each row's extreme
+    position from `_locate_extreme` and g_ext one value per row.  signed:
+    the extreme is max |x|, so each hit also takes the sign of its x.
+    Tied rows hit their extreme other than exactly once (equal extremes,
+    or a NaN); rows are counted one by one only when the hits over all
+    rows are not one per row.
+    """
+    values = np.abs(rows) if signed else rows
+    ext = values.reshape(-1)[pos]
+    hits = values == ext[:, None]
+    tied = pos[:0]
+    if np.count_nonzero(hits) != len(rows) or np.isnan(ext).any():
+        tied = np.flatnonzero(np.count_nonzero(hits, axis=1) != 1)
+    at, g_at = pos, g_ext
+    if tied.size:
+        at, g_at = np.delete(pos, tied), np.delete(g_ext, tied)
+    if signed:
+        g_at = g_at * np.sign(rows.reshape(-1)[at])
+    g_rows.reshape(-1)[at] += g_at
+    if tied.size:
+        split = _tie_split(values[tied], ext[tied, None], g_ext[tied, None])
+        g_rows[tied] += split * np.sign(rows[tied]) if signed else split
 
 
 def _ste_partials(g, view, raw, scale, zero, r, q, spec):
@@ -190,8 +247,15 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
     xv, av = value_of(x), value_of(alpha)
     if xv.size == 0:
         raise QuantizationError("empty group")
-    view = _grouped(xv, spec)
-    raw, zero, extremes = _raw_params(view, spec, av)
+    view = _grouped(np.ascontiguousarray(xv), spec)
+    group_shape = (*view.shape[:-1], 1)
+    rows = view.reshape(-1, view.shape[-1])
+    if spec.scheme == "asymmetric":
+        found = (_locate_extreme(rows, np.argmin), _locate_extreme(rows, np.argmax))
+    else:
+        found = (_locate_extreme(np.abs(rows), np.argmax),)
+    raw, zero = _raw_params(tuple(v.reshape(group_shape) for v, _ in found), spec, av)
+    positions = [pos for _, pos in found]  # the node keeps positions, not values
     scale = np.clip(raw, SCALE_FLOOR, np.inf)
     r = _rounded(view, scale, zero)
     q = np.clip(r, 0.0, spec.levels - 1.0)
@@ -212,22 +276,26 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
             memo.append((g, parts))
         return parts
 
+    def per_row(t):
+        return np.broadcast_to(t, group_shape).reshape(-1)
+
     def grad_x(g):
         g_u, g_zero, g_range = partials(g)
+        g_rows = g_u.reshape(rows.shape)  # a fresh array, so the extremes add in place
         if spec.scheme == "asymmetric":
-            mn, mx = extremes
-            g_u = g_u + _tie_split(view, mn, g_zero * av - g_range * av)
-            g_u = g_u + _tie_split(view, mx, g_range * av)
+            _add_extreme_grad(g_rows, rows, positions[0], per_row(g_zero * av - g_range * av))
+            _add_extreme_grad(g_rows, rows, positions[1], per_row(g_range * av))
         else:
-            g_u = g_u + _tie_split(np.abs(view), extremes[0], g_range * av) * np.sign(view)
-        return g_u.reshape(xv.shape)
+            _add_extreme_grad(g_rows, rows, positions[0], per_row(g_range * av), signed=True)
+        return g_rows.reshape(xv.shape)
 
     def grad_alpha(g):
         _, g_zero, g_range = partials(g)
+        ext = [rows.reshape(-1)[pos].reshape(group_shape) for pos in positions]
         if spec.scheme == "asymmetric":
-            mn, mx = extremes
+            mn, mx = ext
             return _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
-        return _unbroadcast(g_range * extremes[0], av.shape)
+        return _unbroadcast(g_range * np.abs(ext[0]), av.shape)
 
     links = [(p, vjp) for p, vjp in ((x, grad_x), (alpha, grad_alpha)) if isinstance(p, Var)]
     return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(vjp for _, vjp in links))

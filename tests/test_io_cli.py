@@ -140,6 +140,15 @@ def _set_config(**fields):
     return mutate
 
 
+def _set_n_blocks(value):
+    def mutate(header):
+        header["n_blocks"] = value
+        del header["tensors"][0]["dtype"]  # room for a longer value; the reader ignores dtype
+        return header
+
+    return mutate
+
+
 def _write_model(path):
     write_bundle(path, build_toy_model(CFG, seed=0))
 
@@ -156,6 +165,11 @@ def _write_params(path):
         (_write_model, read_bundle, lambda h: dict(h, meta={}), "meta"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
+        # a two-block params file never loads as fewer blocks
+        (_write_params, read_params, _set_n_blocks(1.5), "n_blocks"),
+        (_write_params, read_params, _set_n_blocks("2"), "n_blocks"),
+        (_write_params, read_params, _set_n_blocks(1), "block1"),
+        (_write_params, read_params, _set_n_blocks(-1), "n_blocks"),
         (_write_model, read_bundle, _set_config(hidden=64), "block0.wq has shape"),
         (_write_model, read_bundle, _set_config(mlp_dim=32), "block0.wgate has shape"),
         # eps 1e-06 -> 0.1 keeps the header's length, so the tensor table stays valid
@@ -168,6 +182,10 @@ def _write_params(path):
         "no-meta-flags",
         "tensors-not-list",
         "params-missing-tensor",
+        "params-n_blocks-float",
+        "params-n_blocks-str",
+        "params-n_blocks-short",
+        "params-n_blocks-negative",
         "config-hidden-disagrees",
         "config-mlp-disagrees",
         "config-hidden-float",
@@ -448,11 +466,13 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ('{"offset_std": NaN}', "offset_std"),
         ('{"mode": "bogus"}', "mode"),
         ('{"weight_outlier_cols": -1}', "weight_outlier_cols"),
+        ('{"hidden": %d}' % 2**200, "hidden"),
         ("[1, 2]", "JSON object"),
         ("null", "JSON object"),
     ],
     ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str",
-         "base_std-inf", "offset_std-nan", "mode-unknown", "weight_outlier_cols-negative", "list", "null"],
+         "base_std-inf", "offset_std-nan", "mode-unknown", "weight_outlier_cols-negative",
+         "hidden-beyond-intp", "list", "null"],
 )
 def test_cli_malformed_config_is_validation_error(tmp_path, document, named):
     path = tmp_path / "config.json"

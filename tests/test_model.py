@@ -106,6 +106,10 @@ def test_model_config_validation():
         ModelConfig(hidden=64, heads=0, mlp_dim=256)
     with pytest.raises(ValueError, match="n_blocks"):
         ModelConfig(hidden=64, heads=4, mlp_dim=256, n_blocks=0)
+    with pytest.raises(ValueError, match="^hidden: dimension must be at most"):
+        ModelConfig(hidden=2**200, heads=4, mlp_dim=256)  # a power of two numpy cannot index
+    with pytest.raises(ValueError, match="^mlp_dim: dimension must be at most"):
+        ModelConfig(hidden=64, heads=4, mlp_dim=2**200)
 
 
 # -- folding and fusion -----------------------------------------------------------------

@@ -174,6 +174,38 @@ def _value_and_grads(quantize, x0, alpha0, weights, spec):
     return y.value, x.grad, alpha.grad
 
 
+def _tied_groups(x, spec):
+    """How many groups of x hit an extreme (min, max or max |x|) more than once."""
+    view = x.reshape(*x.shape[:-1], -1, spec.head_dim) if spec.granularity == "per-head" else x
+    if spec.scheme == "symmetric":
+        view = np.abs(view)
+        extremes = [view.max(axis=-1, keepdims=True)]
+    else:
+        extremes = [view.min(axis=-1, keepdims=True), view.max(axis=-1, keepdims=True)]
+    tied = np.zeros(view.shape[:-1], dtype=bool)
+    for e in extremes:
+        tied |= np.sum(view == e, axis=-1) > 1
+    return int(np.sum(tied))
+
+
+def _tie_free_trials(rng, n):
+    """Continuous draws: every group's extremes are hit once."""
+    return [rng.normal(size=(2, 6, 32)) for _ in range(n)]
+
+
+def _mixed_trials(rng, n):
+    """Continuous draws with a few tied groups among untied ones."""
+    trials = []
+    for _ in range(n):
+        x0 = rng.normal(size=(2, 6, 32))
+        x0[0, 2, 3] = x0[0, 2, 5] = np.abs(x0[0, 2]).max() + 0.5  # tied maxima, tied max |x|
+        x0[1, 4, 1] = x0[1, 4, 6] = x0[1, 4].min() - 0.5  # tied minima, tied max |x|
+        x0[1, 0, 0] = np.abs(x0[1, 0]).max() + 0.5
+        x0[1, 0, 2] = -x0[1, 0, 0]  # +m and -m: tied max |x|, untied min and max
+        trials.append(x0)
+    return trials
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -186,6 +218,7 @@ def _value_and_grads(quantize, x0, alpha0, weights, spec):
 )
 def test_quantize_dynamic_matches_primitive_chain(spec):
     rng = np.random.default_rng(17)
+    trials = []
     for trial in range(10):
         x0 = rng.normal(size=(2, 6, 32))
         x0[0, 1] = 0.7  # constant row: the range is 0 and the scale floor binds
@@ -193,6 +226,12 @@ def test_quantize_dynamic_matches_primitive_chain(spec):
         x0[1, 3, 5:9] = x0[1, 3].min() - 0.5  # tied minima
         if trial % 2:
             x0 = np.round(4.0 * x0) / 4.0  # many ties, values on the code grid
+        trials.append(x0)
+    free, mixed = _tie_free_trials(rng, 5), _mixed_trials(rng, 5)
+    assert all(_tied_groups(x0, spec) == 0 for x0 in free)
+    groups = 2 * 6 * (32 // (spec.head_dim or 32))
+    assert all(0 < _tied_groups(x0, spec) < groups for x0 in mixed)
+    for x0 in trials + free + mixed:
         weights = rng.normal(size=x0.shape)
         alpha0 = rng.uniform(0.6, 1.0)
         value, gx, ga = _value_and_grads(quantize_dynamic, x0, alpha0, weights, spec)
@@ -200,6 +239,31 @@ def test_quantize_dynamic_matches_primitive_chain(spec):
         assert np.array_equal(value, ref_value)
         assert np.max(np.abs(gx - ref_gx)) <= 1e-12 * np.max(np.abs(ref_gx))
         assert abs(ga - ref_ga) <= 1e-12 * abs(ref_ga)
+
+
+@pytest.mark.parametrize("spec", [ASYM_TOKEN, SYM_CHANNEL], ids=["asym-per-token", "sym-per-channel"])
+def test_quantize_dynamic_splits_only_tied_groups(spec, monkeypatch):
+    rows_split = []
+
+    def counting(values, extreme, g):
+        rows_split.append(len(values))
+        return split(values, extreme, g)
+
+    split = quantizers._tie_split
+    monkeypatch.setattr(quantizers, "_tie_split", counting)
+    rng = np.random.default_rng(23)
+    x0 = rng.normal(size=(6, 16))
+    weights = rng.normal(size=x0.shape)
+    _, gx, _ = _value_and_grads(quantize_dynamic, x0, 0.8, weights, spec)
+    assert rows_split == []  # tie-free: every extreme's gradient lands at its position
+
+    x1 = x0.copy()
+    x1[2, 4] = x1[2, 9] = np.abs(x1[2]).max() + 0.5  # one tied max (and max |x|)
+    _, gx1, _ = _value_and_grads(quantize_dynamic, x1, 0.8, weights, spec)
+    assert rows_split == [1]  # one split, over the one tied row
+    untied = np.arange(len(x0)) != 2
+    assert np.array_equal(gx1[untied], gx[untied])
+    assert gx1[2, 4] == gx1[2, 9]  # both clipped at alpha 0.8: each takes half the max's gradient
 
 
 @pytest.mark.parametrize("spec", [ASYM_TOKEN, SYM_CHANNEL], ids=["asym-per-token", "sym-per-channel"])
