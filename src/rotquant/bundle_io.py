@@ -171,6 +171,14 @@ def _block_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
+def _reject_stray_tensors(path, tensors, n_blocks):
+    """A file never loads as fewer blocks than it holds."""
+    blocks = {f"block{i}" for i in range(n_blocks)}
+    stray = sorted(str(n) for n in tensors if str(n).split(".", 1)[0] not in blocks)
+    if stray:
+        raise BundleFormatError(f"{path}: tensors {stray} belong to no block below n_blocks = {n_blocks}")
+
+
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model")
     try:
@@ -182,6 +190,7 @@ def read_bundle(path) -> ModelBundle:
     flags = ModelBundle(config, []).meta
     if not all(isinstance(meta.get(k), bool) for k in flags):
         raise BundleFormatError(f"{path}: model meta must hold the boolean flags {sorted(flags)}")
+    _reject_stray_tensors(path, tensors, config.n_blocks)
     blocks = []
     for i in range(config.n_blocks):
         kwargs = {}
@@ -227,10 +236,7 @@ def read_params(path):
     out = []
     try:
         n_blocks = _json_value("n_blocks", "int", header["n_blocks"])
-        blocks = {f"block{i}" for i in range(n_blocks)}
-        stray = sorted(str(n) for n in tensors if str(n).split(".", 1)[0] not in blocks)
-        if stray:
-            raise ValueError(f"tensors {stray} belong to no block below n_blocks = {n_blocks}")
+        _reject_stray_tensors(path, tensors, n_blocks)
         for i in range(n_blocks):
             kwargs = {}
             for f in [fl.name for fl in fields(BlockParams)]:

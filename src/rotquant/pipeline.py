@@ -348,7 +348,8 @@ def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
     """Hessian-aware rounding of one block's effective weights.
 
     Returns the full effective weight/bias dict with the seven matrices
-    replaced by their lattice versions (biases stay floating point).
+    replaced by their lattice versions (biases stay floating point).  A
+    site's matrices share its Hessian, so GPTQ rounds them stacked.
     """
     eff = _effective_arrays(bundle, index, bp)
     if qcfg.weight is None:
@@ -356,9 +357,9 @@ def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
     rec = {}
     forward_quant_block(bundle, index, bp, qcfg, x_in, rec=rec)  # round-to-nearest weights
     for site, weight_names in ACT_SITES.items():
-        x_site = rec[site + ".lin"]
-        for name in weight_names:
-            eff[name] = gptq_quantize(eff[name], x_site, qcfg.weight, damp=cfg.gptq_damp)
+        mats = [eff[name] for name in weight_names]
+        q = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], qcfg.weight, damp=cfg.gptq_damp)
+        eff.update(zip(weight_names, np.split(q, np.cumsum([len(m) for m in mats[:-1]]))))
     return eff
 
 

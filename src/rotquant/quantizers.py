@@ -44,6 +44,8 @@ SCALE_FLOOR = 1e-12
 #: Most elements one clip-search pass holds at once (grid points x samples);
 #: larger inputs are scanned one grid point at a time.
 CLIP_CHUNK = 1 << 16
+#: Columns per GPTQ error-feedback block, GPTQ's own lazy-batch width.
+GPTQ_BLOCK = 128
 
 _SCHEMES = ("symmetric", "asymmetric")
 _GRANULARITIES = ("per-channel", "per-token", "per-head")
@@ -360,11 +362,16 @@ def rtn_quantize(w, spec: QuantSpec):
 def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
     """Greedy column-wise weight rounding with Hessian error feedback.
 
-    The calibration Hessian H = X^T X (damped by `damp` times its mean
-    diagonal) is inverted through its Cholesky factor; each column is
-    rounded to the row lattice and the rounding error is propagated into
-    the not-yet-quantized columns via the upper Cholesky factor of H^{-1}.
-    Row lattices are resolved once on the incoming weights.
+    H = X^T X is damped by `damp` times its mean diagonal (dead input
+    columns get a unit diagonal and zero weights).  GPTQ feeds each
+    column's error forward through U, the upper Cholesky factor of H^{-1};
+    V = U^{-1} is upper triangular with H = V V^T, one Cholesky of the
+    reversed Hessian, so no inverse is formed.  With F = V / diag(V),
+    column j rounds w_j + sum_{i<j} (w_i - q_i) F_ij, the same values in
+    exact arithmetic.  Per block of GPTQ_BLOCK columns, one GEMM brings in
+    the earlier blocks' errors and each column updates the rest of its
+    block (rank 1).  Rows round independently on lattices resolved from
+    the incoming weights, so matrices that share H can be stacked.
 
     Greedy compensation is not universally better than direct rounding at
     small column counts, so each output row keeps whichever of the
@@ -392,27 +399,22 @@ def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
     h[np.diag_indices(cols)] += damp * float(np.mean(np.diag(h)))
 
     try:
-        low = np.linalg.cholesky(h)
-        low_inv = np.linalg.solve(low, np.eye(cols))
-        h_inv = low_inv.T @ low_inv
-        upper = np.linalg.cholesky(h_inv).T  # H^{-1} = upper^T upper
+        v = np.linalg.cholesky(h[::-1, ::-1])[::-1, ::-1]  # H = V V^T, V upper triangular
     except np.linalg.LinAlgError as err:
         raise QuantizationError("ill-conditioned Hessian") from err
+    feed = v / np.diag(v)
 
     params = resolve_params(w_orig, spec)
-    q = np.zeros_like(w)
-    for i in range(cols):
-        col = w[:, i : i + 1]
-        qi = fake_quantize(col, params, spec)
-        q[:, i : i + 1] = qi
-        err = (col - qi)[:, 0] / upper[i, i]
-        if i + 1 < cols:
-            w[:, i + 1 :] -= np.outer(err, upper[i, i + 1 :])
+    q = np.empty_like(w)
+    for b0 in range(0, cols, GPTQ_BLOCK):
+        b1 = min(b0 + GPTQ_BLOCK, cols)
+        block = w[:, b0:b1] + (w[:, :b0] - q[:, :b0]) @ feed[:b0, b0:b1]
+        for j in range(b0, b1):
+            q[:, j] = fake_quantize(block[:, j - b0, None], params, spec)[:, 0]
+            block[:, j - b0 + 1 :] += np.outer(w[:, j] - q[:, j], feed[j, j + 1 : b1])
 
-    q_direct = np.asarray(fake_quantize(w_orig, params, spec))
-    e_greedy = w_orig - q
-    e_direct = w_orig - q_direct
-    keep_direct = _row_proxy_loss(e_direct, h_raw) < _row_proxy_loss(e_greedy, h_raw)
+    q_direct = fake_quantize(w_orig, params, spec)
+    keep_direct = _row_proxy_loss(w_orig - q_direct, h_raw) < _row_proxy_loss(w_orig - q, h_raw)
     q[keep_direct] = q_direct[keep_direct]
     return q
 

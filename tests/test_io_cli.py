@@ -175,6 +175,8 @@ def _write_params(path):
         # eps 1e-06 -> 0.1 keeps the header's length, so the tensor table stays valid
         (_write_model, read_bundle, _set_config(hidden=32.0, eps=0.1), "hidden"),
         (_write_model, read_bundle, _set_config(hidden="32", eps=0.1), "hidden"),
+        # a two-block model never loads as fewer blocks
+        (_write_model, read_bundle, _set_config(n_blocks=1), "block1"),
     ],
     ids=[
         "no-offset",
@@ -190,6 +192,7 @@ def _write_params(path):
         "config-mlp-disagrees",
         "config-hidden-float",
         "config-hidden-str",
+        "config-n_blocks-short",
     ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):

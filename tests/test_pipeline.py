@@ -329,6 +329,28 @@ def test_one_clip_search_per_site_per_block(monkeypatch):
     assert calls == [4] * 6 * SMALL.n_blocks
 
 
+def test_one_gptq_call_per_site_per_block(monkeypatch):
+    # the matrices of one site share its Hessian: one stacked call per site,
+    # and each matrix's rows equal a separate call on that matrix alone
+    from rotquant import pipeline as pl
+
+    calls = []
+    gptq = pl.gptq_quantize
+
+    def recording(w, x, spec, **kwargs):
+        q = gptq(w, x, spec, **kwargs)
+        calls.append((w, x, spec, kwargs, q))
+        return q
+
+    monkeypatch.setattr(pl, "gptq_quantize", recording)
+    bundle, calib = _setup(3)
+    run_pipeline(bundle, calib, _cfg(bits=(4, 4, 4)))
+    assert len(calls) == len(ACT_SITES) * SMALL.n_blocks
+    for (w, x, spec, kwargs, q), names in zip(calls, list(ACT_SITES.values()) * SMALL.n_blocks):
+        for w_part, q_part in zip(np.split(w, len(names)), np.split(q, len(names))):
+            assert np.array_equal(q_part, gptq(w_part, x, spec, **kwargs))
+
+
 @pytest.mark.parametrize(
     "mode, with_report, calls",
     [("scale", False, 82), ("scale", True, 82), ("rotation-only", True, 6)],

@@ -508,3 +508,63 @@ def test_gptq_input_validation():
         gptq_quantize(w, np.ones((8, 5)), SYM_CHANNEL)
     with pytest.raises(QuantizationError, match="nonempty"):
         gptq_quantize(w, np.zeros((0, 6)), SYM_CHANNEL)
+
+
+def _gptq_inverse_hessian_oracle(w, x, spec, damp=0.01):
+    """GPTQ through H^{-1}: the upper Cholesky factor U of H^{-1} = L^{-T} L^{-1},
+    and one rank-1 update of the remaining columns per rounded column."""
+    w_orig = np.array(w, dtype=np.float64, copy=True)
+    w = w_orig.copy()
+    cols = w.shape[1]
+    h_raw = x.T @ x
+    h = h_raw.copy()
+    dead = np.diag(h) == 0.0
+    if dead.any():
+        h[dead, dead] = 1.0
+        w[:, dead] = 0.0
+    h[np.diag_indices(cols)] += damp * float(np.mean(np.diag(h)))
+    low_inv = np.linalg.solve(np.linalg.cholesky(h), np.eye(cols))
+    upper = np.linalg.cholesky(low_inv.T @ low_inv).T
+    params = resolve_params(w_orig, spec)
+    q = np.zeros_like(w)
+    for i in range(cols):
+        col = w[:, i : i + 1]
+        q[:, i : i + 1] = fake_quantize(col, params, spec)
+        err = (col - q[:, i : i + 1])[:, 0] / upper[i, i]
+        w[:, i + 1 :] -= np.outer(err, upper[i, i + 1 :])
+    q_direct = fake_quantize(w_orig, params, spec)
+    loss = lambda e: np.einsum("ij,ij->i", e @ h_raw, e)  # noqa: E731
+    keep_direct = loss(w_orig - q_direct) < loss(w_orig - q)
+    q[keep_direct] = q_direct[keep_direct]
+    return q
+
+
+@pytest.mark.parametrize(
+    "rows, cols, dead",
+    [(5, 16, 0), (24, 128, 0), (7, 129, 0), (40, 300, 0), (33, 513, 0), (16, 300, 60),
+     (9, 200, 66), (1024, 128, 0), (128, 1024, 0)],
+)
+def test_gptq_matches_inverse_hessian_oracle(rows, cols, dead):
+    # one, two and several GPTQ_BLOCK-column blocks, dead calibration columns,
+    # and the [1024x128] / [128x1024] shapes of a wide model's MLP
+    rng = np.random.default_rng(rows * 1009 + cols)
+    w = rng.normal(size=(rows, cols)) * rng.uniform(0.2, 3.0)
+    x = rng.normal(size=(max(2 * cols, 64), cols)) @ (np.eye(cols) + 0.3 * rng.normal(size=(cols, cols)))
+    x[:, rng.choice(cols, size=dead, replace=False)] = 0.0
+    for bits in (3, 4):
+        spec = QuantSpec(bits, "symmetric", "per-channel")
+        assert np.array_equal(gptq_quantize(w, x, spec), _gptq_inverse_hessian_oracle(w, x, spec))
+
+
+def test_gptq_memory_bounded():
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(128, 1024))
+    x = rng.normal(size=(1024, 1024))
+    gptq_quantize(w, x, SYM_CHANNEL)
+    tracemalloc.start()
+    try:
+        gptq_quantize(w, x, SYM_CHANNEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 1024 * 1024 * 8  # 6 cols^2 float64: no H^{-1}, no second factor
