@@ -24,7 +24,6 @@ config = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1)
 cfg = PipelineConfig(
     qcfg=QuantConfig.for_bits(4, 4, 4, config.head_dim),
     schedule=StageSchedule(steps_per_epoch=4),
-    with_report=False,
 )
 
 seeds = range(3)

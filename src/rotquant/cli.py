@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,8 @@ class RunConfig:
     on their values; validate() reports the violations before work starts."""
 
     seed: int = 0
-    # model
+    # model: gen builds it; the other commands read its shape from the model file
+    MODEL_FIELDS = ("hidden", "heads", "mlp_dim", "n_blocks")
     hidden: int = 64
     heads: int = 4
     mlp_dim: int = 256
@@ -97,16 +98,22 @@ class RunConfig:
     weight_outlier_cols: int = 2
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, model: ModelConfig | None = None) -> "RunConfig":
+        """The file's settings.  A model field it sets must agree with
+        `model`, the shape of the model file a command reads."""
         with open(path, "r", encoding="utf-8") as f:
             try:
                 data = json.load(f)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{path}: not valid JSON ({err})") from err
         try:
-            return _from_json(cls, data)
+            rc = _from_json(cls, data)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        for name in cls.MODEL_FIELDS:
+            if model is not None and name in data and data[name] != getattr(model, name):
+                raise ConfigError(f"{name}: the config says {data[name]}, the model file {getattr(model, name)}")
+        return rc
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(hidden=self.hidden, heads=self.heads, mlp_dim=self.mlp_dim, n_blocks=self.n_blocks)
@@ -162,8 +169,10 @@ class RunConfig:
         return self
 
 
-def _load_config(args) -> RunConfig:
-    rc = RunConfig.from_file(args.config) if args.config else RunConfig()
+def _load_config(args, model: ModelConfig | None = None) -> RunConfig:
+    rc = RunConfig.from_file(args.config, model) if args.config else RunConfig()
+    if model is not None:  # the shape of the model file the command reads
+        rc = replace(rc, **{name: getattr(model, name) for name in RunConfig.MODEL_FIELDS})
     if getattr(args, "seed", None) is not None:
         rc.seed = args.seed
     if getattr(args, "bits", None):
@@ -184,6 +193,15 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_inputs(args):
+    """(output dir, model, calibration set, PipelineConfig) of a command that
+    reads a model; the model file owns the model's shape."""
+    bundle = read_bundle(args.model)
+    calib = read_calibration(args.calib)
+    cfg = _load_config(args, bundle.config).pipeline_config()
+    return _outdir(args), bundle, calib, cfg
 
 
 # -- commands -------------------------------------------------------------------
@@ -213,11 +231,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    rc = _load_config(args)
-    out = _outdir(args)
-    bundle = read_bundle(args.model)
-    calib = read_calibration(args.calib)
-    cfg = rc.pipeline_config()
+    out, bundle, calib, cfg = _load_inputs(args)
     result = run_pipeline(bundle, calib, cfg)
 
     write_bundle(out / "quantized.rqb", result.bundle)
@@ -234,14 +248,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rc = _load_config(args)
-    out = _outdir(args)
-    bundle = read_bundle(args.model)
-    calib = read_calibration(args.calib)
-
+    out, bundle, calib, cfg = _load_inputs(args)
     # post-rotation analysis: prepare exactly as the quantizer would, then
     # collect every quantizer-site input on the floating-point forward
-    cfg = rc.pipeline_config()
     prepared, rotation = prepare_bundle(bundle, cfg)
     neutral = [BlockParams.neutral(prepared.config) for _ in prepared.blocks]
     layers = site_layers(prepared, neutral, QuantConfig(None, None, None), rotation.apply(calib))
@@ -258,11 +267,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    rc = _load_config(args)
-    out = _outdir(args)
-    bundle = read_bundle(args.model)
-    calib = read_calibration(args.calib)
-    cfg = rc.pipeline_config()
+    out, bundle, calib, cfg = _load_inputs(args)
     modes = [args.mode] if args.mode else list(ABLATION_MODES)
     rows = ablate(bundle, calib, cfg, modes=modes)
 

@@ -79,6 +79,8 @@ class ModelConfig:
             raise ValueError(f"heads: hidden {self.hidden} not divisible by {self.heads}")
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks: must be >= 1, got {self.n_blocks}")
+        if not self.eps > 0:
+            raise ValueError(f"eps: must be > 0, got {self.eps}")
         for name in ("hidden", "mlp_dim", "head_dim"):
             value = getattr(self, name)
             if not is_power_of_two(value):
@@ -491,10 +493,8 @@ def _site_quantize(u, spec, bc, sa, alpha, rec, name):
     if spec is None:
         _record(rec, name + ".lin", u)
         return u
-    v = u if sa is None else u * sa
-    v = v if bc is None else v - bc
-    vq = quantize_dynamic(v, spec, alpha=alpha)
-    u_hat = vq if bc is None else vq + bc
+    v = (u if sa is None else u * sa) - bc
+    u_hat = quantize_dynamic(v, spec, alpha=alpha) + bc
     u_hat = u_hat if sa is None else u_hat / sa
     _record(rec, name + ".lin", u_hat)
     return u_hat
@@ -564,6 +564,8 @@ def forward_quant_block(
     bw = bundle.blocks[index]
     b_dim, seq = xb.shape[0], xb.shape[1]
     h, d, n = config.heads, config.head_dim, config.hidden
+    if qcfg.kv is not None and qcfg.kv.head_dim != d:
+        raise ValueError(f"kv head_dim {qcfg.kv.head_dim} != model head_dim {d}: KV groups would straddle heads")
 
     if weight_override is not None:
         weights = weight_override

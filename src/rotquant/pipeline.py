@@ -2,10 +2,11 @@
 
 Per block, in order: (1) compute its floating-point target, (2) train the
 paired symmetric scales and the value-rotation parameter against the output
-MSE, (3) quantize weights with Hessian-aware rounding, (4) train bias
-corrections, unpaired scales, and clip factors, (5) run one final forward
-(the after-GPTQ forward when step 4 trains nothing), whose site records
-the report analyses before the next block starts.
+MSE, (3) quantize weights with Hessian-aware rounding on the site inputs
+of the forward at step 2's parameters, (4) train bias corrections, unpaired
+scales, and clip factors, (5) run one final forward (the after-GPTQ forward
+when step 4 trains nothing), whose site records the report analyses before
+the next block starts.
 Quantized outputs of block k feed block k+1's calibration inputs so later
 blocks compensate earlier errors; floating-point targets always come from
 the pristine model.
@@ -203,8 +204,6 @@ def _train(bp: BlockParams, groups, loss_fn, steps, label):
         for f, p in zip(names, params):
             setattr(bp, f, p)
         param_groups.append(ParamGroup(params, lr, bounds))
-    if not param_groups:
-        return
     try:
         optimize(loss_fn, param_groups, steps)
     except OptimizationError as err:
@@ -229,9 +228,10 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     """Fit block i against its floating-point target, then fix it.
 
     Stages: baseline, (1) paired scales and value rotation, GPTQ, (2) bias
-    corrections, unpaired scales and clip factors.  Returns (FP output,
-    quantized output, BlockParams, quantized weights, BlockMse, report
-    records); the records are empty unless cfg.with_report.
+    corrections, unpaired scales and clip factors.  Each parameter state
+    runs one forward, whose site records feed what follows it.  Returns (FP
+    output, quantized output, BlockParams, quantized weights, BlockMse,
+    report records); the records are empty unless cfg.with_report.
     """
     qcfg, sched = cfg.qcfg, cfg.schedule
     y_fp = ad.value_of(forward_fp_block(bundle, i, x_fp))
@@ -244,53 +244,54 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     def loss(weights):
         return lambda: mse(forward_quant_block(bundle, i, bp, qcfg, x_q, weight_override=weights), y_fp)
 
-    _, baseline = forward(bp)
+    rec = {}
+    _, baseline = forward(bp, rec=rec)
     positive = (_SCALE_MIN, np.inf)
     groups = [
         (("s_o", "s_down"), sched.lr_scale, positive) if cfg.train_scale else None,
         (("a_v",), sched.lr_scale, None) if cfg.train_rv else None,
     ]
-    steps = sched.stage1_epochs * sched.steps_per_epoch
-    _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
+    if any(groups):
+        rec = {}  # free the baseline records while stage 1 trains
+        steps = sched.stage1_epochs * sched.steps_per_epoch
+        _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
+        forward(bp, rec=rec)
 
-    weights_q = _gptq_block(bundle, i, bp, qcfg, x_q, cfg)
+    # stage 2 trains none of the fields effective_weights reads
+    eff = _effective_arrays(bundle, i, bp)
+    weights_q = _gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp)
     groups = [
         (("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None) if cfg.train_bias else None,
         (("sa_o", "sa_down"), sched.lr_scale, positive) if cfg.train_unpaired else None,
         (BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)) if cfg.train_clip else None,
     ]
-    # corrections only touch activation/cache quantizers; without stage 2
-    # the after-GPTQ forward is also the final one
-    stage2 = (qcfg.act is not None or qcfg.kv is not None) and any(groups)
-    seeding = stage2 and (cfg.train_clip or cfg.train_bias)
-    rec = {} if seeding or (cfg.with_report and not stage2) else None
+    rec = {}
     y_q, after_gptq = forward(bp, weights_q, rec)
     final = after_gptq
 
-    if stage2:
-        if seeding:
-            # candidate starts: bias and clip seeds evaluated separately so a
-            # poor seed on one family cannot discard a good seed on the other;
-            # the neutral candidate keeps the stage from regressing past the
-            # post-GPTQ loss
-            candidates = [bp.as_arrays()]
-            if cfg.train_bias and qcfg.act is not None:
-                candidates.append(_seed_bias(bp.as_arrays(), rec))
-            if cfg.train_clip:
-                seeds = _clip_seeds(rec, qcfg)
-                candidates.extend([replace(c, **seeds) for c in candidates])
-            scores = [after_gptq] + [forward(c, weights_q)[1] for c in candidates[1:]]
-            bp = candidates[int(np.argmin(scores))]
-            rec = None  # free the records before stage 2 builds its graphs
+    # corrections only touch activation/cache quantizers; without stage 2
+    # the after-GPTQ forward is also the final one
+    if (qcfg.act is not None or qcfg.kv is not None) and any(groups):
+        # candidate starts: bias and clip seeds evaluated separately so a
+        # poor seed on one family cannot discard a good seed on the other;
+        # the neutral candidate keeps the stage from regressing past the
+        # post-GPTQ loss
+        candidates = [bp.as_arrays()]
+        if cfg.train_bias and qcfg.act is not None:
+            candidates.append(_seed_bias(bp.as_arrays(), rec))
+        if cfg.train_clip:
+            seeds = _clip_seeds(rec, qcfg)
+            candidates.extend([replace(c, **seeds) for c in candidates])
+        scores = [after_gptq] + [forward(c, weights_q)[1] for c in candidates[1:]]
+        bp = candidates[int(np.argmin(scores))]
+        rec = {}  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
         _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
-        rec = {} if cfg.with_report else None
         y_q, final = forward(bp, weights_q, rec)
 
     records = []
     if cfg.with_report:
-        fp = _effective_arrays(bundle, i, bp)
-        rows = [(*row, _measured_noise_var(rec, row[1], row[3], fp)) for row in _site_rows(i, rec, weights_q)]
+        rows = [(*row, _measured_noise_var(rec, row[1], row[3], eff)) for row in _site_rows(i, rec, weights_q)]
         records = emit_report(rows, qcfg).records
     return y_fp, y_q, bp.as_arrays(), weights_q, BlockMse(i, baseline, after_gptq, final), records
 
@@ -344,23 +345,22 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     )
 
 
-def _gptq_block(bundle, index, bp, qcfg, x_in, cfg):
-    """Hessian-aware rounding of one block's effective weights.
+def _gptq_block(eff, rec, spec, damp):
+    """Hessian-aware rounding of one block's effective weights `eff`, with
+    the site inputs `rec` recorded by the forward at the same parameters.
 
-    Returns the full effective weight/bias dict with the seven matrices
-    replaced by their lattice versions (biases stay floating point).  A
-    site's matrices share its Hessian, so GPTQ rounds them stacked.
+    Returns a copy of `eff` with the seven matrices replaced by their
+    lattice versions (biases stay floating point).  A site's matrices share
+    its Hessian, so GPTQ rounds them stacked.
     """
-    eff = _effective_arrays(bundle, index, bp)
-    if qcfg.weight is None:
-        return eff
-    rec = {}
-    forward_quant_block(bundle, index, bp, qcfg, x_in, rec=rec)  # round-to-nearest weights
+    out = dict(eff)
+    if spec is None:
+        return out
     for site, weight_names in ACT_SITES.items():
         mats = [eff[name] for name in weight_names]
-        q = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], qcfg.weight, damp=cfg.gptq_damp)
-        eff.update(zip(weight_names, np.split(q, np.cumsum([len(m) for m in mats[:-1]]))))
-    return eff
+        q = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec, damp=damp)
+        out.update(zip(weight_names, np.split(q, np.cumsum([len(m) for m in mats[:-1]]))))
+    return out
 
 
 def _effective_arrays(bundle, index, bp):
@@ -432,12 +432,12 @@ def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineRes
 def ablate(bundle: ModelBundle, calib, cfg: PipelineConfig, modes=None):
     """Run the pipeline once per ablation mode; returns per-mode final MSE.
 
-    Each mode is an independent run (a single mode returns exactly what a
-    direct quantize call with that configuration returns).
+    Each mode is an independent run without a report (a single mode returns
+    the final_mse of a direct quantize call with that configuration).
     """
     modes = list(modes) if modes is not None else list(ABLATION_MODES)
     rows = []
     for mode in modes:
-        result = run_pipeline(bundle, calib, mode_config(cfg, mode))
+        result = run_pipeline(bundle, calib, replace(mode_config(cfg, mode), with_report=False))
         rows.append({"mode": mode, "final_mse": result.final_mse})
     return rows

@@ -177,6 +177,8 @@ def _write_params(path):
         (_write_model, read_bundle, _set_config(hidden="32", eps=0.1), "hidden"),
         # a two-block model never loads as fewer blocks
         (_write_model, read_bundle, _set_config(n_blocks=1), "block1"),
+        # eps 1e-06 -> -0.01 keeps the header's length
+        (_write_model, read_bundle, _set_config(eps=-0.01), "eps: must be > 0"),
     ],
     ids=[
         "no-offset",
@@ -193,6 +195,7 @@ def _write_params(path):
         "config-hidden-float",
         "config-hidden-str",
         "config-n_blocks-short",
+        "config-eps-negative",
     ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
@@ -800,6 +803,90 @@ def test_cli_ablate_single_mode(tmp_path):
     rows = json.loads((out / "ablation.json").read_text())["rows"]
     assert rows[0]["mode"] == "rotation-only"
     assert (out / "ablation.csv").exists()
+
+
+# -- the model file owns the model's shape ------------------------------------------------
+
+
+_MODEL_FIELDS = ("hidden", "heads", "mlp_dim", "n_blocks")
+_OUTPUTS = {
+    "quantize": ("quantized.rqb", "params.rqb", "report.json", "report.csv", "report_profiles.csv"),
+    "analyze": ("analysis.json", "analysis.csv", "analysis_profiles.csv"),
+    "ablate": ("ablation.json", "ablation.csv"),
+}
+
+
+def _write_json(path, document):
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def _gen_small(tmp_path, **model_fields):
+    """A one-block model with the given fields and an 8 x 8 calibration set."""
+    config = _write_json(tmp_path / "gen.json", dict(model_fields, n_blocks=1, calib_sequences=8, seq_len=8))
+    gen_dir = tmp_path / "g"
+    assert main(["gen", "--config", config, "--out", str(gen_dir), "--seed", "0"]) == 0
+    return ["--model", str(gen_dir / "model.rqb"), "--calib", str(gen_dir / "calib.rqb")]
+
+
+# repro 1: 8-wide heads (hidden 32 over the default 4 heads); repro 2: 32-wide
+# heads (2 heads over the default hidden 64).  Either differs from the head
+# width of the default run config.
+@pytest.mark.parametrize(
+    "model_fields", [{"hidden": 32, "mlp_dim": 64}, {"heads": 2, "mlp_dim": 64}], ids=["head_dim-8", "head_dim-32"]
+)
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_cli_reads_the_model_shape_from_the_model_file(tmp_path, model_fields, command):
+    inputs = _gen_small(tmp_path, **model_fields)
+    matched = _write_json(tmp_path / "matched.json", dict(model_fields, n_blocks=1))
+    assert main([command, *inputs, "--out", str(tmp_path / "plain")]) == 0
+    assert main([command, *inputs, "--config", matched, "--out", str(tmp_path / "matched")]) == 0
+    for name in _OUTPUTS[command]:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "matched" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+@pytest.mark.parametrize("field, value", [("hidden", 64), ("heads", 4), ("mlp_dim", 128), ("n_blocks", 2)])
+def test_cli_config_contradicting_the_model_is_validation_error(tmp_path, capsys, command, field, value):
+    inputs = _gen_small(tmp_path, hidden=32, heads=2, mlp_dim=64)  # one block
+    config = _write_json(tmp_path / "config.json", {field: value})
+    capsys.readouterr()
+    assert main([command, *inputs, "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    model_value = {"hidden": 32, "heads": 2, "mlp_dim": 64, "n_blocks": 1}[field]
+    assert f"{field}: the config says {value}, the model file {model_value}" in err, err
+
+
+def test_cli_config_repeating_the_model_is_accepted(tmp_path):
+    # the quantize-wide shape: a config that repeats every model field runs
+    # exactly like one that leaves them to the model file
+    wide = {"hidden": 128, "heads": 4, "mlp_dim": 1024, "n_blocks": 1}
+    inputs = _gen_small(tmp_path, **wide)
+    settings = {"mode": "rotation-only"}
+    full = _write_json(tmp_path / "full.json", dict(wide, **settings))
+    bare = _write_json(tmp_path / "bare.json", settings)
+    assert main(["quantize", *inputs, "--config", full, "--out", str(tmp_path / "full")]) == 0
+    assert main(["quantize", *inputs, "--config", bare, "--out", str(tmp_path / "bare")]) == 0
+    for name in _OUTPUTS["quantize"]:
+        assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes(), name
+
+
+def test_cli_config_checks_the_model_files_shape(tmp_path):
+    # a model field the config repeats is judged with the model file's other
+    # fields, not the defaults: 128 heads over the default hidden 64 is invalid
+    inputs = _gen_small(tmp_path, hidden=128, heads=128, mlp_dim=16)
+    config = _write_json(tmp_path / "heads.json", {"heads": 128})
+    assert main(["analyze", *inputs, "--config", config, "--out", str(tmp_path / "a")]) == 0
+
+
+def test_forward_quant_block_rejects_kv_groups_across_heads():
+    from rotquant.model import QuantConfig, forward_quant_block
+
+    bundle = build_toy_model(CFG, seed=0)  # head_dim 16
+    x = np.random.default_rng(0).normal(size=(2, 4, CFG.hidden))
+    for head_dim in (8, 32):
+        with pytest.raises(ValueError, match=f"kv head_dim {head_dim}"):
+            forward_quant_block(bundle, 0, BlockParams.neutral(CFG), QuantConfig.for_bits(4, 4, 4, head_dim), x)
 
 
 def test_cli_verify_passes(capsys):

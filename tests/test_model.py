@@ -207,17 +207,27 @@ def test_passthrough_equivalence_random_corrections():
 
 
 def test_neutral_params_bit_identical_to_plain_path():
-    # with b^c = 0 and s^a = 1 the correction ops must change nothing at all
+    # with b^c = 0 and s^a = 1 the correction ops must change nothing at all:
+    # dropping s^a (as the qkv and up sites do) changes no bit, and each
+    # activation site feeds its linear the bare quantizer of its input
+    from rotquant.model import ACT_SITES, forward_quant_block
+    from rotquant.quantizers import quantize_dynamic
+
     bundle, rot = _prepared(1)
     x = rot.apply(_calib(seed=5))
     neutral = [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)]
     stripped = [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)]
     for bp in stripped:
-        bp.bc_qkv = bp.bc_o = bp.bc_up = bp.bc_down = None
         bp.sa_o = bp.sa_down = None
     y1 = np.asarray(forward_quant(bundle, neutral, W4A4KV4, x))
     y2 = np.asarray(forward_quant(bundle, stripped, W4A4KV4, x))
     assert np.array_equal(y1, y2)
+    for i, bp in enumerate(neutral):
+        rec = {}
+        x = forward_quant_block(bundle, i, bp, W4A4KV4, x, rec=rec)
+        for site in ACT_SITES:
+            plain = quantize_dynamic(rec[site + ".in"], W4A4KV4.act, alpha=np.float64(1.0))
+            assert np.array_equal(rec[site + ".lin"], plain), (i, site)
 
 
 def test_bias_correction_zeroes_mean_variance():

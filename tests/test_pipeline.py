@@ -253,6 +253,23 @@ def test_ablation_single_mode_matches_direct_call():
     assert rows[0]["final_mse"] == direct.final_mse
 
 
+def test_ablation_builds_no_report(monkeypatch):
+    # ablate keeps only final_mse, so it builds no report even when the
+    # caller's config asks for one; each row equals a reported direct run
+    from rotquant import pipeline as pl
+
+    bundle, calib = _setup(10, config=ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1))
+    cfg = _cfg(config=SMALL, with_report=True)
+    direct = [run_pipeline(bundle, calib, mode_config(cfg, mode)).final_mse for mode in ABLATION_MODES]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ablate built a report")
+
+    monkeypatch.setattr(pl, "emit_report", forbidden)
+    rows = ablate(bundle, calib, cfg)
+    assert [r["final_mse"] for r in rows] == direct
+
+
 def test_ablation_mode_toggles():
     cfg = _cfg()
     ro = mode_config(cfg, "rotation-only")
@@ -353,13 +370,22 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
 
 @pytest.mark.parametrize(
     "mode, with_report, calls",
-    [("scale", False, 82), ("scale", True, 82), ("rotation-only", True, 6)],
+    [
+        ("rotation-only", True, 4),
+        ("learned-rv", False, 32),
+        ("bias", False, 82),
+        ("unpaired-scale", False, 82),
+        ("scale", False, 82),
+        ("scale", True, 82),
+        ("stage-1-off", False, 54),  # scale with train_rv and train_scale off
+    ],
 )
 def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
-    # per block: baseline 1, stage 1 12 steps + 1, GPTQ 1, after GPTQ 1 (also
-    # the neutral stage-2 candidate), 3 seeded candidates, stage 2 20 steps
-    # + 1, final 1 (also the report's site pass and the next block's input);
-    # rotation-only trains nothing, so its after-GPTQ forward is the final one
+    # per block: baseline 1, stage 1 12 steps + 1, the forward at the trained
+    # parameters 1 (GPTQ's records; without stage 1 the baseline's), after
+    # GPTQ 1 (also the neutral stage-2 candidate), 3 seeded candidates,
+    # stage 2 20 steps + 1, final 1 (also the report's site pass and the next
+    # block's input); without stage 2 the after-GPTQ forward is the final one
     from rotquant import pipeline as pl
 
     count = []
@@ -371,7 +397,12 @@ def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
 
     monkeypatch.setattr(pl, "forward_quant_block", counting)
     bundle, calib = _setup(3)
-    run_pipeline(bundle, calib, mode_config(_cfg(with_report=with_report), mode))
+    cfg = _cfg(with_report=with_report)
+    if mode == "stage-1-off":
+        cfg = replace(cfg, train_rv=False, train_scale=False)
+    else:
+        cfg = mode_config(cfg, mode)
+    run_pipeline(bundle, calib, cfg)
     assert len(count) == calls
 
 
