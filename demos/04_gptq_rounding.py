@@ -22,7 +22,7 @@ for seed in range(8):
     mix = np.eye(16) + 0.5 * r.normal(size=(16, 16))
     x = r.normal(size=(256, 16)) @ mix  # correlated input channels
     q_rtn = np.asarray(rtn_quantize(w, spec))
-    q_gptq = gptq_quantize(w, x, spec)
+    q_gptq, _ = gptq_quantize(w, x, spec)
     lr = quant_proxy_loss(w, q_rtn, x)
     lg = quant_proxy_loss(w, q_gptq, x)
     ratios.append(lg / lr)
@@ -34,5 +34,5 @@ from rotquant import hadamard_matrix
 
 w = rng.normal(size=(8, 8))
 x_iso = hadamard_matrix(8) * 3.0  # exactly isotropic calibration
-same = np.array_equal(gptq_quantize(w, x_iso, spec), np.asarray(rtn_quantize(w, spec)))
+same = np.array_equal(gptq_quantize(w, x_iso, spec)[0], np.asarray(rtn_quantize(w, spec)))
 print(f"diagonal Hessian -> gptq == rtn exactly: {same}")

@@ -1,11 +1,12 @@
 """Bundle and report file formats.
 
-Bundle container: an 8-byte magic+version, a little-endian u64 length
-prefix, a UTF-8 JSON header naming every tensor (name, dtype, shape,
-absolute byte offset), then raw little-endian IEEE-754 float32 tensor data,
-each tensor 64-byte aligned.  Arrays live in memory as float64 and are cast
-to float32 on write, so read(write(bundle)) is bit-exact after one f32
-round-trip.
+Bundle container (v2): an 8-byte magic+version, a little-endian u64 length
+prefix, a UTF-8 JSON header naming every tensor (name, dtype f32/f64/u8/u4,
+shape, absolute byte offset), then the raw little-endian tensor data, each
+64-byte aligned.  Floats keep their precision; a weight with raw row scales
+(BlockWeights.scales) is stored as codes (u4: two per byte, low nibble
+first) plus those f64 scales and rebuilt on QuantSpec.lattice, so
+read(write(bundle)) is bit-exact.  v1 files (all f32) still read.
 
 Reports are emitted as twins holding the same data: JSON for machine
 diffing, CSV (plus a channel-profile CSV) for plotting.
@@ -21,7 +22,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .analysis import REPORT_SCHEMA, BlockMse, ErrorReport, SiteRecord
-from .model import BIAS_NAMES, WEIGHT_NAMES, BlockParams, BlockWeights, ModelBundle, ModelConfig
+from .model import BIAS_NAMES, WEIGHT_NAMES, BlockParams, BlockWeights, ModelBundle, ModelConfig, QuantConfig
+from .model import Rotation
 
 __all__ = [
     "BundleFormatError",
@@ -35,9 +37,12 @@ __all__ = [
     "read_report",
 ]
 
-_MAGIC = b"RQBNDL\x00\x01"
+_MAGIC = b"RQBNDL\x00\x02"
+_MAGIC_V1 = b"RQBNDL\x00\x01"  # every tensor f32
 _ALIGN = 64
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_FLOATS = {"f32": "<f4", "f64": "<f8"}
+_BITS = ("w_bits", "a_bits", "kv_bits")  # QuantConfig.for_bits's arguments
 
 
 class BundleFormatError(RuntimeError):
@@ -51,10 +56,39 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
+def _nbytes(dtype, count):
+    return (count + 1) // 2 if dtype == "u4" else count * {"f32": 4, "f64": 8, "u8": 1}[dtype]
+
+
+def _floats(arr):
+    arr = np.asarray(arr)
+    return ("f32" if arr.dtype == np.float32 else "f64"), arr
+
+
+def _encode(dtype, arr):
+    if dtype in _FLOATS:
+        return np.ascontiguousarray(arr, dtype=_FLOATS[dtype]).tobytes()
+    codes = np.asarray(arr, dtype=np.uint8).reshape(-1)
+    if dtype == "u4":
+        codes = np.append(codes, np.uint8(0)) if codes.size % 2 else codes
+        codes = codes[0::2] | (codes[1::2] << 4)
+    return codes.tobytes()
+
+
+def _decode(dtype, raw, off, count):
+    """The flat tensor at `off`: float64 for floats, uint8 codes otherwise."""
+    if dtype in _FLOATS:
+        return np.frombuffer(raw, dtype=_FLOATS[dtype], count=count, offset=off).astype(np.float64)
+    packed = np.frombuffer(raw, dtype=np.uint8, count=_nbytes(dtype, count), offset=off)
+    if dtype == "u8":
+        return packed.copy()
+    return np.stack((packed & 0x0F, packed >> 4), axis=1).reshape(-1)[:count]
+
+
 def _write_container(path, kind: str, header_extra: dict, tensors: dict):
-    """tensors: {name: ndarray}; values are cast to f32 little-endian."""
+    """tensors: {name: (dtype, ndarray)}, written in that dtype little-endian."""
     order = list(tensors.keys())
-    blobs = {k: np.ascontiguousarray(tensors[k], dtype="<f4").tobytes() for k in order}
+    blobs = {k: _encode(*tensors[k]) for k in order}
 
     entries = []
     header = {"schema": 1, "kind": kind, **header_extra, "tensors": entries}
@@ -63,21 +97,13 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
     header_len_guess = 0
     for _ in range(8):
         entries.clear()
-        offset_probe = len(_MAGIC) + 8 + header_len_guess
-        offset_probe += _pad(offset_probe)
-        body_start = offset_probe
-        off = body_start
+        off = len(_MAGIC) + 8 + header_len_guess
+        off += _pad(off)
         for name in order:
+            dtype, arr = tensors[name]
             nbytes = len(blobs[name])
-            entries.append(
-                {
-                    "name": name,
-                    "dtype": "f32",
-                    "shape": list(np.asarray(tensors[name]).shape),
-                    "offset": off,
-                    "nbytes": nbytes,
-                }
-            )
+            entry = {"name": name, "dtype": dtype, "shape": list(np.shape(arr)), "offset": off, "nbytes": nbytes}
+            entries.append(entry)
             off += nbytes + _pad(nbytes)
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         if len(encoded) == header_len_guess:
@@ -96,10 +122,12 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
             f.write(b"\x00" * _pad(len(blobs[name])))
 
 
-def _read_container(path, expect_kind=None):
+def _read_container(path, expect_kind=None, codes=False):
+    """(header, {name: array}); integer codes are allowed only with `codes`."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < len(_MAGIC) + 8 or raw[: len(_MAGIC)] != _MAGIC:
+    magic = raw[: len(_MAGIC)]
+    if len(raw) < len(_MAGIC) + 8 or magic not in (_MAGIC, _MAGIC_V1):
         raise BundleFormatError(f"{path}: bad magic at offset 0")
     (header_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
     header_start = len(_MAGIC) + 8
@@ -119,28 +147,29 @@ def _read_container(path, expect_kind=None):
 
     tensors = {}
     prev_end = header_start + header_len
+    dtypes = ["f32", "f64", "u8", "u4"][: 4 if codes else 2] if magic == _MAGIC else ["f32"]
     try:
         for entry in header.get("tensors", []):
-            off, nbytes = entry["offset"], entry["nbytes"]
+            name, off, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+            dtype = entry["dtype"] if magic == _MAGIC else entry.get("dtype", "f32")
+            if name in tensors:
+                raise BundleFormatError(f"{path}: tensor name {name!r} appears twice")
+            if dtype not in dtypes:
+                raise BundleFormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, not one of {dtypes}")
             if off < prev_end:
-                raise BundleFormatError(
-                    f"{path}: tensor {entry['name']!r} offset {off} overlaps previous data ending {prev_end}"
-                )
+                raise BundleFormatError(f"{path}: tensor {name!r} at {off} overlaps data ending at {prev_end}")
             if nbytes < 0 or off + nbytes > len(raw):
-                raise BundleFormatError(
-                    f"{path}: tensor {entry['name']!r} at offset {off} (+{nbytes}) overruns file size {len(raw)}"
-                )
+                raise BundleFormatError(f"{path}: tensor {name!r} at {off} (+{nbytes}) overruns {len(raw)} bytes")
             shape = tuple(entry["shape"])
-            if int(np.prod(shape, dtype=np.int64)) * 4 != nbytes:
-                raise BundleFormatError(
-                    f"{path}: tensor {entry['name']!r} shape {shape} disagrees with {nbytes} bytes"
-                )
-            arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=off)
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise BundleFormatError(f"{path}: tensor {name!r} has shape {shape}")
+            count = int(np.prod(shape, dtype=np.int64))
+            if _nbytes(dtype, count) != nbytes:
+                raise BundleFormatError(f"{path}: tensor {name!r} shape {shape} disagrees with {nbytes} B of {dtype}")
+            arr = _decode(dtype, raw, off, count)
             if not np.all(np.isfinite(arr)):
-                raise BundleFormatError(
-                    f"{path}: tensor {entry['name']!r} at offset {off} contains non-finite values"
-                )
-            tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+                raise BundleFormatError(f"{path}: tensor {name!r} at offset {off} contains non-finite values")
+            tensors[name] = arr.reshape(shape)
             prev_end = off + nbytes
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise BundleFormatError(f"{path}: malformed tensor table: {err!r}") from err
@@ -149,15 +178,53 @@ def _read_container(path, expect_kind=None):
 
 # -- model bundles ---------------------------------------------------------------
 
+def _codes(key, w, raw, spec):
+    """(dtype, codes) of a weight on the lattice of its raw row scales;
+    raises unless `code * scale + zero` rebuilds it bit for bit."""
+    if spec is None:
+        raise BundleFormatError(f"{key}: a weight scale needs a weight quantizer")
+    w, params = np.asarray(w, dtype=np.float64), spec.lattice(np.asarray(raw, dtype=np.float64)[:, None])
+    codes = np.clip(np.rint((w - params.zero) / params.scale), 0, spec.levels - 1)
+    rebuilt = codes * params.scale + params.zero
+    if not (np.all(np.isfinite(codes)) and np.array_equal(rebuilt.view(np.uint64), w.view(np.uint64))):
+        raise BundleFormatError(f"{key}: weights are off the lattice of their row scales")
+    return ("u4" if spec.bits <= 4 else "u8"), codes.astype(np.uint8)
+
+
+def _dequantize(path, key, codes, raw, spec):
+    """A weight from its codes and raw row scales, as `_codes` stored it."""
+    if spec is None:
+        raise BundleFormatError(f"{path}: {key} holds codes, but the header sets no weight bits 2..8")
+    if not (codes is not None and codes.dtype == np.uint8 and codes.ndim == 2 and raw is not None
+            and raw.dtype == np.float64 and raw.shape == codes.shape[:1]):
+        raise BundleFormatError(f"{path}: {key} needs integer codes [rows x cols] and an f64 scale per row")
+    if np.any(raw < 0.0):
+        raise BundleFormatError(f"{path}: {key}.scale holds a negative scale")
+    if codes.max(initial=0) >= spec.levels:
+        raise BundleFormatError(f"{path}: {key} holds a code above {spec.levels - 1}")
+    params = spec.lattice(raw[:, None])
+    return codes * params.scale + params.zero
+
 
 def write_bundle(path, bundle: ModelBundle):
+    """Write a model bundle; a weight with row scales is stored as codes."""
     tensors = {}
     for i, bw in enumerate(bundle.blocks):
+        scales = bw.scales or {}
         for name in WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp"):
-            arr = getattr(bw, name)
-            if arr is not None:
-                tensors[f"block{i}.{name}"] = arr
+            arr, key = getattr(bw, name), f"block{i}.{name}"
+            if name in scales:
+                tensors[key] = _codes(key, arr, scales[name], bundle.qcfg and bundle.qcfg.weight)
+                tensors[key + ".scale"] = ("f64", scales[name])
+            elif arr is not None:
+                tensors[key] = _floats(arr)
     header = {"config": asdict(bundle.config), "meta": dict(bundle.meta)}
+    if (q := bundle.qcfg) is not None:  # >= 16 disables a quantizer
+        header["bits"] = dict(zip(_BITS, (16 if s is None else s.bits for s in (q.weight, q.act, q.kv))))
+        if QuantConfig.for_bits(*header["bits"].values(), bundle.config.head_dim) != bundle.qcfg:
+            raise BundleFormatError(f"{path}: a bundle stores bit widths, not {bundle.qcfg}")
+    if bundle.rotation is not None:
+        tensors["rotation"] = ("f64", bundle.rotation.matrix)
     _write_container(path, "model", header, tensors)
 
 
@@ -180,22 +247,35 @@ def _reject_stray_tensors(path, tensors, n_blocks):
 
 
 def read_bundle(path) -> ModelBundle:
-    header, tensors = _read_container(path, expect_kind="model")
+    header, tensors = _read_container(path, expect_kind="model", codes=True)
     try:
         c = header["config"]  # every field is required, though ModelConfig has defaults
         config = _from_json(ModelConfig, {f.name: c[f.name] for f in fields(ModelConfig)})
         meta = dict(header["meta"])
+        bits = [_json_value(k, "int", header["bits"][k]) for k in _BITS] if "bits" in header else None
+        qcfg = bits and QuantConfig.for_bits(*bits, config.head_dim)  # a quantized bundle's
+        rotation = tensors.pop("rotation", None)
+        if rotation is not None:
+            if rotation.dtype != np.float64 or rotation.shape != (config.hidden, config.hidden):
+                raise ValueError(f"rotation has shape {rotation.shape}, hidden is {config.hidden}")
+            rotation = Rotation(rotation)
     except (KeyError, TypeError, ValueError) as err:
-        raise BundleFormatError(f"{path}: malformed model header: {err!r}") from err
+        raise BundleFormatError(f"{path}: malformed model header or rotation: {err!r}") from err
     flags = ModelBundle(config, []).meta
     if not all(isinstance(meta.get(k), bool) for k in flags):
         raise BundleFormatError(f"{path}: model meta must hold the boolean flags {sorted(flags)}")
     _reject_stray_tensors(path, tensors, config.n_blocks)
     blocks = []
     for i in range(config.n_blocks):
-        kwargs = {}
+        kwargs, scales = {}, {}
         for name in WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp"):
-            kwargs[name] = tensors.get(f"block{i}.{name}")
+            key = f"block{i}.{name}"
+            arr, raw = tensors.get(key), tensors.get(key + ".scale")
+            if raw is not None or arr is not None and arr.dtype == np.uint8:
+                if name not in WEIGHT_NAMES:
+                    raise BundleFormatError(f"{path}: {key} is not a weight, so it cannot be stored as codes")
+                arr, scales[name] = _dequantize(path, key, arr, raw, qcfg and qcfg.weight), raw
+            kwargs[name] = arr
         missing = [n for n in WEIGHT_NAMES if kwargs[n] is None]
         if missing:
             raise BundleFormatError(f"{path}: block {i} missing weights {missing}")
@@ -205,15 +285,15 @@ def read_bundle(path) -> ModelBundle:
                 raise BundleFormatError(
                     f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}"
                 )
-        blocks.append(BlockWeights(**kwargs))
-    return ModelBundle(config, blocks, meta)
+        blocks.append(BlockWeights(**kwargs, scales=scales or None))
+    return ModelBundle(config, blocks, meta, rotation, qcfg)
 
 
 def write_calibration(path, calib, synth_meta=None):
-    calib = np.asarray(calib, dtype=np.float64)
+    calib = np.asarray(calib)
     if calib.ndim != 3:
         raise ValueError("calibration must be [sequences x seq_len x channels]")
-    _write_container(path, "calibration", {"synth": synth_meta or {}}, {"calib": calib})
+    _write_container(path, "calibration", {"synth": synth_meta or {}}, {"calib": _floats(calib)})
 
 
 def read_calibration(path):
@@ -227,20 +307,27 @@ def write_params(path, params_list):
     tensors = {}
     for i, bp in enumerate(params_list):
         for f in bp.__dataclass_fields__:
-            tensors[f"block{i}.{f}"] = np.asarray(getattr(bp, f), dtype=np.float64)
+            tensors[f"block{i}.{f}"] = ("f64", getattr(bp, f))
     _write_container(path, "params", {"n_blocks": len(params_list)}, tensors)
 
 
-def read_params(path):
+def read_params(path, config: ModelConfig | None = None):
+    """One BlockParams per block; with `config`, the file must hold
+    config.n_blocks blocks whose tensors have that model's shapes."""
     header, tensors = _read_container(path, expect_kind="params")
+    want = config and {f: np.shape(v) for f, v in vars(BlockParams.neutral(config)).items()}
     out = []
     try:
         n_blocks = _json_value("n_blocks", "int", header["n_blocks"])
         _reject_stray_tensors(path, tensors, n_blocks)
+        if want and n_blocks != config.n_blocks:
+            raise BundleFormatError(f"{path}: {n_blocks} blocks of params, the model has {config.n_blocks}")
         for i in range(n_blocks):
             kwargs = {}
             for f in [fl.name for fl in fields(BlockParams)]:
-                arr = tensors[f"block{i}.{f}"]
+                arr = tensors[key := f"block{i}.{f}"]
+                if want and arr.shape != want[f]:
+                    raise BundleFormatError(f"{path}: {key} has shape {arr.shape}, the model needs {want[f]}")
                 kwargs[f] = np.float64(arr) if arr.ndim == 0 else arr
             out.append(BlockParams(**kwargs))
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -1,4 +1,4 @@
-"""Command-line surface: gen | quantize | analyze | ablate | verify.
+"""Command-line surface: gen | quantize | eval | analyze | ablate | verify.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/numerical error,
 3 verify-suite failure.  Every command is deterministic given its inputs
@@ -23,6 +23,7 @@ from .bundle_io import (
     _from_json,
     read_bundle,
     read_calibration,
+    read_params,
     read_report,
     write_bundle,
     write_calibration,
@@ -35,8 +36,12 @@ from .model import (
     QuantConfig,
     SynthSpec,
     build_toy_model,
+    fold_norms,
     forward_fp,
+    forward_quant,
+    fuse_rres,
     gen_calibration,
+    mse,
 )
 from .optim import OptimizationError
 from .pipeline import (
@@ -212,8 +217,10 @@ def cmd_gen(args) -> int:
     out = _outdir(args)
     config = rc.model_config()
     bundle = build_toy_model(config, rc.seed, outlier_columns=rc.weight_outlier_cols)
+    for bw in bundle.blocks:  # the generated files are f32
+        vars(bw).update({name: arr.astype(np.float32) for name, arr in vars(bw).items() if arr is not None})
     spec = rc.synth_spec()
-    calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len)
+    calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len).astype(np.float32)
     write_bundle(out / "model.rqb", bundle)
     write_calibration(
         out / "calib.rqb",
@@ -244,6 +251,27 @@ def cmd_quantize(args) -> int:
         )
     print(f"final calibration mse {result.final_mse:.6e}")
     print(f"wrote {out / 'quantized.rqb'}, {out / 'params.rqb'}, {out / 'report.json'}")
+    return EXIT_OK
+
+
+def cmd_eval(args) -> int:
+    """Calibration MSE of a quantized bundle and its params against the FP model."""
+    model, quantized = read_bundle(args.model), read_bundle(args.quantized)
+    if quantized.qcfg is None or quantized.rotation is None or not quantized.meta["rv_scale_fused"]:
+        raise BundleFormatError(f"{args.quantized}: not a quantized bundle (no bit widths or rotation)")
+    if quantized.config != model.config:
+        raise BundleFormatError(f"{args.quantized}: shape {quantized.config} differs from {args.model}'s")
+    if model.meta["rres_fused"]:
+        raise BundleFormatError(f"{args.model}: has a residual rotation fused in; pass the original model")
+    params = read_params(args.params, quantized.config)
+    x = quantized.rotation.apply(read_calibration(args.calib))
+    y_fp = forward_fp(fuse_rres(fold_norms(model), quantized.rotation), x)
+    value = mse(forward_quant(quantized, params, quantized.qcfg, x), y_fp)
+    out = _outdir(args)
+    with open(out / "eval.json", "w", encoding="utf-8") as f:
+        json.dump({"schema": 1, "mse": value}, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
+    print(f"calibration mse {value:.6e}; wrote {out / 'eval.json'}")
     return EXIT_OK
 
 
@@ -345,7 +373,7 @@ def _check_gptq_dominance():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))  # correlated
-        q_g = gptq_quantize(w, x, spec)
+        q_g, _ = gptq_quantize(w, x, spec)
         q_r = np.asarray(rtn_quantize(w, spec))
         diff = quant_proxy_loss(w, q_g, x) - quant_proxy_loss(w, q_r, x)
         worst = max(worst, diff)
@@ -422,6 +450,11 @@ def _build_parser():
     sp = sub.add_parser("quantize", help="run the full blockwise quantization pipeline")
     common(sp, model=True, calib=True)
     sp.set_defaults(fn=cmd_quantize)
+
+    sp = sub.add_parser("eval", help="calibration mse of a quantized model, from its files")
+    for flag in ("--model", "--quantized", "--params", "--calib", "--out"):
+        sp.add_argument(flag, required=True)
+    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("analyze", help="emit per-site quantization error analysis")
     common(sp, model=True, calib=True)

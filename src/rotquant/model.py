@@ -111,9 +111,14 @@ class BlockWeights:
     bdown: np.ndarray | None = None
     g_attn: np.ndarray | None = None
     g_mlp: np.ndarray | None = None
+    #: {weight name: raw scale per row} of the weights that sit on their
+    #: symmetric per-row lattice (QuantSpec.lattice)
+    scales: dict | None = None
 
     def copy(self) -> "BlockWeights":
         def c(x):
+            if isinstance(x, dict):
+                return {k: c(v) for k, v in x.items()}
             return None if x is None else np.array(x, copy=True)
 
         return BlockWeights(**{k: c(getattr(self, k)) for k in self.__dataclass_fields__})
@@ -133,9 +138,13 @@ class ModelBundle:
     config: ModelConfig
     blocks: list
     meta: dict = field(default_factory=_default_meta)
+    #: the residual rotation fused into the weights (fuse_rres sets it)
+    rotation: Rotation | None = None
+    #: the quantizers the bundle was calibrated for (quantize_blockwise sets it)
+    qcfg: QuantConfig | None = None
 
     def copy(self) -> "ModelBundle":
-        return ModelBundle(self.config, [b.copy() for b in self.blocks], dict(self.meta))
+        return ModelBundle(self.config, [b.copy() for b in self.blocks], dict(self.meta), self.rotation, self.qcfg)
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -398,6 +407,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
         if bw.bdown is not None:
             bw.bdown = bw.bdown @ m
     out.meta["rres_fused"] = True
+    out.rotation = None if bundle.meta["rres_fused"] else rotation  # twice fused: no single rotation
     return out
 
 

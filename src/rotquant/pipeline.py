@@ -130,10 +130,14 @@ class PipelineResult:
     bundle: ModelBundle
     params: list  # BlockParams per block
     report: ErrorReport
-    rotation: Rotation
     final_mse: float
     grad_peak_elements: int
     max_block_param_elements: int
+
+    @property
+    def rotation(self) -> Rotation | None:
+        """The residual rotation fused into the quantized bundle."""
+        return self.bundle.rotation
 
 
 def compute_rres(bundle: ModelBundle) -> Rotation:
@@ -230,7 +234,7 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     Stages: baseline, (1) paired scales and value rotation, GPTQ, (2) bias
     corrections, unpaired scales and clip factors.  Each parameter state
     runs one forward, whose site records feed what follows it.  Returns (FP
-    output, quantized output, BlockParams, quantized weights, BlockMse,
+    output, quantized output, BlockParams, quantized BlockWeights, BlockMse,
     report records); the records are empty unless cfg.with_report.
     """
     qcfg, sched = cfg.qcfg, cfg.schedule
@@ -259,19 +263,23 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
 
     # stage 2 trains none of the fields effective_weights reads
     eff = _effective_arrays(bundle, i, bp)
-    weights_q = _gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp)
+    weights_q, scales = _gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp)
+
+    def group(on, names, lr, bounds):  # only the fields an enabled quantizer reads
+        names = tuple(f for f in names if (qcfg.kv if f in ("alpha_k", "alpha_v") else qcfg.act) is not None)
+        return (names, lr, bounds) if on and names else None
+
     groups = [
-        (("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None) if cfg.train_bias else None,
-        (("sa_o", "sa_down"), sched.lr_scale, positive) if cfg.train_unpaired else None,
-        (BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)) if cfg.train_clip else None,
+        group(cfg.train_bias, ("bc_qkv", "bc_o", "bc_up", "bc_down"), sched.lr_bias, None),
+        group(cfg.train_unpaired, ("sa_o", "sa_down"), sched.lr_scale, positive),
+        group(cfg.train_clip, BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)),
     ]
     rec = {}
     y_q, after_gptq = forward(bp, weights_q, rec)
     final = after_gptq
 
-    # corrections only touch activation/cache quantizers; without stage 2
-    # the after-GPTQ forward is also the final one
-    if (qcfg.act is not None or qcfg.kv is not None) and any(groups):
+    # without a field to train the after-GPTQ forward is also the final one
+    if any(groups):
         # candidate starts: bias and clip seeds evaluated separately so a
         # poor seed on one family cannot discard a good seed on the other;
         # the neutral candidate keeps the stage from regressing past the
@@ -293,7 +301,8 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     if cfg.with_report:
         rows = [(*row, _measured_noise_var(rec, row[1], row[3], eff)) for row in _site_rows(i, rec, weights_q)]
         records = emit_report(rows, qcfg).records
-    return y_fp, y_q, bp.as_arrays(), weights_q, BlockMse(i, baseline, after_gptq, final), records
+    block = _finalize_block(bundle.blocks[i], weights_q, scales)
+    return y_fp, y_q, bp.as_arrays(), block, BlockMse(i, baseline, after_gptq, final), records
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
@@ -316,14 +325,14 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     ad.GRAD_TRACKER.reset()
     out_blocks, all_params, blocks, records = [], [], [], []
     x_fp = x_q = calib  # floating-point targets always come from the pristine chain
-    for i, bw in enumerate(bundle.blocks):
-        x_fp, x_q, bp, weights_q, block_mse, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
-        out_blocks.append(_finalize_block(bw, weights_q))
+    for i in range(len(bundle.blocks)):
+        x_fp, x_q, bp, block, block_mse, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
+        out_blocks.append(block)
         all_params.append(bp)
         blocks.append(block_mse)
         records.extend(block_records)
 
-    out = ModelBundle(bundle.config, out_blocks, dict(bundle.meta))
+    out = ModelBundle(bundle.config, out_blocks, dict(bundle.meta), bundle.rotation, cfg.qcfg)
     out.meta["rv_scale_fused"] = True
     out.meta["weights_quantized"] = cfg.qcfg.weight is not None
 
@@ -338,7 +347,6 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         bundle=out,
         params=all_params,
         report=ErrorReport(records=records, blocks=blocks),
-        rotation=None,
         final_mse=mse(x_q, x_fp),
         grad_peak_elements=peak,
         max_block_param_elements=max_block,
@@ -350,17 +358,21 @@ def _gptq_block(eff, rec, spec, damp):
     the site inputs `rec` recorded by the forward at the same parameters.
 
     Returns a copy of `eff` with the seven matrices replaced by their
-    lattice versions (biases stay floating point).  A site's matrices share
-    its Hessian, so GPTQ rounds them stacked.
+    lattice versions (biases stay floating point), and the raw scales of
+    their rows by name (None without a weight quantizer).  A site's
+    matrices share its Hessian, so GPTQ rounds them stacked.
     """
     out = dict(eff)
     if spec is None:
-        return out
+        return out, None
+    scales = {}
     for site, weight_names in ACT_SITES.items():
         mats = [eff[name] for name in weight_names]
-        q = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec, damp=damp)
-        out.update(zip(weight_names, np.split(q, np.cumsum([len(m) for m in mats[:-1]]))))
-    return out
+        q, raw = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec, damp=damp)
+        cuts = np.cumsum([len(m) for m in mats[:-1]])
+        out.update(zip(weight_names, np.split(q, cuts)))
+        scales.update(zip(weight_names, np.split(raw, cuts)))
+    return out, scales
 
 
 def _effective_arrays(bundle, index, bp):
@@ -369,11 +381,12 @@ def _effective_arrays(bundle, index, bp):
     return {k: None if v is None else np.asarray(ad.value_of(v)) for k, v in eff.items()}
 
 
-def _finalize_block(bw: BlockWeights, weights_q) -> BlockWeights:
+def _finalize_block(bw: BlockWeights, weights_q, scales) -> BlockWeights:
     out = bw.copy()
     for name in WEIGHT_NAMES + BIAS_NAMES:
         w = weights_q[name]
         setattr(out, name, None if w is None else np.array(w, copy=True))
+    out.scales = scales
     return out
 
 
@@ -424,9 +437,7 @@ def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineRes
     prepared, rotation = prepare_bundle(bundle, cfg)
     calib = np.asarray(calib, dtype=np.float64)
     calib_rot = rotation.apply(calib)
-    result = quantize_blockwise(prepared, calib_rot, cfg)
-    result.rotation = rotation
-    return result
+    return quantize_blockwise(prepared, calib_rot, cfg)
 
 
 def ablate(bundle: ModelBundle, calib, cfg: PipelineConfig, modes=None):

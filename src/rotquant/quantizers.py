@@ -14,8 +14,9 @@ whose extreme is tied splits it evenly over the hits, as the min/max
 reduction's gradient does.  The hits are counted there, in the backward,
 so a forward that is never differentiated does not count them.
 
-Integer codes are never packed: quantized tensors are float64 arrays whose
-values lie exactly on the lattice {zero + k * scale, k in 0..2^b - 1}.
+Quantized tensors are float64 arrays whose values lie exactly on the
+lattice {zero + k * scale, k in 0..2^b - 1}; files store weights as codes
+plus the raw scale each symmetric row lattice follows from (`QuantSpec.lattice`).
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class QuantSpec:
     @property
     def levels(self):
         return 2**self.bits
+
+    def lattice(self, raw) -> "QuantParams":
+        """(scale, zero) of symmetric groups with raw scale `raw` (max |x|
+        times the step), derived as `resolve_params` does."""
+        return QuantParams(scale=np.clip(raw, SCALE_FLOOR, np.inf), zero=raw * (-(2 ** (self.bits - 1))))
 
 
 @dataclass
@@ -362,6 +368,8 @@ def rtn_quantize(w, spec: QuantSpec):
 def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
     """Greedy column-wise weight rounding with Hessian error feedback.
 
+    Returns (q, raw): q on the row lattices `spec.lattice(raw[:, None])`.
+
     H = X^T X is damped by `damp` times its mean diagonal (dead input
     columns get a unit diagonal and zero weights).  GPTQ feeds each
     column's error forward through U, the upper Cholesky factor of H^{-1};
@@ -404,7 +412,8 @@ def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
         raise QuantizationError("ill-conditioned Hessian") from err
     feed = v / np.diag(v)
 
-    params = resolve_params(w_orig, spec)
+    raw = np.amax(np.abs(w_orig), axis=1) * _step_factor(spec)  # resolve_params' raw scale
+    params = spec.lattice(raw[:, None])
     q = np.empty_like(w)
     for b0 in range(0, cols, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, cols)
@@ -416,7 +425,7 @@ def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):
     q_direct = fake_quantize(w_orig, params, spec)
     keep_direct = _row_proxy_loss(w_orig - q_direct, h_raw) < _row_proxy_loss(w_orig - q, h_raw)
     q[keep_direct] = q_direct[keep_direct]
-    return q
+    return q, raw
 
 
 def _row_proxy_loss(e, h):

@@ -284,7 +284,7 @@ def test_criterion_12_gptq_dominance_and_optimality():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
-        lg = quant_proxy_loss(w, gptq_quantize(w, x, spec), x)
+        lg = quant_proxy_loss(w, gptq_quantize(w, x, spec)[0], x)
         lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x)
         assert lg <= lr + 1e-12, f"seed {seed}"
 
@@ -307,7 +307,7 @@ def test_criterion_12_gptq_dominance_and_optimality():
             quant_proxy_loss(w, np.array([[z + i * s, z + j * s]]), x)
             for i, j in product(range(4), range(4))
         )
-        loss = quant_proxy_loss(w, gptq_quantize(w, x, spec2), x)
+        loss = quant_proxy_loss(w, gptq_quantize(w, x, spec2)[0], x)
         assert loss == pytest.approx(best, abs=1e-10)
     _report(12, "hessian-aware rounding <= RTN on 50 random 8x8 instances; brute-force optimal on 1x2/2-bit")
 

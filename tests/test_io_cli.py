@@ -1,6 +1,7 @@
 """File formats, run configuration, and the command-line surface."""
 
 import ast
+import functools
 import json
 import os
 import struct
@@ -26,7 +27,16 @@ from rotquant.bundle_io import (
     write_report,
 )
 from rotquant.cli import ConfigError, RunConfig, main
-from rotquant.model import BlockParams, ModelConfig, build_toy_model
+from rotquant.model import (
+    WEIGHT_NAMES,
+    BlockParams,
+    ModelConfig,
+    QuantConfig,
+    SynthSpec,
+    build_toy_model,
+    gen_calibration,
+)
+from rotquant.pipeline import PipelineConfig, StageSchedule, run_pipeline
 
 CFG = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
 
@@ -34,19 +44,39 @@ CFG = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
 # -- bundle container -----------------------------------------------------------------
 
 
-def test_bundle_roundtrip_bit_exact_after_f32(tmp_path):
-    bundle = build_toy_model(CFG, seed=0)
-    path = tmp_path / "m.rqb"
-    write_bundle(path, bundle)
-    loaded = read_bundle(path)
-    for a, b in zip(bundle.blocks, loaded.blocks):
-        for name in ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown", "bq", "g_attn"):
-            ref = getattr(a, name).astype("<f4").astype(np.float64)
-            assert np.array_equal(ref, getattr(b, name)), name
-    assert loaded.config == bundle.config
-    assert loaded.meta == bundle.meta
+_TENSORS = ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown", "bq", "bk", "bv", "bo", "bgate", "bup", "bdown",
+            "g_attn", "g_mlp")
 
-    # writing the loaded bundle reproduces the file byte for byte
+
+def _header(path):
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16 : 16 + n])
+
+
+def test_bundle_roundtrip_bit_exact_after_f32(tmp_path):
+    # every tensor is stored in its own precision: f64 arrays as f64, and
+    # f32 arrays (the files gen writes) as f32; both reload bit for bit
+    bundle = build_toy_model(CFG, seed=0)
+    as_f32 = bundle.copy()
+    for bw in as_f32.blocks:
+        for name in _TENSORS:
+            setattr(bw, name, getattr(bw, name).astype(np.float32))
+    for source, dtype in ((bundle, "f64"), (as_f32, "f32")):
+        path = tmp_path / f"{dtype}.rqb"
+        write_bundle(path, source)
+        assert {t["dtype"] for t in _header(path)["tensors"]} == {dtype}
+        loaded = read_bundle(path)
+        for a, b in zip(source.blocks, loaded.blocks):
+            for name in _TENSORS:
+                assert getattr(b, name).dtype == np.float64
+                assert np.array_equal(getattr(a, name).astype(np.float64), getattr(b, name)), name
+        assert loaded.config == bundle.config
+        assert loaded.meta == bundle.meta
+
+    # writing the loaded f64 bundle reproduces its file byte for byte
+    path = tmp_path / "f64.rqb"
+    loaded = read_bundle(path)
     path2 = tmp_path / "m2.rqb"
     write_bundle(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
@@ -143,7 +173,7 @@ def _set_config(**fields):
 def _set_n_blocks(value):
     def mutate(header):
         header["n_blocks"] = value
-        del header["tensors"][0]["dtype"]  # room for a longer value; the reader ignores dtype
+        del header["schema"]  # room for a longer value; the reader ignores the schema field
         return header
 
     return mutate
@@ -155,6 +185,27 @@ def _write_model(path):
 
 def _write_params(path):
     write_params(path, [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)])
+
+
+@functools.lru_cache(maxsize=None)
+def _quantized(bits=(4, 4, 4)):
+    """A pipeline result on the CFG model (one step per epoch); never mutate it."""
+    calib = gen_calibration(SynthSpec.misaligned(CFG.hidden, 64, seed=0), 8, 8)
+    qcfg = QuantConfig.for_bits(*bits, CFG.head_dim)
+    cfg = PipelineConfig(qcfg=qcfg, schedule=StageSchedule(steps_per_epoch=1), with_report=False)
+    return run_pipeline(build_toy_model(CFG, seed=0), calib, cfg)
+
+
+def _write_quantized(path):
+    write_bundle(path, _quantized().bundle)
+
+
+def _rename_tensor(old, new):
+    def mutate(header):
+        next(t for t in header["tensors"] if t["name"] == old)["name"] = new
+        return header
+
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -179,6 +230,8 @@ def _write_params(path):
         (_write_model, read_bundle, _set_config(n_blocks=1), "block1"),
         # eps 1e-06 -> -0.01 keeps the header's length
         (_write_model, read_bundle, _set_config(eps=-0.01), "eps: must be > 0"),
+        # the name keeps its length, so the tensor table stays valid
+        (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bk"), "'block0.bk' appears twice"),
     ],
     ids=[
         "no-offset",
@@ -196,6 +249,7 @@ def _write_params(path):
         "config-hidden-str",
         "config-n_blocks-short",
         "config-eps-negative",
+        "duplicate-name",
     ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
@@ -224,7 +278,7 @@ def _paths(node, prefix=()):
 @given(data=st.data())
 def test_header_mutations_fail_only_with_format_error(tmp_path, data):
     write, read = data.draw(
-        st.sampled_from([(_write_model, read_bundle), (_write_params, read_params)])
+        st.sampled_from([(_write_model, read_bundle), (_write_params, read_params), (_write_quantized, read_bundle)])
     )
     template = tmp_path / f"{write.__name__}.rqb"
     if not template.exists():
@@ -256,9 +310,10 @@ def test_header_mutations_fail_only_with_format_error(tmp_path, data):
 def test_calibration_roundtrip(tmp_path):
     calib = np.random.default_rng(0).normal(size=(4, 8, 32))
     path = tmp_path / "c.rqb"
-    write_calibration(path, calib, synth_meta={"seed": 0})
-    loaded = read_calibration(path)
-    assert np.array_equal(loaded, calib.astype("<f4").astype(np.float64))
+    for stored in (calib, calib.astype(np.float32)):  # each in its own precision
+        write_calibration(path, stored, synth_meta={"seed": 0})
+        loaded = read_calibration(path)
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, stored)
 
 
 def test_params_roundtrip(tmp_path):
@@ -269,10 +324,167 @@ def test_params_roundtrip(tmp_path):
     write_params(path, params)
     loaded = read_params(path)
     assert len(loaded) == 2
-    ref = params[0].bc_qkv.astype("<f4").astype(np.float64)
-    assert np.array_equal(loaded[0].bc_qkv, ref)
-    assert float(loaded[1].alpha_o) == pytest.approx(0.75)
+    assert np.array_equal(loaded[0].bc_qkv, params[0].bc_qkv)
+    assert float(loaded[1].alpha_o) == 0.75
     assert loaded[1].a_v.shape == (16, 16)
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("bits", [(4, 4, 4), (6, 4, 4), (3, 16, 16), (16, 4, 4)])
+def test_quantized_bundle_and_params_reload_bit_exact(tmp_path, bits):
+    # weights as codes (u4 at <= 4 bits, u8 above) plus one f64 raw scale
+    # per row, f64 when the weights are not quantized; the rest is f64
+    result = _quantized(bits)
+    path, params_path = tmp_path / "q.rqb", tmp_path / "p.rqb"
+    write_bundle(path, result.bundle)
+    write_params(params_path, result.params)
+    dtypes = {t["name"]: t["dtype"] for t in _header(path)["tensors"]}
+    weight_dtype = "f64" if bits[0] >= 16 else "u4" if bits[0] <= 4 else "u8"
+    for name, dtype in dtypes.items():
+        is_weight = name.split(".")[-1] in ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown")
+        assert dtype == (weight_dtype if is_weight else "f64"), name
+    assert "rotation" in dtypes
+    assert _header(path)["bits"] == dict(zip(("w_bits", "a_bits", "kv_bits"), bits))
+
+    loaded = read_bundle(path)
+    assert loaded.config == result.bundle.config and loaded.meta == result.bundle.meta
+    assert loaded.qcfg == result.bundle.qcfg
+    assert _bits_equal(loaded.rotation.matrix, result.rotation.matrix)
+    for a, b in zip(result.bundle.blocks, loaded.blocks):
+        for name in _TENSORS:
+            assert _bits_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.scales is None) == (b.scales is None) == (bits[0] >= 16)
+        for name in a.scales or {}:
+            assert _bits_equal(a.scales[name], b.scales[name]), name
+    for a, b in zip(result.params, read_params(params_path, CFG)):
+        for f in a.__dataclass_fields__:
+            assert _bits_equal(np.asarray(getattr(a, f)), np.asarray(getattr(b, f))), f
+
+    # writing the loaded bundle reproduces the file byte for byte
+    write_bundle(tmp_path / "again.rqb", loaded)
+    assert (tmp_path / "again.rqb").read_bytes() == path.read_bytes()
+
+
+def _container(magic, header, blobs):
+    """Container bytes built field by field: magic, u64 header length, the
+    JSON header padded to a 64-byte boundary, then each blob 64-byte aligned."""
+    header_len = 4096 - 16
+    offset = 4096
+    for entry, blob in zip(header["tensors"], blobs):
+        entry.update(offset=offset, nbytes=len(blob))
+        offset += len(blob) + (-len(blob)) % 64
+    encoded = json.dumps(header).encode("utf-8")
+    assert len(encoded) <= header_len
+    out = magic + struct.pack("<Q", header_len) + encoded.ljust(header_len)
+    for blob in blobs:
+        out += blob + b"\x00" * ((-len(blob)) % 64)
+    return out
+
+
+def test_v1_file_still_reads(tmp_path):
+    # v1: magic version 1, and every tensor f32, named so or unnamed
+    bundle = build_toy_model(CFG, seed=5)
+    names = [(i, name) for i in range(CFG.n_blocks) for name in _TENSORS]
+    arrays = [getattr(bundle.blocks[i], name).astype("<f4") for i, name in names]
+    entries = [{"name": f"block{i}.{name}", "shape": list(a.shape)} for (i, name), a in zip(names, arrays)]
+    for k, entry in enumerate(entries):
+        if k % 2:
+            entry["dtype"] = "f32"
+    header = {"schema": 1, "kind": "model", "config": vars(CFG), "meta": bundle.meta, "tensors": entries}
+    path = tmp_path / "v1.rqb"
+    path.write_bytes(_container(b"RQBNDL\x00\x01", header, [a.tobytes() for a in arrays]))
+    loaded = read_bundle(path)
+    assert loaded.config == CFG and loaded.rotation is None and loaded.qcfg is None
+    for (i, name), a in zip(names, arrays):
+        assert np.array_equal(getattr(loaded.blocks[i], name), a.astype(np.float64)), name
+
+    calib = np.random.default_rng(2).normal(size=(2, 4, 8)).astype("<f4")
+    header = {"schema": 1, "kind": "calibration", "synth": {}, "tensors": [{"name": "calib", "dtype": "f32",
+                                                                          "shape": [2, 4, 8]}]}
+    path.write_bytes(_container(b"RQBNDL\x00\x01", header, [calib.tobytes()]))
+    assert np.array_equal(read_calibration(path), calib.astype(np.float64))
+
+
+def _set_entry(name, **fields):
+    def mutate(header):
+        next(t for t in header["tensors"] if t["name"] == name).update(fields)
+        del header["schema"]  # room for longer values; the reader ignores the schema field
+        return header
+
+    return mutate
+
+
+def _patch_tensor(name, value):
+    """Raw-bytes mutation: the first f64 of tensor `name` becomes `value`."""
+
+    def patch(raw):
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        entry = next(t for t in json.loads(raw[16 : 16 + n])["tensors"] if t["name"] == name)
+        out = bytearray(raw)
+        struct.pack_into("<d", out, entry["offset"], value)
+        return bytes(out)
+
+    return patch
+
+
+def _v1_magic(raw):
+    return raw[:7] + b"\x01" + raw[8:]
+
+
+@pytest.mark.parametrize(
+    "header_mutation, raw_mutation, match",
+    [
+        (_set_entry("block0.bq", dtype="f16"), None, "block0.bq' has dtype 'f16'"),
+        (_set_entry("block0.wq", shape=[32, 34]), None, "shape \\(32, 34\\) disagrees with 512 B of u4"),
+        (lambda h: dict(h, bits=dict(h["bits"], w_bits=3)), None, "block0.wq holds a code above 7"),
+        (None, _patch_tensor("block0.wq.scale", -1.0), "block0.wq.scale holds a negative scale"),
+        (None, _patch_tensor("block1.wdown.scale", float("nan")), "block1.wdown.scale' at offset .* non-finite"),
+        (None, _patch_tensor("block0.wq.scale", float("inf")), "block0.wq.scale' at offset .* non-finite"),
+        (None, _v1_magic, "has dtype 'u4', not one of \\['f32'\\]"),
+        (_set_entry("block0.bq", dtype="u8", shape=[256]), None, "block0.bq is not a weight"),
+        (_drop_tensor("block1.wup.scale"), None, "block1.wup needs integer codes \\[rows x cols\\] and an f64 scale"),
+        (lambda h: {k: v for k, v in h.items() if k != "bits"}, None, "codes, but the header sets no weight bits"),
+    ],
+    ids=["unknown-dtype", "u4-nbytes", "code-above-bits", "scale-negative", "scale-nan", "scale-inf",
+         "v2-behind-v1-magic", "scale-of-a-bias", "codes-without-scale", "codes-without-bits"],
+)
+def test_quantized_file_format_errors(tmp_path, header_mutation, raw_mutation, match):
+    path = tmp_path / "q.rqb"
+    _write_quantized(path)
+    raw = path.read_bytes()
+    if header_mutation is not None:
+        raw = _mutated(raw, header_mutation)
+    if raw_mutation is not None:
+        raw = raw_mutation(raw)
+    path.write_bytes(raw)
+    with pytest.raises(BundleFormatError, match=match):
+        read_bundle(path)
+
+
+def test_params_and_calibration_hold_no_codes(tmp_path):
+    path = tmp_path / "p.rqb"
+    _write_params(path)
+    # an f64 scalar's 8 bytes read as 8 u8 codes of shape [8]
+    _rewrite_header(path, _set_entry("block0.alpha_qkv", dtype="u8", shape=[8]))
+    with pytest.raises(BundleFormatError, match="has dtype 'u8', not one of \\['f32', 'f64'\\]"):
+        read_params(path)
+
+
+def test_write_bundle_rejects_a_weight_off_its_lattice(tmp_path):
+    path = tmp_path / "q.rqb"
+    nudged = _quantized().bundle.copy()
+    w = nudged.blocks[1].wup
+    w[3, 5] = np.nextafter(w[3, 5], np.inf)
+    with pytest.raises(BundleFormatError, match="block1.wup: weights are off the lattice"):
+        write_bundle(path, nudged)
+    unscaled = _quantized().bundle.copy()
+    unscaled.qcfg = QuantConfig.for_bits(16, 4, 4, CFG.head_dim)  # row scales, but no weight quantizer
+    with pytest.raises(BundleFormatError, match="block0.wq: a weight scale needs a weight quantizer"):
+        write_bundle(path, unscaled)
+    assert not path.exists()
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -637,6 +849,82 @@ def test_cli_quantize_deterministic_outputs(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("quantized.rqb", "params.rqb", "report.json", "report.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def _quantize_tiny(tmp_path, seed=0, **overrides):
+    """gen + quantize on the TINY CLI config; returns (eval argv, quantize dir)."""
+    cfg = _tiny_config(tmp_path, **overrides)
+    gen_dir, q_dir = tmp_path / "g", tmp_path / "q"
+    assert main(["gen", "--config", cfg, "--out", str(gen_dir), "--seed", str(seed)]) == 0
+    inputs = ["--model", str(gen_dir / "model.rqb"), "--calib", str(gen_dir / "calib.rqb")]
+    assert main(["quantize", "--config", cfg, *inputs, "--out", str(q_dir), "--seed", str(seed)]) == 0
+    files = ["--quantized", str(q_dir / "quantized.rqb"), "--params", str(q_dir / "params.rqb")]
+    return ["eval", *inputs, *files], q_dir
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_eval_reproduces_final_mse(tmp_path, seed):
+    argv, q_dir = _quantize_tiny(tmp_path, seed)
+    assert main(argv + ["--out", str(tmp_path / "e1")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
+    document = (tmp_path / "e1" / "eval.json").read_bytes()
+    assert document == (tmp_path / "e2" / "eval.json").read_bytes()
+    final_mse = read_report(q_dir / "report.json").blocks[-1].mse_final  # the run's final_mse
+    assert json.loads(document) == {"schema": 1, "mse": final_mse}
+
+
+def test_cli_eval_file_errors_are_runtime_errors(tmp_path, capsys):
+    argv, q_dir = _quantize_tiny(tmp_path)
+    model, quantized, params = argv[2], argv[6], argv[8]
+    other = tmp_path / "other"  # hidden 16: a model of another shape
+    assert main(["gen", "--config", _tiny_config(tmp_path, hidden=16), "--out", str(other)]) == 0
+    wrong_params = tmp_path / "wrong_params.rqb"
+    write_params(wrong_params, [BlockParams.neutral(ModelConfig(hidden=32, heads=4, mlp_dim=64, n_blocks=1))])
+    cases = [
+        ("--quantized", model, f"{model}: not a quantized bundle"),
+        ("--model", str(other / "model.rqb"), f"{quantized}: shape ModelConfig(hidden=32"),
+        ("--params", str(wrong_params), f"{wrong_params}: block0.a_v has shape (8, 8), the model needs (16, 16)"),
+        ("--params", str(tmp_path / "nope.rqb"), "nope.rqb"),
+        ("--model", quantized, f"{quantized}: has a residual rotation fused in"),
+    ]
+    capsys.readouterr()
+    for flag, path, message in cases:
+        bad = list(argv)
+        bad[bad.index(flag) + 1] = path
+        assert main(bad + ["--out", str(tmp_path / "e")]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+    assert not (tmp_path / "e" / "eval.json").exists()
+
+
+def test_quantize_output_size_follows_the_code_layout(tmp_path):
+    # quantized.rqb + params.rqb stay within a budget computed from the
+    # layout: codes at bits/8 bytes per weight, 8 bytes per weight row (its
+    # scale), 8 bytes per other element, and per file and per tensor a fixed
+    # header and alignment allowance.  A weight stored as floats instead
+    # adds at least 7.5 bytes per element, 7680 for the smallest matrix.
+    _, q_dir = _quantize_tiny(tmp_path)
+    bundle = read_bundle(q_dir / "quantized.rqb")
+    params = read_params(q_dir / "params.rqb")
+    n_bytes, n_tensors = 0.0, 1  # the rotation
+    for bw in bundle.blocks:
+        for name in _TENSORS:
+            arr = getattr(bw, name)
+            if name in WEIGHT_NAMES:
+                n_bytes += arr.size * 4 / 8 + 8 * arr.shape[0]
+                n_tensors += 2
+            else:
+                n_bytes += 8 * arr.size
+                n_tensors += 1
+    n_bytes += 8 * bundle.rotation.matrix.size
+    for bp in params:
+        for f in bp.__dataclass_fields__:
+            n_bytes += 8 * np.size(getattr(bp, f))
+            n_tensors += 1
+    budget = n_bytes + 2 * 1024 + 160 * n_tensors
+    size = (q_dir / "quantized.rqb").stat().st_size + (q_dir / "params.rqb").stat().st_size
+    assert size <= budget
+    assert size + 7680 > budget  # one weight as floats would break it
 
 
 def test_cli_analyze(tmp_path):

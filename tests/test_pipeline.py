@@ -355,9 +355,9 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
     gptq = pl.gptq_quantize
 
     def recording(w, x, spec, **kwargs):
-        q = gptq(w, x, spec, **kwargs)
+        q, raw = gptq(w, x, spec, **kwargs)
         calls.append((w, x, spec, kwargs, q))
-        return q
+        return q, raw
 
     monkeypatch.setattr(pl, "gptq_quantize", recording)
     bundle, calib = _setup(3)
@@ -365,7 +365,7 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
     assert len(calls) == len(ACT_SITES) * SMALL.n_blocks
     for (w, x, spec, kwargs, q), names in zip(calls, list(ACT_SITES.values()) * SMALL.n_blocks):
         for w_part, q_part in zip(np.split(w, len(names)), np.split(q, len(names))):
-            assert np.array_equal(q_part, gptq(w_part, x, spec, **kwargs))
+            assert np.array_equal(q_part, gptq(w_part, x, spec, **kwargs)[0])
 
 
 @pytest.mark.parametrize(
@@ -504,6 +504,23 @@ def test_measured_noise_var_is_the_run_error(bits):
             assert want > 0.0
             assert got[(i, site)] == pytest.approx(want, rel=1e-12, abs=0.0), (i, site)
         assert got[(i, "k_cache")] is None and got[(i, "v_cache")] is None
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("flag", ["train_unpaired", "train_bias"])
+def test_stage2_trains_only_fields_an_enabled_quantizer_reads(flag, seed):
+    # activations pass through and the KV cache is on: no enabled quantizer
+    # reads the bias corrections or the unpaired scales, so stage 2 has
+    # nothing to train and the after-GPTQ forward is the final one
+    bundle, calib = _setup(seed)
+    flags = dict.fromkeys(("train_rv", "train_scale", "train_bias", "train_unpaired", "train_clip"), False)
+    result = run_pipeline(bundle, calib, _cfg(bits=(4, 16, 4), **dict(flags, **{flag: True})))
+    assert [s.mse_final for s in result.report.blocks] == [s.mse_after_gptq for s in result.report.blocks]
+    assert result.final_mse == result.report.blocks[-1].mse_after_gptq
+    neutral = BlockParams.neutral(SMALL)
+    for bp in result.params:
+        for f in fields(BlockParams):
+            assert np.array_equal(getattr(bp, f.name), getattr(neutral, f.name)), f.name
 
 
 def test_report_runs_no_noise_monte_carlo(monkeypatch):

@@ -400,7 +400,7 @@ def test_search_clip_memory_bounded():
 def test_gptq_identity_covariance_equals_rtn():
     w = np.random.default_rng(3).normal(size=(6, 8))
     x = hadamard_matrix(8) * 4.0  # X^T X = 16 I exactly
-    q = gptq_quantize(w, x, SYM_CHANNEL)
+    q, _ = gptq_quantize(w, x, SYM_CHANNEL)
     assert np.array_equal(q, np.asarray(rtn_quantize(w, SYM_CHANNEL)))
 
 
@@ -428,7 +428,7 @@ def test_gptq_1x2_b2_brute_force_enumeration():
     for w, corr, seed in cases:
         cov = np.array([[1.0, corr], [corr, 1.0]])
         x = np.random.default_rng(seed).normal(size=(64, 2)) @ np.linalg.cholesky(cov).T
-        q = gptq_quantize(w, x, spec)
+        q, _ = gptq_quantize(w, x, spec)
         _, best_loss = _brute_force_1x2(w, x, spec)
         loss = quant_proxy_loss(w, q, x)
         assert loss <= quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x) + 1e-12
@@ -441,7 +441,7 @@ def test_gptq_never_worse_than_rtn():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
-        lg = quant_proxy_loss(w, gptq_quantize(w, x, spec), x)
+        lg = quant_proxy_loss(w, gptq_quantize(w, x, spec)[0], x)
         lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x)
         assert lg <= lr + 1e-12, f"seed {seed}"
 
@@ -453,7 +453,7 @@ def test_gptq_actually_corrects():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
-        lg = quant_proxy_loss(w, gptq_quantize(w, x, SYM_CHANNEL), x)
+        lg = quant_proxy_loss(w, gptq_quantize(w, x, SYM_CHANNEL)[0], x)
         lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, SYM_CHANNEL)), x)
         wins += lg < lr - 1e-9
     assert wins >= 25
@@ -463,10 +463,26 @@ def test_gptq_output_on_lattice():
     rng = np.random.default_rng(12)
     w = rng.normal(size=(5, 16))
     x = rng.normal(size=(128, 16))
-    q = gptq_quantize(w, x, SYM_CHANNEL)
+    q, _ = gptq_quantize(w, x, SYM_CHANNEL)
     qp = resolve_params(w, SYM_CHANNEL)
     codes = (q - np.asarray(qp.zero)) / np.asarray(qp.scale)
     assert np.max(np.abs(codes - np.round(codes))) < 1e-8
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_gptq_returns_the_raw_scale_of_its_lattice(bits):
+    # the raw scale is max |w_row| times the step; its lattice is the one the
+    # rows were rounded on, so fake-quantizing q on it changes no bit
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=(6, 16))
+    w[2] = 0.0  # a dead row keeps its (zero) raw scale
+    spec = QuantSpec(bits, "symmetric", "per-channel")
+    q, raw = gptq_quantize(w, rng.normal(size=(64, 16)), spec)
+    assert raw.shape == (6,)
+    assert np.array_equal(raw, np.max(np.abs(w), axis=1) * (1.0 / (2 ** (bits - 1) - 1)))
+    lattice, resolved = spec.lattice(raw[:, None]), resolve_params(w, spec)
+    assert np.array_equal(lattice.scale, resolved.scale) and np.array_equal(lattice.zero, resolved.zero)
+    assert np.array_equal(fake_quantize(q, lattice, spec), q)
 
 
 def test_gptq_row_proxy_loss_is_the_three_operand_form():
@@ -485,12 +501,12 @@ def test_gptq_row_choice_unchanged_by_gemm_loss(monkeypatch):
         (rng.normal(size=(rows, cols)), rng.normal(size=(4 * cols, cols)) @ rng.normal(size=(cols, cols)))
         for rows, cols in [(16, 8)] * 4 + [(32, 64)] * 2
     ]
-    fast = [gptq_quantize(w, x, SYM_CHANNEL) for w, x in cases]
+    fast = [gptq_quantize(w, x, SYM_CHANNEL)[0] for w, x in cases]
     monkeypatch.setattr(
         quantizers, "_row_proxy_loss", lambda e, h: np.einsum("ij,jk,ik->i", e, h, e)
     )
     for (w, x), q in zip(cases, fast):
-        assert np.array_equal(q, gptq_quantize(w, x, SYM_CHANNEL))
+        assert np.array_equal(q, gptq_quantize(w, x, SYM_CHANNEL)[0])
 
 
 def test_gptq_ill_conditioned_error():
@@ -553,7 +569,7 @@ def test_gptq_matches_inverse_hessian_oracle(rows, cols, dead):
     x[:, rng.choice(cols, size=dead, replace=False)] = 0.0
     for bits in (3, 4):
         spec = QuantSpec(bits, "symmetric", "per-channel")
-        assert np.array_equal(gptq_quantize(w, x, spec), _gptq_inverse_hessian_oracle(w, x, spec))
+        assert np.array_equal(gptq_quantize(w, x, spec)[0], _gptq_inverse_hessian_oracle(w, x, spec))
 
 
 def test_gptq_memory_bounded():
