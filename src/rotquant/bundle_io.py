@@ -8,6 +8,10 @@ shape, absolute byte offset), then the raw little-endian tensor data, each
 first) plus those f64 scales and rebuilt on QuantSpec.lattice, so
 read(write(bundle)) is bit-exact.  v1 files (all f32) still read.
 
+A model's stage is what its file holds (gains, rotation, header bits).
+Older headers also carry a `meta` of four stage flags: a false one is
+ignored, and a true one without its rotation or bits is a format error.
+
 Reports are emitted as twins holding the same data: JSON for machine
 diffing, CSV (plus a channel-profile CSV) for plotting.
 """
@@ -43,6 +47,9 @@ _ALIGN = 64
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _FLOATS = {"f32": "<f4", "f64": "<f8"}
 _BITS = ("w_bits", "a_bits", "kv_bits")  # QuantConfig.for_bits's arguments
+_BLOCK_TENSORS = WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp")
+#: the stage flags of an older model header's `meta`
+_META_FLAGS = ("norms_folded", "rres_fused", "rv_scale_fused", "weights_quantized")
 
 
 class BundleFormatError(RuntimeError):
@@ -211,14 +218,14 @@ def write_bundle(path, bundle: ModelBundle):
     tensors = {}
     for i, bw in enumerate(bundle.blocks):
         scales = bw.scales or {}
-        for name in WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp"):
+        for name in _BLOCK_TENSORS:
             arr, key = getattr(bw, name), f"block{i}.{name}"
             if name in scales:
                 tensors[key] = _codes(key, arr, scales[name], bundle.qcfg and bundle.qcfg.weight)
                 tensors[key + ".scale"] = ("f64", scales[name])
             elif arr is not None:
                 tensors[key] = _floats(arr)
-    header = {"config": asdict(bundle.config), "meta": dict(bundle.meta)}
+    header = {"config": asdict(bundle.config)}
     if (q := bundle.qcfg) is not None:  # >= 16 disables a quantizer
         header["bits"] = dict(zip(_BITS, (16 if s is None else s.bits for s in (q.weight, q.act, q.kv))))
         if QuantConfig.for_bits(*header["bits"].values(), bundle.config.head_dim) != bundle.qcfg:
@@ -238,12 +245,12 @@ def _block_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def _reject_stray_tensors(path, tensors, n_blocks):
-    """A file never loads as fewer blocks than it holds."""
-    blocks = {f"block{i}" for i in range(n_blocks)}
-    stray = sorted(str(n) for n in tensors if str(n).split(".", 1)[0] not in blocks)
+def _reject_stray_tensors(path, tensors, n_blocks, names):
+    """A file never loads as fewer tensors than it holds (`block<i>.<name>` for i < n_blocks)."""
+    known = {f"block{i}.{name}" for i in range(n_blocks) for name in names}
+    stray = sorted(map(str, set(tensors) - known))
     if stray:
-        raise BundleFormatError(f"{path}: tensors {stray} belong to no block below n_blocks = {n_blocks}")
+        raise BundleFormatError(f"{path}: tensors {stray} name no field of a block below n_blocks = {n_blocks}")
 
 
 def read_bundle(path) -> ModelBundle:
@@ -251,7 +258,6 @@ def read_bundle(path) -> ModelBundle:
     try:
         c = header["config"]  # every field is required, though ModelConfig has defaults
         config = _from_json(ModelConfig, {f.name: c[f.name] for f in fields(ModelConfig)})
-        meta = dict(header["meta"])
         bits = [_json_value(k, "int", header["bits"][k]) for k in _BITS] if "bits" in header else None
         qcfg = bits and QuantConfig.for_bits(*bits, config.head_dim)  # a quantized bundle's
         rotation = tensors.pop("rotation", None)
@@ -261,14 +267,17 @@ def read_bundle(path) -> ModelBundle:
             rotation = Rotation(rotation)
     except (KeyError, TypeError, ValueError) as err:
         raise BundleFormatError(f"{path}: malformed model header or rotation: {err!r}") from err
-    flags = ModelBundle(config, []).meta
-    if not all(isinstance(meta.get(k), bool) for k in flags):
-        raise BundleFormatError(f"{path}: model meta must hold the boolean flags {sorted(flags)}")
-    _reject_stray_tensors(path, tensors, config.n_blocks)
+    meta = header.get("meta", dict.fromkeys(_META_FLAGS, False))  # a false flag is ignored
+    if not (isinstance(meta, dict) and all(isinstance(meta.get(k), bool) for k in _META_FLAGS)):
+        raise BundleFormatError(f"{path}: model meta must hold the boolean flags {list(_META_FLAGS)}")
+    held = {"rres_fused": rotation, "rv_scale_fused": qcfg, "weights_quantized": qcfg}
+    if unbacked := [k for k, evidence in held.items() if meta[k] and evidence is None]:
+        raise BundleFormatError(f"{path}: meta sets {unbacked}, but the file holds no rotation or bits for it")
+    _reject_stray_tensors(path, tensors, config.n_blocks, _BLOCK_TENSORS + tuple(w + ".scale" for w in WEIGHT_NAMES))
     blocks = []
     for i in range(config.n_blocks):
         kwargs, scales = {}, {}
-        for name in WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp"):
+        for name in _BLOCK_TENSORS:
             key = f"block{i}.{name}"
             arr, raw = tensors.get(key), tensors.get(key + ".scale")
             if raw is not None or arr is not None and arr.dtype == np.uint8:
@@ -286,7 +295,7 @@ def read_bundle(path) -> ModelBundle:
                     f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}"
                 )
         blocks.append(BlockWeights(**kwargs, scales=scales or None))
-    return ModelBundle(config, blocks, meta, rotation, qcfg)
+    return ModelBundle(config, blocks, rotation, qcfg)
 
 
 def write_calibration(path, calib, synth_meta=None):
@@ -319,7 +328,7 @@ def read_params(path, config: ModelConfig | None = None):
     out = []
     try:
         n_blocks = _json_value("n_blocks", "int", header["n_blocks"])
-        _reject_stray_tensors(path, tensors, n_blocks)
+        _reject_stray_tensors(path, tensors, n_blocks, [f.name for f in fields(BlockParams)])
         if want and n_blocks != config.n_blocks:
             raise BundleFormatError(f"{path}: {n_blocks} blocks of params, the model has {config.n_blocks}")
         for i in range(n_blocks):

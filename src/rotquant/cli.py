@@ -257,11 +257,11 @@ def cmd_quantize(args) -> int:
 def cmd_eval(args) -> int:
     """Calibration MSE of a quantized bundle and its params against the FP model."""
     model, quantized = read_bundle(args.model), read_bundle(args.quantized)
-    if quantized.qcfg is None or quantized.rotation is None or not quantized.meta["rv_scale_fused"]:
+    if quantized.qcfg is None or quantized.rotation is None:
         raise BundleFormatError(f"{args.quantized}: not a quantized bundle (no bit widths or rotation)")
     if quantized.config != model.config:
         raise BundleFormatError(f"{args.quantized}: shape {quantized.config} differs from {args.model}'s")
-    if model.meta["rres_fused"]:
+    if model.rotation is not None:
         raise BundleFormatError(f"{args.model}: has a residual rotation fused in; pass the original model")
     params = read_params(args.params, quantized.config)
     x = quantized.rotation.apply(read_calibration(args.calib))
@@ -347,7 +347,6 @@ def _check_variance_identity():
 
 
 def _check_fusion_equivalence():
-    from .model import fold_norms, fuse_rres
     from .transforms import random_hadamard
 
     tol = 1e-6

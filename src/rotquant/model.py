@@ -22,7 +22,7 @@ Rotation/scale bookkeeping (row-major convention, y = x @ W.T + b):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,27 +124,23 @@ class BlockWeights:
         return BlockWeights(**{k: c(getattr(self, k)) for k in self.__dataclass_fields__})
 
 
-def _default_meta():
-    return {
-        "norms_folded": False,
-        "rres_fused": False,
-        "rv_scale_fused": False,
-        "weights_quantized": False,
-    }
-
-
 @dataclass
 class ModelBundle:
     config: ModelConfig
     blocks: list
-    meta: dict = field(default_factory=_default_meta)
     #: the residual rotation fused into the weights (fuse_rres sets it)
     rotation: Rotation | None = None
-    #: the quantizers the bundle was calibrated for (quantize_blockwise sets it)
+    #: the quantizers the bundle was calibrated for (quantize_blockwise sets it);
+    #: its value rotation and scales are then fused, its weights on their lattice
     qcfg: QuantConfig | None = None
 
+    @property
+    def norms_folded(self) -> bool:
+        """No block holds a norm gain (fold_norms moved them into the weights)."""
+        return all(bw.g_attn is None and bw.g_mlp is None for bw in self.blocks)
+
     def copy(self) -> "ModelBundle":
-        return ModelBundle(self.config, [b.copy() for b in self.blocks], dict(self.meta), self.rotation, self.qcfg)
+        return ModelBundle(self.config, [b.copy() for b in self.blocks], self.rotation, self.qcfg)
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -366,21 +362,15 @@ def fold_norms(bundle: ModelBundle) -> ModelBundle:
 
     Precondition for sharing one residual rotation across blocks: after
     folding, the norm is a pure x / rms(x), which commutes with rotation.
+    The folded blocks hold no gains, so folding again changes nothing.
     """
     out = bundle.copy()
-    if out.meta["norms_folded"]:
-        return out
     for bw in out.blocks:
-        ga = bw.g_attn if bw.g_attn is not None else np.ones(bundle.config.hidden)
-        gm = bw.g_mlp if bw.g_mlp is not None else np.ones(bundle.config.hidden)
-        bw.wq = bw.wq * ga[None, :]
-        bw.wk = bw.wk * ga[None, :]
-        bw.wv = bw.wv * ga[None, :]
-        bw.wgate = bw.wgate * gm[None, :]
-        bw.wup = bw.wup * gm[None, :]
-        bw.g_attn = np.ones_like(ga)
-        bw.g_mlp = np.ones_like(gm)
-    out.meta["norms_folded"] = True
+        for gain, readers in ((bw.g_attn, ("wq", "wk", "wv")), (bw.g_mlp, ("wgate", "wup"))):
+            if gain is not None:
+                for name in readers:
+                    setattr(bw, name, getattr(bw, name) * gain[None, :])
+        bw.g_attn = bw.g_mlp = None
     return out
 
 
@@ -389,9 +379,10 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
 
     Residual readers (wq, wk, wv, wgate, wup) take M on the input axis;
     residual writers (wo, wdown, and their biases) take M^T on the output
-    axis.  The fused bundle consumes and produces the rotated stream.
+    axis.  The fused bundle consumes and produces the rotated stream.  On
+    a bundle already rotated by M0, the fused rotation is M0 @ M.
     """
-    if not bundle.meta["norms_folded"]:
+    if not bundle.norms_folded:
         raise RuntimeError("fold norms first")
     if rotation.dim != bundle.config.hidden:
         raise ValueError(f"rotation dim {rotation.dim} != hidden {bundle.config.hidden}")
@@ -406,8 +397,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
             bw.bo = bw.bo @ m
         if bw.bdown is not None:
             bw.bdown = bw.bdown @ m
-    out.meta["rres_fused"] = True
-    out.rotation = None if bundle.meta["rres_fused"] else rotation  # twice fused: no single rotation
+    out.rotation = rotation if bundle.rotation is None else Rotation(bundle.rotation.matrix @ m)
     return out
 
 
@@ -519,12 +509,12 @@ def _kv_quantize(t, spec, alpha, rec, name):
 
 def forward_fp_block(bundle: ModelBundle, index: int, x):
     """Floating-point reference forward of one block (no online rotations)."""
-    if bundle.meta["weights_quantized"] or bundle.meta["rv_scale_fused"]:
+    if bundle.qcfg is not None:
         raise RuntimeError("FP reference forward requires a pristine (unquantized) bundle")
     xb, squeeze = _as_batched(x)
     bw = bundle.blocks[index]
     config = bundle.config
-    b_dim, seq = xb.shape[0], xb.shape[1]
+    seq = xb.shape[1]
     n = config.hidden
 
     u = ad.rmsnorm(xb, config.eps)
@@ -563,11 +553,11 @@ def forward_quant_block(
     """Quantized forward of one block.
 
     weight_override supplies an already-quantized effective weight/bias dict
-    (lattice values).  Without it, the effective weights of a bundle whose
-    weights are not yet quantized are round-to-nearest-quantized on the fly
-    (the stages before the Hessian-aware pass).  On a bundle whose value
-    rotation and scales were already fused, the stored weights are used
-    as-is and bp's s/a_v fields are ignored.
+    (lattice values).  Without it, the effective weights of an unquantized
+    bundle are round-to-nearest-quantized on the fly (the stages before the
+    Hessian-aware pass).  A quantized bundle (one with a qcfg) holds its
+    weights fused and on their lattice: they are used as they are, bp's
+    s/a_v fields are ignored, and `qcfg` must be the bundle's.
     """
     xb, squeeze = _as_batched(x)
     config = bundle.config
@@ -576,20 +566,21 @@ def forward_quant_block(
     h, d, n = config.heads, config.head_dim, config.hidden
     if qcfg.kv is not None and qcfg.kv.head_dim != d:
         raise ValueError(f"kv head_dim {qcfg.kv.head_dim} != model head_dim {d}: KV groups would straddle heads")
+    if bundle.qcfg is not None and qcfg != bundle.qcfg:
+        raise ValueError(f"the bundle was quantized for {bundle.qcfg}, not {qcfg}")
 
     if weight_override is not None:
         weights = weight_override
+    elif bundle.qcfg is not None:
+        weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
     else:
-        if bundle.meta["rv_scale_fused"]:
-            weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
-        else:
-            weights = effective_weights(bw, bp, config)
-        if qcfg.weight is not None and not bundle.meta["weights_quantized"]:
+        weights = effective_weights(bw, bp, config)
+        if qcfg.weight is not None:
             rtn = {nm: rtn_quantize(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES}
             weights = dict(weights, **rtn)
 
     u = ad.rmsnorm(xb, config.eps)
-    if bw.g_attn is not None and not np.all(value_of(bw.g_attn) == 1.0):
+    if bw.g_attn is not None:
         u = u * bw.g_attn
     u = _site_quantize(u, qcfg.act, bp.bc_qkv, None, bp.alpha_qkv, rec, "qkv")
     q = _linear(u, weights["wq"], weights["bq"])
@@ -608,7 +599,7 @@ def forward_quant_block(
     xb = xb + _linear(ctx, weights["wo"], weights["bo"])
 
     u2 = ad.rmsnorm(xb, config.eps)
-    if bw.g_mlp is not None and not np.all(value_of(bw.g_mlp) == 1.0):
+    if bw.g_mlp is not None:
         u2 = u2 * bw.g_mlp
     u2 = _site_quantize(u2, qcfg.act, bp.bc_up, None, bp.alpha_up, rec, "up")
     gate = _linear(u2, weights["wgate"], weights["bgate"])

@@ -142,7 +142,7 @@ class PipelineResult:
 
 def compute_rres(bundle: ModelBundle) -> Rotation:
     """Residual rotation from the covariance of all residual-reading weights."""
-    if not bundle.meta["norms_folded"]:
+    if not bundle.norms_folded:
         raise RuntimeError("fold norms first")
     readers = []
     for bw in bundle.blocks:
@@ -161,7 +161,7 @@ def build_rres(bundle: ModelBundle, cfg: PipelineConfig) -> Rotation:
 
 def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig):
     """Fold norms, choose the residual rotation, fuse it into the weights."""
-    if bundle.meta["rres_fused"]:
+    if bundle.rotation is not None:
         raise RuntimeError("the bundle already has a residual rotation fused in; pass the original model")
     folded = fold_norms(bundle)
     rotation = build_rres(folded, cfg)
@@ -319,8 +319,8 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         raise ValueError("calibration must be a nonempty [sequences x seq_len x hidden] tensor")
     if calib.shape[-1] != bundle.config.hidden:
         raise ValueError(f"calibration width {calib.shape[-1]} != hidden {bundle.config.hidden}")
-    if not (bundle.meta["norms_folded"] and bundle.meta["rres_fused"]):
-        raise RuntimeError("bundle must be norm-folded and rotation-fused (see prepare_bundle)")
+    if not bundle.norms_folded or bundle.rotation is None or bundle.qcfg is not None:
+        raise RuntimeError("bundle must be norm-folded, rotation-fused and not quantized (see prepare_bundle)")
 
     ad.GRAD_TRACKER.reset()
     out_blocks, all_params, blocks, records = [], [], [], []
@@ -332,9 +332,7 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         blocks.append(block_mse)
         records.extend(block_records)
 
-    out = ModelBundle(bundle.config, out_blocks, dict(bundle.meta), bundle.rotation, cfg.qcfg)
-    out.meta["rv_scale_fused"] = True
-    out.meta["weights_quantized"] = cfg.qcfg.weight is not None
+    out = ModelBundle(bundle.config, out_blocks, bundle.rotation, cfg.qcfg)
 
     max_block = max(bp.n_params() for bp in all_params)
     peak = ad.GRAD_TRACKER.peak

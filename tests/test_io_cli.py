@@ -1,6 +1,7 @@
 """File formats, run configuration, and the command-line surface."""
 
 import ast
+import contextlib
 import functools
 import json
 import os
@@ -8,12 +9,14 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rotquant import bundle_io
 from rotquant.analysis import BlockMse, ErrorReport, SiteRecord
 from rotquant.bundle_io import (
     BundleFormatError,
@@ -72,7 +75,7 @@ def test_bundle_roundtrip_bit_exact_after_f32(tmp_path):
                 assert getattr(b, name).dtype == np.float64
                 assert np.array_equal(getattr(a, name).astype(np.float64), getattr(b, name)), name
         assert loaded.config == bundle.config
-        assert loaded.meta == bundle.meta
+        assert (loaded.rotation, loaded.qcfg, loaded.norms_folded) == (None, None, False)
 
     # writing the loaded f64 bundle reproduces its file byte for byte
     path = tmp_path / "f64.rqb"
@@ -200,6 +203,51 @@ def _write_quantized(path):
     write_bundle(path, _quantized().bundle)
 
 
+@contextlib.contextmanager
+def _extra_in_files(header=None, tensors=None):
+    """Every container written inside adds the keys of `header` to its
+    header and the {name: (dtype, array)} entries of `tensors` to its data."""
+    write = bundle_io._write_container
+
+    def patched(path, kind, header_extra, table):
+        write(path, kind, dict(header_extra, **(header or {})), dict(table, **(tensors or {})))
+
+    with mock.patch.object(bundle_io, "_write_container", patched):
+        yield
+
+
+_NO_FLAGS = dict.fromkeys(("norms_folded", "rres_fused", "rv_scale_fused", "weights_quantized"), False)
+
+
+def _write_legacy(path, bundle, **flags):
+    """`bundle` in the layout of files written before a bundle's stage was
+    read from its contents: every block stores its norm gains (all ones once
+    folded), and the header holds `meta`, four stage flags, false unless set."""
+    legacy = bundle.copy()
+    for bw in legacy.blocks:
+        if bw.g_attn is None:
+            bw.g_attn, bw.g_mlp = np.ones(bundle.config.hidden), np.ones(bundle.config.hidden)
+    with _extra_in_files(header={"meta": dict(_NO_FLAGS, **flags)}):
+        write_bundle(path, legacy)
+
+
+def _write_legacy_model(path):
+    _write_legacy(path, build_toy_model(CFG, seed=0))
+
+
+def _write_params_with_stray(path):
+    with _extra_in_files(tensors={"block0.bc_xx": ("f64", np.zeros(CFG.hidden))}):
+        _write_params(path)
+
+
+def _set_meta(**flags):
+    def mutate(header):
+        header["meta"].update(flags)  # false -> true shortens the header
+        return header
+
+    return mutate
+
+
 def _rename_tensor(old, new):
     def mutate(header):
         next(t for t in header["tensors"] if t["name"] == old)["name"] = new
@@ -213,7 +261,9 @@ def _rename_tensor(old, new):
     [
         (_write_model, read_bundle, _drop("offset", index=0), "offset"),
         (_write_model, read_bundle, _drop("config"), "config"),
-        (_write_model, read_bundle, lambda h: dict(h, meta={}), "meta"),
+        (_write_legacy_model, read_bundle, lambda h: dict(h, meta={}), "meta must hold the boolean flags"),
+        (_write_legacy_model, read_bundle, _set_meta(rres_fused=True), "meta sets \\['rres_fused'\\]"),
+        (_write_legacy_model, read_bundle, _set_meta(weights_quantized=True), "meta sets \\['weights_quantized'\\]"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
         # a two-block params file never loads as fewer blocks
@@ -232,11 +282,15 @@ def _rename_tensor(old, new):
         (_write_model, read_bundle, _set_config(eps=-0.01), "eps: must be > 0"),
         # the name keeps its length, so the tensor table stays valid
         (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bk"), "'block0.bk' appears twice"),
+        (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bx"), "\\['block0.bx'\\] name no field"),
+        (_write_params_with_stray, read_params, lambda h: h, "\\['block0.bc_xx'\\] name no field"),
     ],
     ids=[
         "no-offset",
         "no-config",
         "no-meta-flags",
+        "meta-rotated-without-rotation",
+        "meta-quantized-without-bits",
         "tensors-not-list",
         "params-missing-tensor",
         "params-n_blocks-float",
@@ -250,6 +304,8 @@ def _rename_tensor(old, new):
         "config-n_blocks-short",
         "config-eps-negative",
         "duplicate-name",
+        "unknown-field",
+        "params-unknown-field",
     ],
 )
 def test_malformed_header_is_format_error(tmp_path, write, read, mutate, match):
@@ -350,12 +406,15 @@ def test_quantized_bundle_and_params_reload_bit_exact(tmp_path, bits):
     assert _header(path)["bits"] == dict(zip(("w_bits", "a_bits", "kv_bits"), bits))
 
     loaded = read_bundle(path)
-    assert loaded.config == result.bundle.config and loaded.meta == result.bundle.meta
+    assert loaded.config == result.bundle.config and loaded.norms_folded
     assert loaded.qcfg == result.bundle.qcfg
     assert _bits_equal(loaded.rotation.matrix, result.rotation.matrix)
     for a, b in zip(result.bundle.blocks, loaded.blocks):
         for name in _TENSORS:
-            assert _bits_equal(getattr(a, name), getattr(b, name)), name
+            if name in ("g_attn", "g_mlp"):  # folded into the weights
+                assert getattr(a, name) is None and getattr(b, name) is None, name
+            else:
+                assert _bits_equal(getattr(a, name), getattr(b, name)), name
         assert (a.scales is None) == (b.scales is None) == (bits[0] >= 16)
         for name in a.scales or {}:
             assert _bits_equal(a.scales[name], b.scales[name]), name
@@ -393,7 +452,8 @@ def test_v1_file_still_reads(tmp_path):
     for k, entry in enumerate(entries):
         if k % 2:
             entry["dtype"] = "f32"
-    header = {"schema": 1, "kind": "model", "config": vars(CFG), "meta": bundle.meta, "tensors": entries}
+    meta = {"norms_folded": False, "rres_fused": False, "rv_scale_fused": False, "weights_quantized": False}
+    header = {"schema": 1, "kind": "model", "config": vars(CFG), "meta": meta, "tensors": entries}
     path = tmp_path / "v1.rqb"
     path.write_bytes(_container(b"RQBNDL\x00\x01", header, [a.tobytes() for a in arrays]))
     loaded = read_bundle(path)
@@ -897,6 +957,35 @@ def test_cli_eval_file_errors_are_runtime_errors(tmp_path, capsys):
     assert not (tmp_path / "e" / "eval.json").exists()
 
 
+def _legacy_quantized(tmp_path, seed, **flags):
+    """(eval argv on a quantized.rqb rewritten in the older layout with
+    `flags`, the run's quantize dir)."""
+    argv, q_dir = _quantize_tiny(tmp_path, seed)
+    legacy = tmp_path / "legacy.rqb"
+    _write_legacy(legacy, read_bundle(q_dir / "quantized.rqb"), **flags)
+    argv[argv.index("--quantized") + 1] = str(legacy)
+    return argv, q_dir
+
+
+def test_legacy_false_flag_keeps_the_lattice_weights(tmp_path):
+    # weights_quantized false: the weights are still used as they are.  On
+    # seed 1, some rows' largest code is below the top level, so rounding
+    # them to nearest again would move them and the mse
+    argv, q_dir = _legacy_quantized(tmp_path, 1, norms_folded=True, rres_fused=True, rv_scale_fused=True)
+    assert main(argv + ["--out", str(tmp_path / "e")]) == 0
+    final_mse = read_report(q_dir / "report.json").blocks[-1].mse_final
+    assert json.loads((tmp_path / "e" / "eval.json").read_bytes()) == {"schema": 1, "mse": final_mse}
+
+
+def test_legacy_all_flags_false_is_still_rotated(tmp_path, capsys):
+    argv, _ = _legacy_quantized(tmp_path, 0)
+    inputs = ["--model", argv[argv.index("--quantized") + 1], "--calib", argv[argv.index("--calib") + 1]]
+    capsys.readouterr()
+    assert main(["quantize", "--config", _tiny_config(tmp_path), *inputs, "--out", str(tmp_path / "q2")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "residual rotation" in err and "Traceback" not in err, err
+
+
 def test_quantize_output_size_follows_the_code_layout(tmp_path):
     # quantized.rqb + params.rqb stay within a budget computed from the
     # layout: codes at bits/8 bytes per weight, 8 bytes per weight row (its
@@ -910,6 +999,8 @@ def test_quantize_output_size_follows_the_code_layout(tmp_path):
     for bw in bundle.blocks:
         for name in _TENSORS:
             arr = getattr(bw, name)
+            if arr is None:  # a folded gain, which the file does not hold
+                continue
             if name in WEIGHT_NAMES:
                 n_bytes += arr.size * 4 / 8 + 8 * arr.shape[0]
                 n_tensors += 2
@@ -1165,6 +1256,17 @@ def test_cli_config_checks_the_model_files_shape(tmp_path):
     inputs = _gen_small(tmp_path, hidden=128, heads=128, mlp_dim=16)
     config = _write_json(tmp_path / "heads.json", {"heads": 128})
     assert main(["analyze", *inputs, "--config", config, "--out", str(tmp_path / "a")]) == 0
+
+
+def test_forward_quant_runs_a_quantized_bundle_only_with_its_qcfg():
+    from rotquant.model import forward_quant
+
+    result = _quantized()
+    x = np.random.default_rng(0).normal(size=(2, 4, CFG.hidden))
+    forward_quant(result.bundle, result.params, QuantConfig.for_bits(4, 4, 4, CFG.head_dim), x)
+    for bits in ((8, 4, 4), (4, 16, 4), (16, 16, 16)):
+        with pytest.raises(ValueError, match="the bundle was quantized for"):
+            forward_quant(result.bundle, result.params, QuantConfig.for_bits(*bits, CFG.head_dim), x)
 
 
 def test_forward_quant_block_rejects_kv_groups_across_heads():

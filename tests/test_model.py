@@ -123,7 +123,11 @@ def test_fold_norms_preserves_forward():
     y1 = np.asarray(forward_fp(folded, x))
     assert np.max(np.abs(y0 - y1)) / np.max(np.abs(y0)) < 1e-12
     for bw in folded.blocks:
-        assert np.all(bw.g_attn == 1.0)
+        assert bw.g_attn is None and bw.g_mlp is None
+    assert folded.norms_folded and not bundle.norms_folded
+    again = fold_norms(folded)  # nothing left to fold
+    for a, b in zip(folded.blocks, again.blocks):
+        assert np.array_equal(a.wq, b.wq) and np.array_equal(a.wup, b.wup)
 
 
 def test_fuse_requires_folded_norms():
@@ -166,6 +170,17 @@ def test_double_fusion_restores_weights():
         for name in ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-9
         assert np.max(np.abs(a.bo - b.bo)) < 1e-9
+
+
+def test_fuse_rres_twice_composes_the_rotations():
+    folded = fold_norms(build_toy_model(CFG, seed=3))
+    r1, r2 = random_hadamard(64, 9), random_hadamard(64, 10)
+    twice = fuse_rres(fuse_rres(folded, r1), r2)
+    assert np.max(np.abs(twice.rotation.matrix - r1.matrix @ r2.matrix)) <= 1e-12
+    once = fuse_rres(folded, twice.rotation)
+    for a, b in zip(once.blocks, twice.blocks):
+        for name in ("wq", "wo", "wdown"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-9
 
 
 # -- quantized forward --------------------------------------------------------------------

@@ -217,8 +217,8 @@ def test_quantized_bundle_runs_standalone():
     bundle, calib = _setup(8)
     cfg = _cfg(with_report=True)
     result = run_pipeline(bundle, calib, cfg)
-    assert result.bundle.meta["weights_quantized"]
-    assert result.bundle.meta["rv_scale_fused"]
+    assert result.bundle.qcfg == cfg.qcfg
+    assert all(bw.scales for bw in result.bundle.blocks)
     x = rotated = result.rotation.apply(calib)
     y = forward_quant(result.bundle, result.params, cfg.qcfg, x)
     prepared, _ = prepare_bundle(bundle, cfg)
