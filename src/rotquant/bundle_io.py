@@ -11,6 +11,8 @@ read(write(bundle)) is bit-exact.  v1 files (all f32) still read.
 A model's stage is what its file holds (gains, rotation, header bits).
 Older headers also carry a `meta` of four stage flags: a false one is
 ignored, and a true one without its rotation or bits is a format error.
+Under a true `norms_folded` such files store all-ones gains, which read
+as no gains; any other gain there is a format error.
 
 Reports are emitted as twins holding the same data: JSON for machine
 diffing, CSV (plus a channel-profile CSV) for plotting.
@@ -294,6 +296,11 @@ def read_bundle(path) -> ModelBundle:
                 raise BundleFormatError(
                     f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}"
                 )
+        if meta["norms_folded"]:  # such files store the folded gains as ones
+            for name in ("g_attn", "g_mlp"):
+                if kwargs[name] is not None and np.any(kwargs[name] != 1.0):
+                    raise BundleFormatError(f"{path}: meta sets norms_folded, but block{i}.{name} is not all ones")
+                kwargs[name] = None
         blocks.append(BlockWeights(**kwargs, scales=scales or None))
     return ModelBundle(config, blocks, rotation, qcfg)
 

@@ -69,15 +69,16 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     """End-to-end run settings.  The library types they build own the rules
-    on their values; validate() reports the violations before work starts."""
+    on their values and the defaults of the fields they share; validate()
+    reports the violations before work starts."""
 
     seed: int = 0
     # model: gen builds it; the other commands read its shape from the model file
     MODEL_FIELDS = ("hidden", "heads", "mlp_dim", "n_blocks")
-    hidden: int = 64
-    heads: int = 4
-    mlp_dim: int = 256
-    n_blocks: int = 2
+    hidden: int = ModelConfig.hidden
+    heads: int = ModelConfig.heads
+    mlp_dim: int = ModelConfig.mlp_dim
+    n_blocks: int = ModelConfig.n_blocks
     # synthetic data
     calib_sequences: int = 128
     seq_len: int = 8
@@ -89,15 +90,15 @@ class RunConfig:
     a_bits: int = 4
     kv_bits: int = 4
     # schedule
-    stage1_epochs: int = 3
-    stage2_epochs: int = 5
-    steps_per_epoch: int = 10
-    lr_scale: float = 1e-2
-    lr_bias: float = 1e-3
-    lr_clip: float = 1e-2
+    stage1_epochs: int = StageSchedule.stage1_epochs
+    stage2_epochs: int = StageSchedule.stage2_epochs
+    steps_per_epoch: int = StageSchedule.steps_per_epoch
+    lr_scale: float = StageSchedule.lr_scale
+    lr_bias: float = StageSchedule.lr_bias
+    lr_clip: float = StageSchedule.lr_clip
     # rotations
-    rres_kind: str = "pca-hadamard"
-    gptq_damp: float = 0.01
+    rres_kind: str = PipelineConfig.rres_kind
+    gptq_damp: float = PipelineConfig.gptq_damp
     mode: str | None = None
     # toy-model extras
     weight_outlier_cols: int = 2
@@ -279,9 +280,9 @@ def cmd_analyze(args) -> int:
     out, bundle, calib, cfg = _load_inputs(args)
     # post-rotation analysis: prepare exactly as the quantizer would, then
     # collect every quantizer-site input on the floating-point forward
-    prepared, rotation = prepare_bundle(bundle, cfg)
+    prepared = prepare_bundle(bundle, cfg)
     neutral = [BlockParams.neutral(prepared.config) for _ in prepared.blocks]
-    layers = site_layers(prepared, neutral, QuantConfig(None, None, None), rotation.apply(calib))
+    layers = site_layers(prepared, neutral, QuantConfig(None, None, None), prepared.rotation.apply(calib))
     report = emit_report(layers, cfg.qcfg)
     write_report(out / "analysis", report)
     worst = max(report.records, key=lambda r: r.var_of_means_fraction)

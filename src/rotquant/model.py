@@ -380,8 +380,12 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
     Residual readers (wq, wk, wv, wgate, wup) take M on the input axis;
     residual writers (wo, wdown, and their biases) take M^T on the output
     axis.  The fused bundle consumes and produces the rotated stream.  On
-    a bundle already rotated by M0, the fused rotation is M0 @ M.
+    a bundle already rotated by M0, the fused rotation is M0 @ M.  A
+    quantized bundle is refused: rotating would move its weights off their
+    lattice.
     """
+    if bundle.qcfg is not None:
+        raise RuntimeError("the bundle is quantized; a rotation would move its weights off their lattice")
     if not bundle.norms_folded:
         raise RuntimeError("fold norms first")
     if rotation.dim != bundle.config.hidden:
@@ -547,17 +551,15 @@ def forward_quant_block(
     bp: BlockParams,
     qcfg: QuantConfig,
     x,
-    weight_override=None,
     rec=None,
 ):
     """Quantized forward of one block.
 
-    weight_override supplies an already-quantized effective weight/bias dict
-    (lattice values).  Without it, the effective weights of an unquantized
-    bundle are round-to-nearest-quantized on the fly (the stages before the
-    Hessian-aware pass).  A quantized bundle (one with a qcfg) holds its
-    weights fused and on their lattice: they are used as they are, bp's
-    s/a_v fields are ignored, and `qcfg` must be the bundle's.
+    A quantized bundle (one with a qcfg) holds its weights fused and on
+    their lattice: they are used as they are, bp's s/a_v fields are
+    ignored, and `qcfg` must be the bundle's.  An unquantized bundle's
+    effective weights are round-to-nearest-quantized on the fly (the stages
+    before the Hessian-aware pass).
     """
     xb, squeeze = _as_batched(x)
     config = bundle.config
@@ -569,9 +571,7 @@ def forward_quant_block(
     if bundle.qcfg is not None and qcfg != bundle.qcfg:
         raise ValueError(f"the bundle was quantized for {bundle.qcfg}, not {qcfg}")
 
-    if weight_override is not None:
-        weights = weight_override
-    elif bundle.qcfg is not None:
+    if bundle.qcfg is not None:
         weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
     else:
         weights = effective_weights(bw, bp, config)

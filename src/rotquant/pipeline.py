@@ -26,8 +26,6 @@ from . import autodiff as ad
 from .analysis import BlockMse, ErrorReport, emit_report
 from .model import (
     ACT_SITES,
-    BIAS_NAMES,
-    WEIGHT_NAMES,
     BlockParams,
     BlockWeights,
     ModelBundle,
@@ -159,13 +157,15 @@ def build_rres(bundle: ModelBundle, cfg: PipelineConfig) -> Rotation:
     return compute_rres(bundle)
 
 
-def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig):
-    """Fold norms, choose the residual rotation, fuse it into the weights."""
+def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig) -> ModelBundle:
+    """Fold norms, choose the residual rotation, fuse it into the weights.
+
+    The returned bundle holds the rotation it fused (`rotation`).
+    """
     if bundle.rotation is not None:
         raise RuntimeError("the bundle already has a residual rotation fused in; pass the original model")
     folded = fold_norms(bundle)
-    rotation = build_rres(folded, cfg)
-    return fuse_rres(folded, rotation), rotation
+    return fuse_rres(folded, build_rres(folded, cfg))
 
 
 def _clip_seeds(sites, qcfg: QuantConfig):
@@ -228,28 +228,31 @@ def _seed_bias(bp: BlockParams, sites):
     return bp
 
 
-def _quantize_block(bundle, i, x_fp, x_q, cfg):
-    """Fit block i against its floating-point target, then fix it.
+def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
+    """Fit block i of `bundle` against its floating-point target, then fix it.
 
     Stages: baseline, (1) paired scales and value rotation, GPTQ, (2) bias
     corrections, unpaired scales and clip factors.  Each parameter state
-    runs one forward, whose site records feed what follows it.  Returns (FP
-    output, quantized output, BlockParams, quantized BlockWeights, BlockMse,
-    report records); the records are empty unless cfg.with_report.
+    runs one forward, whose site records feed what follows it.  Until GPTQ
+    the forwards round the block's effective weights on the fly; GPTQ
+    appends the quantized block to the output bundle `out`, and every later
+    forward runs it from there, as `rotquant eval` runs the written file.
+    Returns (FP output, quantized output, BlockParams, BlockMse, report
+    records); the records are empty unless cfg.with_report.
     """
     qcfg, sched = cfg.qcfg, cfg.schedule
     y_fp = ad.value_of(forward_fp_block(bundle, i, x_fp))
     bp = BlockParams.neutral(bundle.config)
 
-    def forward(params, weights=None, rec=None):
-        y = ad.value_of(forward_quant_block(bundle, i, params, qcfg, x_q, weight_override=weights, rec=rec))
+    def forward(source, params, rec=None):
+        y = ad.value_of(forward_quant_block(source, i, params, qcfg, x_q, rec=rec))
         return y, mse(y, y_fp)
 
-    def loss(weights):
-        return lambda: mse(forward_quant_block(bundle, i, bp, qcfg, x_q, weight_override=weights), y_fp)
+    def loss(source):
+        return lambda: mse(forward_quant_block(source, i, bp, qcfg, x_q), y_fp)
 
     rec = {}
-    _, baseline = forward(bp, rec=rec)
+    _, baseline = forward(bundle, bp, rec)
     positive = (_SCALE_MIN, np.inf)
     groups = [
         (("s_o", "s_down"), sched.lr_scale, positive) if cfg.train_scale else None,
@@ -258,12 +261,12 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
     if any(groups):
         rec = {}  # free the baseline records while stage 1 trains
         steps = sched.stage1_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(None), steps, f"block {i}, scale/rotation stage")
-        forward(bp, rec=rec)
+        _train(bp, groups, loss(bundle), steps, f"block {i}, scale/rotation stage")
+        forward(bundle, bp, rec)
 
     # stage 2 trains none of the fields effective_weights reads
-    eff = _effective_arrays(bundle, i, bp)
-    weights_q, scales = _gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp)
+    eff = effective_weights(bundle.blocks[i], bp, bundle.config)
+    out.blocks.append(_gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp))
 
     def group(on, names, lr, bounds):  # only the fields an enabled quantizer reads
         names = tuple(f for f in names if (qcfg.kv if f in ("alpha_k", "alpha_v") else qcfg.act) is not None)
@@ -275,7 +278,7 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
         group(cfg.train_clip, BlockParams.ALPHA_FIELDS, sched.lr_clip, (_ALPHA_MIN, 1.0)),
     ]
     rec = {}
-    y_q, after_gptq = forward(bp, weights_q, rec)
+    y_q, after_gptq = forward(out, bp, rec)
     final = after_gptq
 
     # without a field to train the after-GPTQ forward is also the final one
@@ -290,19 +293,18 @@ def _quantize_block(bundle, i, x_fp, x_q, cfg):
         if cfg.train_clip:
             seeds = _clip_seeds(rec, qcfg)
             candidates.extend([replace(c, **seeds) for c in candidates])
-        scores = [after_gptq] + [forward(c, weights_q)[1] for c in candidates[1:]]
+        scores = [after_gptq] + [forward(out, c)[1] for c in candidates[1:]]
         bp = candidates[int(np.argmin(scores))]
         rec = {}  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(weights_q), steps, f"block {i}, correction stage")
-        y_q, final = forward(bp, weights_q, rec)
+        _train(bp, groups, loss(out), steps, f"block {i}, correction stage")
+        y_q, final = forward(out, bp, rec)
 
     records = []
     if cfg.with_report:
-        rows = [(*row, _measured_noise_var(rec, row[1], row[3], eff)) for row in _site_rows(i, rec, weights_q)]
-        records = emit_report(rows, qcfg).records
-    block = _finalize_block(bundle.blocks[i], weights_q, scales)
-    return y_fp, y_q, bp.as_arrays(), block, BlockMse(i, baseline, after_gptq, final), records
+        rows = _site_rows(i, rec, vars(out.blocks[i]))
+        records = emit_report([(*row, _measured_noise_var(rec, row[1], row[3], eff)) for row in rows], qcfg).records
+    return y_fp, y_q, bp.as_arrays(), BlockMse(i, baseline, after_gptq, final), records
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
@@ -323,16 +325,14 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         raise RuntimeError("bundle must be norm-folded, rotation-fused and not quantized (see prepare_bundle)")
 
     ad.GRAD_TRACKER.reset()
-    out_blocks, all_params, blocks, records = [], [], [], []
+    out = ModelBundle(bundle.config, [], bundle.rotation, cfg.qcfg)
+    all_params, blocks, records = [], [], []
     x_fp = x_q = calib  # floating-point targets always come from the pristine chain
     for i in range(len(bundle.blocks)):
-        x_fp, x_q, bp, block, block_mse, block_records = _quantize_block(bundle, i, x_fp, x_q, cfg)
-        out_blocks.append(block)
+        x_fp, x_q, bp, block_mse, block_records = _quantize_block(bundle, out, i, x_fp, x_q, cfg)
         all_params.append(bp)
         blocks.append(block_mse)
         records.extend(block_records)
-
-    out = ModelBundle(bundle.config, out_blocks, bundle.rotation, cfg.qcfg)
 
     max_block = max(bp.n_params() for bp in all_params)
     peak = ad.GRAD_TRACKER.peak
@@ -351,41 +351,27 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     )
 
 
-def _gptq_block(eff, rec, spec, damp):
-    """Hessian-aware rounding of one block's effective weights `eff`, with
-    the site inputs `rec` recorded by the forward at the same parameters.
+def _gptq_block(eff, rec, spec, damp) -> BlockWeights:
+    """The quantized block: Hessian-aware rounding of one block's effective
+    weights `eff`, with the site inputs `rec` recorded by the forward at the
+    same parameters.
 
-    Returns a copy of `eff` with the seven matrices replaced by their
-    lattice versions (biases stay floating point), and the raw scales of
-    their rows by name (None without a weight quantizer).  A site's
+    The seven matrices sit on their lattice, with the raw scales of their
+    rows in `scales`; biases stay floating point.  Without a weight
+    quantizer the block holds `eff` as it is and no scales.  A site's
     matrices share its Hessian, so GPTQ rounds them stacked.
     """
-    out = dict(eff)
+    block = {name: None if v is None else np.array(v, dtype=np.float64) for name, v in eff.items()}
     if spec is None:
-        return out, None
+        return BlockWeights(**block)
     scales = {}
     for site, weight_names in ACT_SITES.items():
         mats = [eff[name] for name in weight_names]
         q, raw = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec, damp=damp)
         cuts = np.cumsum([len(m) for m in mats[:-1]])
-        out.update(zip(weight_names, np.split(q, cuts)))
+        block.update(zip(weight_names, np.split(q, cuts)))
         scales.update(zip(weight_names, np.split(raw, cuts)))
-    return out, scales
-
-
-def _effective_arrays(bundle, index, bp):
-    """effective_weights of block `index` at bp, as arrays."""
-    eff = effective_weights(bundle.blocks[index], bp, bundle.config)
-    return {k: None if v is None else np.asarray(ad.value_of(v)) for k, v in eff.items()}
-
-
-def _finalize_block(bw: BlockWeights, weights_q, scales) -> BlockWeights:
-    out = bw.copy()
-    for name in WEIGHT_NAMES + BIAS_NAMES:
-        w = weights_q[name]
-        setattr(out, name, None if w is None else np.array(w, copy=True))
-    out.scales = scales
-    return out
+    return BlockWeights(**block, scales=scales)
 
 
 def site_layers(bundle: ModelBundle, params, qcfg: QuantConfig, x):
@@ -432,9 +418,9 @@ def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineRes
 
     `calib` is [sequences x seq_len x hidden] in the original basis.
     """
-    prepared, rotation = prepare_bundle(bundle, cfg)
+    prepared = prepare_bundle(bundle, cfg)
     calib = np.asarray(calib, dtype=np.float64)
-    calib_rot = rotation.apply(calib)
+    calib_rot = prepared.rotation.apply(calib)
     return quantize_blockwise(prepared, calib_rot, cfg)
 
 

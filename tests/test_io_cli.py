@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -37,6 +38,7 @@ from rotquant.model import (
     QuantConfig,
     SynthSpec,
     build_toy_model,
+    fold_norms,
     gen_calibration,
 )
 from rotquant.pipeline import PipelineConfig, StageSchedule, run_pipeline
@@ -264,6 +266,7 @@ def _rename_tensor(old, new):
         (_write_legacy_model, read_bundle, lambda h: dict(h, meta={}), "meta must hold the boolean flags"),
         (_write_legacy_model, read_bundle, _set_meta(rres_fused=True), "meta sets \\['rres_fused'\\]"),
         (_write_legacy_model, read_bundle, _set_meta(weights_quantized=True), "meta sets \\['weights_quantized'\\]"),
+        (_write_legacy_model, read_bundle, _set_meta(norms_folded=True), "block0.g_attn is not all ones"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
         # a two-block params file never loads as fewer blocks
@@ -291,6 +294,7 @@ def _rename_tensor(old, new):
         "no-meta-flags",
         "meta-rotated-without-rotation",
         "meta-quantized-without-bits",
+        "meta-folded-with-gains",
         "tensors-not-list",
         "params-missing-tensor",
         "params-n_blocks-float",
@@ -441,6 +445,18 @@ def _container(magic, header, blobs):
     for blob in blobs:
         out += blob + b"\x00" * ((-len(blob)) % 64)
     return out
+
+
+def test_legacy_folded_gains_read_as_no_gains(tmp_path):
+    # the older layout stores a folded model's gains as ones
+    folded = fold_norms(build_toy_model(CFG, seed=0))
+    legacy, again, direct = tmp_path / "legacy.rqb", tmp_path / "again.rqb", tmp_path / "direct.rqb"
+    _write_legacy(legacy, folded, norms_folded=True)
+    bundle = read_bundle(legacy)
+    assert bundle.norms_folded
+    write_bundle(again, bundle)
+    write_bundle(direct, folded)
+    assert again.read_bytes() == direct.read_bytes()
 
 
 def test_v1_file_still_reads(tmp_path):
@@ -722,6 +738,16 @@ def test_runconfig_validates_bits_and_fields():
         RunConfig(rres_kind="fourier").validate()
     with pytest.raises(ConfigError, match="gptq_damp"):
         RunConfig(gptq_damp=2.0).validate()
+
+
+def test_runconfig_defaults_are_the_library_defaults():
+    rc = RunConfig()
+    assert rc.model_config() == ModelConfig()
+    assert rc.pipeline_config() == PipelineConfig(QuantConfig.for_bits(4, 4, 4, 16))
+    # misaligned's keyword defaults are restated in RunConfig; this pins them
+    got, want = rc.synth_spec(), SynthSpec.misaligned(64, 1024)
+    for field in dataclasses.fields(SynthSpec):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 def test_runconfig_rejects_unknown_fields(tmp_path):

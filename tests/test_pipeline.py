@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rotquant import autodiff as ad
+from rotquant import pipeline
 from rotquant.analysis import SiteRecord, emit_report
 from rotquant.model import (
     ACT_SITES,
@@ -19,6 +20,7 @@ from rotquant.model import (
     forward_fp,
     forward_quant,
     forward_quant_block,
+    fuse_rres,
     gen_calibration,
 )
 from rotquant.pipeline import (
@@ -34,7 +36,7 @@ from rotquant.pipeline import (
     site_layers,
 )
 from rotquant.quantizers import SCALE_FLOOR
-from rotquant.transforms import hadamard_matrix
+from rotquant.transforms import hadamard_matrix, random_hadamard
 
 SMALL = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
 SCHED = StageSchedule(steps_per_epoch=4)
@@ -181,12 +183,12 @@ def test_library_types_reject_bad_settings(build, field):
 
 def test_blockwise_locality():
     bundle, calib = _setup(5)
-    prepared, rotation = prepare_bundle(bundle, _cfg())
+    prepared = prepare_bundle(bundle, _cfg())
     hashes = [
         {name: _hash(getattr(bw, name)) for name in ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown")}
         for bw in prepared.blocks
     ]
-    quantize_blockwise(prepared, rotation.apply(calib), _cfg())
+    quantize_blockwise(prepared, prepared.rotation.apply(calib), _cfg())
     for bw, snap in zip(prepared.blocks, hashes):
         for name, digest in snap.items():
             assert _hash(getattr(bw, name)) == digest  # inputs never mutated
@@ -221,25 +223,60 @@ def test_quantized_bundle_runs_standalone():
     assert all(bw.scales for bw in result.bundle.blocks)
     x = rotated = result.rotation.apply(calib)
     y = forward_quant(result.bundle, result.params, cfg.qcfg, x)
-    prepared, _ = prepare_bundle(bundle, cfg)
+    prepared = prepare_bundle(bundle, cfg)
     y_fp = forward_fp(prepared, rotated)
     mse = float(np.mean((np.asarray(y) - np.asarray(y_fp)) ** 2))
-    assert mse == pytest.approx(result.final_mse, rel=1e-9)
+    assert mse == result.final_mse
     # report carries one record per quantizer site
     sites = {(r.block, r.site) for r in result.report.records}
     assert (0, "qkv") in sites and (1, "down") in sites and (0, "k_cache") in sites
     assert len(result.report.blocks) == 2
 
 
+def _block_bytes(bw):
+    """Every array of a BlockWeights, scales included, as (dtype, shape, bytes)."""
+    arrays = {k: v for k, v in vars(bw).items() if k != "scales"}
+    arrays.update({f"{k}.scale": v for k, v in (bw.scales or {}).items()})
+    return {k: None if v is None else (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("mode, on_quantized, total", [("scale", 52, 82), ("rotation-only", 2, 4)])
+def test_forwards_after_gptq_run_the_stored_block(monkeypatch, mode, on_quantized, total):
+    # GPTQ appends each block to the output bundle: the after-GPTQ forward,
+    # the stage-2 candidate scores, the stage-2 loss and the final forward
+    # all run the block that is stored, as `rotquant eval` runs the file
+    calls = []
+
+    def recording(bundle, index, *args, **kwargs):
+        calls.append((index, _block_bytes(bundle.blocks[index]) if bundle.qcfg is not None else None))
+        return forward_quant_block(bundle, index, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forward_quant_block", recording)
+    bundle, calib = _setup()
+    result = run_pipeline(bundle, calib, mode_config(_cfg(), mode))
+    stored = [(i, block) for i, block in calls if block is not None]
+    assert (len(stored), len(calls)) == (on_quantized, total)
+    for i, block in stored:
+        assert block == _block_bytes(result.bundle.blocks[i]), i
+
+
+def test_fuse_rres_refuses_a_quantized_bundle():
+    # a rotation would move the stored weights off their lattice
+    bundle, calib = _setup()
+    result = run_pipeline(bundle, calib, mode_config(_cfg(), "rotation-only"))
+    with pytest.raises(RuntimeError, match="quantized"):
+        fuse_rres(result.bundle, random_hadamard(SMALL.hidden, 1))
+
+
 def test_calibration_validation():
     bundle, calib = _setup(9)
-    prepared, rotation = prepare_bundle(bundle, _cfg())
+    prepared = prepare_bundle(bundle, _cfg())
     with pytest.raises(ValueError, match="sequences"):
         quantize_blockwise(prepared, np.zeros((0, 8, 32)), _cfg())
     with pytest.raises(ValueError, match="width"):
         quantize_blockwise(prepared, np.zeros((4, 8, 16)), _cfg())
     with pytest.raises(RuntimeError, match="fold"):
-        quantize_blockwise(bundle, rotation.apply(calib), _cfg())
+        quantize_blockwise(bundle, prepared.rotation.apply(calib), _cfg())
 
 
 # -- ablation ---------------------------------------------------------------------------
@@ -489,9 +526,9 @@ def test_measured_noise_var_is_the_run_error(bits):
     bundle, calib = _setup(3)
     cfg = _cfg(bits=bits, with_report=True)
     result = run_pipeline(bundle, calib, cfg)
-    prepared, rotation = prepare_bundle(bundle, cfg)
+    prepared = prepare_bundle(bundle, cfg)
     got = {(r.block, r.site): r.measured_noise_var for r in result.report.records}
-    x = rotation.apply(calib)
+    x = prepared.rotation.apply(calib)
     for i, bp in enumerate(result.params):
         rec = {}
         x = ad.value_of(forward_quant_block(result.bundle, i, bp, cfg.qcfg, x, rec=rec))
