@@ -218,10 +218,15 @@ def cmd_gen(args) -> int:
     out = _outdir(args)
     config = rc.model_config()
     bundle = build_toy_model(config, rc.seed, outlier_columns=rc.weight_outlier_cols)
-    for bw in bundle.blocks:  # the generated files are f32
-        vars(bw).update({name: arr.astype(np.float32) for name, arr in vars(bw).items() if arr is not None})
     spec = rc.synth_spec()
-    calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len).astype(np.float32)
+    with np.errstate(over="ignore"):  # the generated files are f32; an overflow is refused below
+        for bw in bundle.blocks:
+            vars(bw).update({name: arr.astype(np.float32) for name, arr in vars(bw).items() if arr is not None})
+        calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len).astype(np.float32)
+    written = {f"block{i}.{name}": arr for i, bw in enumerate(bundle.blocks) for name, arr in vars(bw).items()}
+    for name, arr in dict(written, calibration=calib).items():
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name}: would hold non-finite values in f32")
     write_bundle(out / "model.rqb", bundle)
     write_calibration(
         out / "calib.rqb",

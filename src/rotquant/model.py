@@ -75,6 +75,9 @@ class ModelConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("hidden", "mlp_dim"):  # the report's channel statistics need two channels
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
         if self.heads < 1 or self.hidden % self.heads:
             raise ValueError(f"heads: hidden {self.hidden} not divisible by {self.heads}")
         if self.n_blocks < 1:

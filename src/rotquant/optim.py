@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +21,12 @@ class OptimizationError(RuntimeError):
 #: Adam's first/second-moment decay rates and denominator guard
 BETAS = (0.9, 0.999)
 EPS = 1e-8
+
+#: glibc mallopt parameters (malloc.h) and the values `optimize` sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 512 << 20
+_MMAP_THRESHOLD = 32 << 20
 
 
 @dataclass
@@ -41,6 +49,28 @@ def cosine_lr(lr_init, step, total_steps):
     return lr_init * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Have glibc's malloc keep the memory a step frees, process-wide.
+
+    Each step frees its whole graph before the next one is built.  With
+    glibc's defaults the freed heap top goes back to the OS and the next
+    graph faults it in again, page by page.  A trim threshold above one
+    graph keeps it.  Setting it also freezes glibc's dynamic mmap
+    threshold, so the mmap threshold is set too, above the largest
+    temporary of a step.  Where there is no `mallopt` (not glibc) this
+    does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def optimize(loss_fn, groups, steps):
     """Minimize `loss_fn` over the parameters in `groups` in `steps` updates.
 
@@ -48,8 +78,14 @@ def optimize(loss_fn, groups, steps):
     best-seen parameter values (including the initial point) are restored at
     the end, so the final loss never exceeds the loss at entry.
 
+    Only one step's graph is alive at a time: each step's loss is dropped
+    once its update is done, before the next graph is built.  The first
+    call in a process tells glibc's malloc to keep freed memory
+    (`_keep_freed_heap`).
+
     Raises OptimizationError with the step index if the loss goes NaN.
     """
+    _keep_freed_heap()
     params = [p for grp in groups for p in grp.params]
     m = [np.zeros_like(p.value) for p in params]
     v = [np.zeros_like(p.value) for p in params]
@@ -94,6 +130,7 @@ def optimize(loss_fn, groups, steps):
                     p.value = np.asarray(np.clip(p.value, *grp.bounds), dtype=np.float64)
                 p.clear_grad()
                 k += 1
+        del loss  # frees the step's graph before evaluate() builds the next
 
     # score the point reached by the last update as well
     final = evaluate()

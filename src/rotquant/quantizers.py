@@ -216,7 +216,7 @@ def _add_extreme_grad(g_rows, rows, pos, g_ext, signed=False):
         g_rows[tied] += split * np.sign(rows[tied]) if signed else split
 
 
-def _ste_partials(g, view, raw, scale, zero, r, q, spec):
+def _ste_partials(g, view, raw, scale, zero, inside, q, spec):
     """dL/d(view) through the codes; per group dL/dzero and dL/d(range).
 
     range is the clip-scaled extent alpha * (max - min), or alpha *
@@ -231,7 +231,9 @@ def _ste_partials(g, view, raw, scale, zero, r, q, spec):
     def group_sum(t):
         return np.sum(t, axis=-1, keepdims=True)
 
-    g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))  # dL/d((x - zero) / scale)
+    # dL/d((x - zero) / scale); one expression: g may be a strided view, and
+    # the layout of g_t sets the order in which group_sum adds
+    g_t = g * scale * inside
     g_u = g_t / scale
     g_zero = group_sum(g) - group_sum(g_u)
     g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
@@ -265,8 +267,9 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
     raw, zero = _raw_params(tuple(v.reshape(group_shape) for v, _ in found), spec, av)
     positions = [pos for _, pos in found]  # the node keeps positions, not values
     scale = np.clip(raw, SCALE_FLOOR, np.inf)
-    r = _rounded(view, scale, zero)
-    q = np.clip(r, 0.0, spec.levels - 1.0)
+    q = _rounded(view, scale, zero)
+    inside = (q >= 0.0) & (q <= spec.levels - 1.0)  # the node keeps this mask, not the unclamped codes
+    np.clip(q, 0.0, spec.levels - 1.0, out=q)
     out = (q * scale + zero).reshape(xv.shape)
 
     both = all(isinstance(p, Var) and p.needs_grad for p in (x, alpha))
@@ -279,7 +282,7 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
             g_seen, parts = memo.pop()
             if g_seen is g:
                 return parts
-        parts = _ste_partials(g.reshape(view.shape), view, raw, scale, zero, r, q, spec)
+        parts = _ste_partials(g.reshape(view.shape), view, raw, scale, zero, inside, q, spec)
         if both:
             memo.append((g, parts))
         return parts

@@ -283,6 +283,7 @@ def _rename_tensor(old, new):
         (_write_model, read_bundle, _set_config(n_blocks=1), "block1"),
         # eps 1e-06 -> -0.01 keeps the header's length
         (_write_model, read_bundle, _set_config(eps=-0.01), "eps: must be > 0"),
+        (_write_model, read_bundle, _set_config(hidden=1, heads=1), "hidden: must be >= 2"),
         # the name keeps its length, so the tensor table stays valid
         (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bk"), "'block0.bk' appears twice"),
         (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bx"), "\\['block0.bx'\\] name no field"),
@@ -307,6 +308,7 @@ def _rename_tensor(old, new):
         "config-hidden-str",
         "config-n_blocks-short",
         "config-eps-negative",
+        "config-hidden-1",
         "duplicate-name",
         "unknown-field",
         "params-unknown-field",
@@ -858,6 +860,25 @@ def test_cli_gen_rejects_bad_dimension(tmp_path, capsys):
     rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "dimension must be 2^k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(hidden=1, heads=1), "hidden: must be >= 2, got 1"),
+        (dict(mlp_dim=1), "mlp_dim: must be >= 2, got 1"),
+        # the f64 draws are finite; their f32 copies overflow
+        (dict(offset_std=1e200), "calibration: would hold non-finite values in f32"),
+    ],
+    ids=["hidden-1", "mlp_dim-1", "calibration-overflows-f32"],
+)
+def test_cli_gen_writes_nothing_a_later_command_refuses(tmp_path, capsys, overrides, message):
+    cfg = _tiny_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    rc = main(["gen", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "model.rqb").exists() and not (out / "calib.rqb").exists()
 
 
 def test_cli_quantize_and_reports(tmp_path):

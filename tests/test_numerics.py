@@ -1,11 +1,16 @@
 """Channel statistics, straight-through ops, autodiff, and the optimizer."""
 
+import ctypes
+import types
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotquant import autodiff as ad
+from rotquant import optim
 from rotquant.optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from rotquant.analysis import channel_stats
 
@@ -272,3 +277,75 @@ def test_optimize_restores_best_seen_parameters():
     result = optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.9)], 8)
     assert float((float(p.value) - 1.0) ** 2) == pytest.approx(result.best_loss, abs=1e-12)
     assert result.best_loss <= result.losses[0]
+
+
+class _WeakVar(ad.Var):
+    """A Var that a weakref can point to."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_optimize_frees_each_step_graph_before_building_the_next():
+    p = ad.parameter(np.ones(8))
+    losses, alive = [], []
+
+    def loss_fn():
+        alive.extend(ref() is not None for ref in losses[-1:])
+        total = ad.vsum((p - 3.0) ** 2)
+        loss = _WeakVar(total.value, _parents=(total,), _vjps=(lambda g: g,))
+        losses.append(weakref.ref(loss))
+        return loss
+
+    optimize(loss_fn, [ParamGroup([p], 0.1)], 5)
+    assert alive == [False] * 5  # steps 1..5 and the final evaluation
+
+
+@pytest.fixture
+def fresh_heap_helper():
+    optim._keep_freed_heap.cache_clear()
+    yield
+    optim._keep_freed_heap.cache_clear()
+
+
+def _optimize_twice():
+    p = ad.parameter(0.0)
+    for _ in range(2):
+        optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.1)], 3)
+    return float(p.value)
+
+
+def test_optimize_keeps_the_freed_heap_once_per_process(monkeypatch, fresh_heap_helper):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(optim.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    _optimize_twice()
+    assert calls == [(optim._M_TRIM_THRESHOLD, 512 << 20), (optim._M_MMAP_THRESHOLD, 32 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [lambda name: types.SimpleNamespace(), _no_libc], ids=["no-mallopt", "no-libc"]
+)
+def test_optimize_runs_where_there_is_no_mallopt(monkeypatch, fresh_heap_helper, cdll):
+    expected = _optimize_twice()
+    optim._keep_freed_heap.cache_clear()
+    monkeypatch.setattr(optim.ctypes, "CDLL", cdll)
+    assert _optimize_twice() == expected
+
+
+def test_glibc_accepts_the_heap_settings():
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        pytest.skip("no mallopt in this C library")
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 for a value it refuses, such as an mmap threshold above its maximum
+    assert mallopt(optim._M_TRIM_THRESHOLD, optim._TRIM_THRESHOLD) == 1
+    assert mallopt(optim._M_MMAP_THRESHOLD, optim._MMAP_THRESHOLD) == 1

@@ -356,6 +356,19 @@ def test_nan_loss_reports_block_and_stage(monkeypatch, failing_call, stage):
         run_pipeline(bundle, calib, _cfg())
 
 
+def test_only_a_trained_mode_sets_the_allocator(monkeypatch):
+    from rotquant import optim
+
+    calls = []
+    monkeypatch.setattr(optim, "_keep_freed_heap", lambda: calls.append(1))
+    bundle, calib = _setup(4, config=ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1))
+    cfg = _cfg(schedule=StageSchedule(steps_per_epoch=1))
+    run_pipeline(bundle, calib, mode_config(cfg, "rotation-only"))
+    assert calls == []
+    run_pipeline(bundle, calib, mode_config(cfg, "scale"))
+    assert calls  # every optimize call asks; the helper itself runs once per process
+
+
 def test_rres_kinds_all_run():
     bundle, calib = _setup(12, config=ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1))
     for kind in ("pca-hadamard", "hadamard", "random-hadamard"):

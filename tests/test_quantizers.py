@@ -305,6 +305,51 @@ def test_quantize_dynamic_one_partials_per_node_per_backward(spec, monkeypatch):
     assert alpha.grad == ref["alpha"]
 
 
+def _partials_from_codes(g, view, raw, scale, zero, r, q, spec):
+    """`_ste_partials` as written when the node kept the unclamped codes r."""
+
+    def group_sum(t):
+        return np.sum(t, axis=-1, keepdims=True)
+
+    g_t = g * scale * ((r >= 0.0) & (r <= spec.levels - 1.0))
+    g_u = g_t / scale
+    g_zero = group_sum(g) - group_sum(g_u)
+    g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
+    g_raw = g_raw * (raw >= SCALE_FLOOR)
+    if spec.scheme == "symmetric":
+        g_raw = g_raw + g_zero * (-(2 ** (spec.bits - 1)))
+    return g_u, g_zero, g_raw * quantizers._step_factor(spec)
+
+
+@pytest.mark.parametrize("spec", [ASYM_TOKEN, SYM_CHANNEL], ids=["asym-per-token", "sym-per-channel"])
+def test_quantize_dynamic_in_range_mask_keeps_every_gradient_bit(spec, monkeypatch):
+    rng = np.random.default_rng(29)
+    x0 = rng.normal(size=(2, 6, 32))
+    weights = rng.normal(size=(2, 32, 6))
+
+    def grads():
+        x = ad.parameter(x0)
+        alpha = ad.parameter(np.float64(0.7))  # clips: some codes fall outside 0..2^b - 1
+        y = ad.swapaxes(quantize_dynamic(x, spec, alpha), -1, -2)  # hands the node a strided g
+        ad.backward(ad.vsum(y * weights))
+        return x.grad, alpha.grad
+
+    gx, ga = grads()
+    seen = []
+
+    def from_codes(g, view, raw, scale, zero, inside, q, spec):
+        r = quantizers._rounded(view, scale, zero)
+        seen.append((g.flags.c_contiguous, np.array_equal(inside, (r >= 0.0) & (r <= spec.levels - 1.0))))
+        assert not inside.all()
+        return _partials_from_codes(g, view, raw, scale, zero, r, q, spec)
+
+    monkeypatch.setattr(quantizers, "_ste_partials", from_codes)
+    ref_gx, ref_ga = grads()
+    assert seen == [(False, True)]
+    assert np.array_equal(gx.view(np.uint64), ref_gx.view(np.uint64))
+    assert np.array_equal(np.asarray(ga).view(np.uint64), np.asarray(ref_ga).view(np.uint64))
+
+
 def test_quantize_dynamic_one_node_per_call():
     x = ad.parameter(np.random.default_rng(1).normal(size=(4, 16)))
     alpha = ad.parameter(np.float64(0.8))

@@ -52,3 +52,16 @@ def test_every_private_module_name_is_referenced():
             private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
             orphans.extend(f"{module}: {name}" for name in private if name not in referenced)
     assert not orphans
+
+
+def test_only_optim_imports_ctypes():
+    # setting the C allocator is the one process-wide side effect; it stays in one place
+    importers = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.append(module)
+    assert importers == ["optim"]
