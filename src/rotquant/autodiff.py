@@ -28,6 +28,7 @@ __all__ = [
     "value_of",
     "backward",
     "matmul",
+    "linear",
     "reshape",
     "swapaxes",
     "vsum",
@@ -44,6 +45,10 @@ __all__ = [
     "clamp_ste",
     "round_half_away",
 ]
+
+
+#: Most elements of per-sequence x^T @ g products `linear`'s weight gradient holds at once.
+LINEAR_CHUNK = 1 << 18
 
 
 class GradTracker:
@@ -271,10 +276,43 @@ def matmul(a, b):
         return _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape)
 
     def db(g):
-        # kept batched, not one flattened GEMM: see the CHANGES.md FOUND line on its page faults
+        # batched, not one flattened GEMM: flattening regroups the sums and moves final_mse
         return _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape)
 
     return _make(out, (a, b), (da, db))
+
+
+def _weight_grad(x, g):
+    """x^T @ g summed over the leading axes: the bits of `_unbroadcast`'s sum of
+    the batched product, which is never built.  The per-sequence products are
+    made LINEAR_CHUNK elements at a time and added in sequence order."""
+    if x.ndim == 2:
+        return x.T @ g
+    xt = x.reshape(-1, *x.shape[-2:]).swapaxes(-1, -2)
+    g = g.reshape(-1, *g.shape[-2:])
+    acc = np.zeros((xt.shape[1], g.shape[2]))
+    step = max(1, LINEAR_CHUNK // acc.size)
+    for i in range(0, len(xt), step):
+        part = xt[i : i + step] @ g[i : i + step]
+        part[0] += acc  # the running sum leads the chunk, and the chunk's sum continues it
+        acc = part.sum(axis=0)
+    return acc
+
+
+def linear(x, w, b=None):
+    """x @ w^T + b for a 2-D weight w [out, in]: one node that keeps only x and
+    w, with the bits of matmul(x, swapaxes(w)) + b in its value and gradients."""
+    if not _is_var(x, w, b):
+        y = np.asarray(x) @ np.swapaxes(w, -1, -2)
+        return y if b is None else y + b
+    parents = tuple(_lift(p) for p in (x, w, b) if p is not None)
+    xv, wv = parents[0].value, parents[1].value
+    out = xv @ wv.swapaxes(-1, -2)
+    vjps = [lambda g: _unbroadcast(g @ wv, xv.shape), lambda g: _weight_grad(xv, g).swapaxes(-1, -2)]
+    if b is not None:
+        out += parents[2].value
+        vjps.append(lambda g: _unbroadcast(g, parents[2].value.shape))
+    return _make(out, parents, vjps)
 
 
 def reshape(a, shape):

@@ -465,11 +465,6 @@ def _causal_mask(seq_len):
     return mask
 
 
-def _linear(x, w, b):
-    y = ad.matmul(x, ad.swapaxes(w, -1, -2))
-    return y if b is None else y + b
-
-
 def _attention(q, k, v, heads, head_dim):
     """Causal softmax attention over [batch x seq x n] head-packed tensors."""
     b_dim, seq = q.shape[0], q.shape[1]
@@ -500,9 +495,7 @@ def _site_quantize(u, spec, bc, sa, alpha, rec, name):
     if spec is None:
         _record(rec, name + ".lin", u)
         return u
-    v = (u if sa is None else u * sa) - bc
-    u_hat = quantize_dynamic(v, spec, alpha=alpha) + bc
-    u_hat = u_hat if sa is None else u_hat / sa
+    u_hat = quantize_dynamic(u, spec, alpha=alpha, shift=bc, gain=sa)
     _record(rec, name + ".lin", u_hat)
     return u_hat
 
@@ -527,17 +520,17 @@ def forward_fp_block(bundle: ModelBundle, index: int, x):
     u = ad.rmsnorm(xb, config.eps)
     if bw.g_attn is not None:
         u = u * bw.g_attn
-    q = _linear(u, bw.wq, bw.bq)
-    k = _linear(u, bw.wk, bw.bk)
-    v = _linear(u, bw.wv, bw.bv)
+    q = ad.linear(u, bw.wq, bw.bq)
+    k = ad.linear(u, bw.wk, bw.bk)
+    v = ad.linear(u, bw.wv, bw.bv)
     ctx = _attention(q, k, v, config.heads, config.head_dim)
-    xb = xb + _linear(ctx, bw.wo, bw.bo)
+    xb = xb + ad.linear(ctx, bw.wo, bw.bo)
 
     u2 = ad.rmsnorm(xb, config.eps)
     if bw.g_mlp is not None:
         u2 = u2 * bw.g_mlp
-    hidden = ad.silu(_linear(u2, bw.wgate, bw.bgate)) * _linear(u2, bw.wup, bw.bup)
-    y = xb + _linear(hidden, bw.wdown, bw.bdown)
+    hidden = ad.silu(ad.linear(u2, bw.wgate, bw.bgate)) * ad.linear(u2, bw.wup, bw.bup)
+    y = xb + ad.linear(hidden, bw.wdown, bw.bdown)
     return ad.reshape(y, (seq, n)) if squeeze else y
 
 
@@ -586,9 +579,9 @@ def forward_quant_block(
     if bw.g_attn is not None:
         u = u * bw.g_attn
     u = _site_quantize(u, qcfg.act, bp.bc_qkv, None, bp.alpha_qkv, rec, "qkv")
-    q = _linear(u, weights["wq"], weights["bq"])
-    k = _linear(u, weights["wk"], weights["bk"])
-    v = _linear(u, weights["wv"], weights["bv"])
+    q = ad.linear(u, weights["wq"], weights["bq"])
+    k = ad.linear(u, weights["wk"], weights["bk"])
+    v = ad.linear(u, weights["wv"], weights["bv"])
 
     def headwise_hadamard(t):  # online QK rotation, per head
         return ad.reshape(fwht(ad.reshape(t, (b_dim, seq, h, d))), (b_dim, seq, n))
@@ -599,19 +592,19 @@ def forward_quant_block(
 
     ctx = _attention(q, k, v, h, d)
     ctx = _site_quantize(ctx, qcfg.act, bp.bc_o, bp.sa_o, bp.alpha_o, rec, "o")
-    xb = xb + _linear(ctx, weights["wo"], weights["bo"])
+    xb = xb + ad.linear(ctx, weights["wo"], weights["bo"])
 
     u2 = ad.rmsnorm(xb, config.eps)
     if bw.g_mlp is not None:
         u2 = u2 * bw.g_mlp
     u2 = _site_quantize(u2, qcfg.act, bp.bc_up, None, bp.alpha_up, rec, "up")
-    gate = _linear(u2, weights["wgate"], weights["bgate"])
-    up = _linear(u2, weights["wup"], weights["bup"])
+    gate = ad.linear(u2, weights["wgate"], weights["bgate"])
+    up = ad.linear(u2, weights["wup"], weights["bup"])
     hidden = ad.silu(gate) * up
 
     hidden = fwht(hidden)  # online down rotation
     hidden = _site_quantize(hidden, qcfg.act, bp.bc_down, bp.sa_down, bp.alpha_down, rec, "down")
-    y = xb + _linear(hidden, weights["wdown"], weights["bdown"])
+    y = xb + ad.linear(hidden, weights["wdown"], weights["bdown"])
     return ad.reshape(y, (seq, n)) if squeeze else y
 
 

@@ -3,16 +3,19 @@
 `resolve_params` and `fake_quantize` (quantize then dequantize in floating
 point) are plain ndarray functions that reduce each group with
 np.amin/np.amax.  Inside a differentiable calibration objective,
-`quantize_dynamic` is one graph node: its forward is the same arithmetic,
-and its vector-Jacobian product is the closed form of the
-straight-through chain (range reduction, scale floor, round, clamp,
-dequantize) for both the input and the learnable clip factor.  The node
-finds each group's extremes by position (argmin/argmax, the same bits as
-the reductions) and keeps only those positions.  Its input gradient
-gives each extreme's gradient to its one position; only the rare group
-whose extreme is tied splits it evenly over the hits, as the min/max
-reduction's gradient does.  The hits are counted there, in the backward,
-so a forward that is never differentiated does not count them.
+`quantize_dynamic` is the one quantizer graph node, for activation sites,
+KV caches and round-to-nearest weights alike.  An activation site's bias
+correction b and unpaired scale s ride inside it as a shift and a gain,
+(QD(x * s - b) + b) / s.  Its forward is the same arithmetic as the
+primitive chain, and its vector-Jacobian products are that chain's
+(range reduction, scale floor, round, clamp, dequantize in closed form)
+term by term, for the input, the clip factor, b and s, with the same
+bits.  It keeps the shifted input, uint8 codes, an in-range mask and
+each group's extreme positions (argmin/argmax, the same bits as the
+reductions).  Its input gradient gives each extreme's gradient to its
+one position; only the rare group whose extreme is tied splits it
+evenly over the hits, counted in the backward, as the min/max
+reduction's gradient does.
 
 Quantized tensors are float64 arrays whose values lie exactly on the
 lattice {zero + k * scale, k in 0..2^b - 1}; files store weights as codes
@@ -22,10 +25,11 @@ plus the raw scale each symmetric row lattice follows from (`QuantSpec.lattice`)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .autodiff import Var, _unbroadcast, round_half_away, value_of
+from .autodiff import Var, _is_var, _unbroadcast, round_half_away, value_of
 
 __all__ = [
     "QuantSpec",
@@ -243,73 +247,94 @@ def _ste_partials(g, view, raw, scale, zero, inside, q, spec):
     return g_u, g_zero, g_raw * _step_factor(spec)
 
 
-def quantize_dynamic(x, spec: QuantSpec, alpha=1.0):
+def _unshift(out, shift, gain):
+    """(out + shift) / gain, in place on the fresh array out; None skips a step."""
+    if shift is not None:
+        out += shift
+    if gain is not None:
+        out /= gain
+    return out
+
+
+def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
     """Dynamic quantization: resolve the groups of x, then fake-quantize it.
 
-    alpha is the clip factor.  When x or alpha is a Var the result is one
-    graph node whose forward is the same arithmetic and whose
-    vector-Jacobian products are the closed form of the straight-through
-    chain, for x and for alpha.
+    alpha is the clip factor.  A site passes its bias correction b as
+    `shift` and its unpaired scale s as `gain`: (QD(x * s - b) + b) / s.
+    With any operand a Var the result is one graph node (see above).
     """
-    if not isinstance(x, Var) and not isinstance(alpha, Var):
-        return fake_quantize(x, resolve_params(x, spec, alpha), spec)
+    xv, av, bv, sv = (None if t is None else value_of(t) for t in (x, alpha, shift, gain))
+    v = xv if sv is None else xv * sv
+    v = v if bv is None else v - bv
+    if not _is_var(x, alpha, shift, gain):
+        return _unshift(fake_quantize(v, resolve_params(v, spec, alpha), spec), bv, sv)
 
-    xv, av = value_of(x), value_of(alpha)
-    if xv.size == 0:
+    if v.size == 0:
         raise QuantizationError("empty group")
-    view = _grouped(np.ascontiguousarray(xv), spec)
+    shape, view = v.shape, _grouped(np.ascontiguousarray(v), spec)
     group_shape = (*view.shape[:-1], 1)
     rows = view.reshape(-1, view.shape[-1])
     if spec.scheme == "asymmetric":
         found = (_locate_extreme(rows, np.argmin), _locate_extreme(rows, np.argmax))
     else:
         found = (_locate_extreme(np.abs(rows), np.argmax),)
-    raw, zero = _raw_params(tuple(v.reshape(group_shape) for v, _ in found), spec, av)
+    raw, zero = _raw_params(tuple(e.reshape(group_shape) for e, _ in found), spec, av)
     positions = [pos for _, pos in found]  # the node keeps positions, not values
     scale = np.clip(raw, SCALE_FLOOR, np.inf)
     q = _rounded(view, scale, zero)
     inside = (q >= 0.0) & (q <= spec.levels - 1.0)  # the node keeps this mask, not the unclamped codes
     np.clip(q, 0.0, spec.levels - 1.0, out=q)
-    out = (q * scale + zero).reshape(xv.shape)
+    out = _unshift((q * scale + zero).reshape(shape), bv, sv)
+    with np.errstate(invalid="ignore"):  # a NaN input has no code, and its loss is NaN
+        codes = q.astype(np.uint8)  # the node keeps these; g * codes promotes them exactly
 
-    both = all(isinstance(p, Var) and p.needs_grad for p in (x, alpha))
-    memo = []
-
-    def partials(g):
-        # backward calls grad_x and then grad_alpha with the same g; when it
-        # calls both, the first computation is handed to the second
-        if memo:
-            g_seen, parts = memo.pop()
-            if g_seen is g:
-                return parts
-        parts = _ste_partials(g.reshape(view.shape), view, raw, scale, zero, inside, q, spec)
-        if both:
-            memo.append((g, parts))
-        return parts
+    operands = (x, alpha, shift, gain)  # backward explores them last first, as it does the chain's
+    need = [isinstance(p, Var) and p.needs_grad for p in operands]
+    x_shape, x_kept = xv.shape, (xv if need[3] else None)  # only the gain's gradient reads x
 
     def per_row(t):
         return np.broadcast_to(t, group_shape).reshape(-1)
 
-    def grad_x(g):
-        g_u, g_zero, g_range = partials(g)
-        g_rows = g_u.reshape(rows.shape)  # a fresh array, so the extremes add in place
-        if spec.scheme == "asymmetric":
-            _add_extreme_grad(g_rows, rows, positions[0], per_row(g_zero * av - g_range * av))
-            _add_extreme_grad(g_rows, rows, positions[1], per_row(g_range * av))
-        else:
-            _add_extreme_grad(g_rows, rows, positions[0], per_row(g_range * av), signed=True)
-        return g_rows.reshape(xv.shape)
+    def grads(g):  # {operand index: gradient} of every operand that needs one
+        got = {}
+        g_q = g if sv is None else g / sv
+        g_u, g_zero, g_range = _ste_partials(g_q.reshape(view.shape), view, raw, scale, zero, inside, codes, spec)
+        if need[1]:
+            ext = [rows.reshape(-1)[pos].reshape(group_shape) for pos in positions]
+            if spec.scheme == "asymmetric":
+                mn, mx = ext
+                got[1] = _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
+            else:
+                got[1] = _unbroadcast(g_range * np.abs(ext[0]), av.shape)
+        if need[0] or need[2] or need[3]:
+            g_rows = g_u.reshape(rows.shape)  # a fresh array, so the extremes add in place
+            if spec.scheme == "asymmetric":
+                _add_extreme_grad(g_rows, rows, positions[0], per_row(g_zero * av - g_range * av))
+                _add_extreme_grad(g_rows, rows, positions[1], per_row(g_range * av))
+            else:
+                _add_extreme_grad(g_rows, rows, positions[0], per_row(g_range * av), signed=True)
+            g_v = g_rows.reshape(shape)
+            if need[2]:  # the add's term, then the subtraction's
+                got[2] = _unbroadcast(g_q, bv.shape) + _unbroadcast(-g_v, bv.shape)
+            if need[3]:  # the division's term (its QD + b recomputed from the codes), then the product's
+                pre = _unshift((codes * scale + zero).reshape(shape), bv, None)
+                got[3] = _unbroadcast(-g * pre / (sv * sv), sv.shape) + _unbroadcast(g_v * x_kept, sv.shape)
+            if need[0]:
+                got[0] = _unbroadcast(g_v if sv is None else g_v * sv, x_shape)
+        return got
 
-    def grad_alpha(g):
-        _, g_zero, g_range = partials(g)
-        ext = [rows.reshape(-1)[pos].reshape(group_shape) for pos in positions]
-        if spec.scheme == "asymmetric":
-            mn, mx = ext
-            return _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
-        return _unbroadcast(g_range * np.abs(ext[0]), av.shape)
+    pending = []  # backward hands every operand's vjp the same g: one grads() serves them all
 
-    links = [(p, vjp) for p, vjp in ((x, grad_x), (alpha, grad_alpha)) if isinstance(p, Var)]
-    return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(vjp for _, vjp in links))
+    def vjp(i, g):
+        if not pending or pending[0] is not g:
+            pending[:] = [g, grads(g)]
+        g_i = pending[1].pop(i)
+        if not pending[1]:
+            pending.clear()
+        return g_i
+
+    links = [(p, partial(vjp, i)) for i, p in enumerate(operands) if isinstance(p, Var)]
+    return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(f for _, f in links))
 
 
 # -- clip-threshold search ---------------------------------------------------

@@ -138,6 +138,10 @@ class Rotation:
 
 
 def _assert_orthogonal(m, tol=1e-6):
+    # no orthogonal matrix has an entry above 1 in magnitude; a NaN fails the
+    # comparison too, and the Gram product below cannot overflow
+    if not np.all(np.abs(m) <= 1.0 + tol):
+        raise ValueError("matrix is not orthogonal (an entry is not finite or exceeds 1 in magnitude)")
     gram = m.T @ m
     err = np.max(np.abs(gram - np.eye(m.shape[0])))
     if err > tol:

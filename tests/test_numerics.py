@@ -13,6 +13,7 @@ from rotquant import autodiff as ad
 from rotquant import optim
 from rotquant.optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from rotquant.analysis import channel_stats
+from rotquant.quantizers import QuantSpec, rtn_quantize
 
 
 # -- channel statistics -------------------------------------------------------
@@ -160,6 +161,60 @@ def test_matmul_chain_gradient_vs_finite_differences():
     ad.backward(ad.vsum(y * y))
     fd = _fd_grad(loss_from, a0)
     assert np.max(np.abs(a.grad - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-4
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("through_rtn", [False, True], ids=["weight", "rtn-weight"])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("x_shape", [(5, 4, 8), (4, 8)], ids=["3d", "2d"])
+def test_linear_matches_matmul_chain_bit_for_bit(x_shape, with_bias, through_rtn):
+    rng = np.random.default_rng(31)
+    x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(6, 8)), rng.normal(size=6)
+    weights = rng.normal(size=(*x_shape[:-1], 6))
+
+    def chain(x, w, b):
+        y = ad.matmul(x, ad.swapaxes(w, -1, -2))
+        return y if b is None else y + b
+
+    def run(lin):
+        x, w = ad.parameter(x0), ad.parameter(w0)
+        b = ad.parameter(b0) if with_bias else None
+        # a per-row quantizer sums the weight gradient along rows: its layout counts
+        w_used = rtn_quantize(w, QuantSpec(4, "symmetric", "per-channel")) if through_rtn else w
+        y = lin(x, w_used, b)
+        ad.backward(ad.vsum(y * weights))
+        return [y.value, x.grad, w.grad] + ([b.grad] if with_bias else [])
+
+    for got, ref in zip(run(ad.linear), run(chain), strict=True):
+        assert np.array_equal(_bits(got), _bits(ref))
+    plain = ad.linear(x0, w0, b0 if with_bias else None)
+    assert np.array_equal(_bits(plain), _bits(ad.value_of(chain(x0, w0, b0 if with_bias else None))))
+
+
+@pytest.mark.parametrize(
+    "x_shape, n, chunk",
+    [
+        ((10, 4, 5), 6, 3 * 5 * 6),  # 3 sequences a chunk; the batch is no multiple of it
+        ((7, 3, 2, 5), 4, 2 * 5 * 4),  # two leading axes, summed as one
+        ((128, 8, 64), 256, None),
+        ((128, 8, 256), 64, None),
+        ((8, 8, 32), 64, None),
+        ((4, 8), 6, None),  # 2-D: one product, nothing to sum
+    ],
+)
+def test_weight_grad_adds_chunks_in_batched_sum_order(monkeypatch, x_shape, n, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(ad, "LINEAR_CHUNK", chunk)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=x_shape)
+    x[..., 0] = 0.0  # signed zeros: 0 * negative g
+    g = rng.normal(size=(*x_shape[:-1], n))
+    ref = x.swapaxes(-1, -2) @ g
+    ref = ref.sum(axis=tuple(range(ref.ndim - 2))) if ref.ndim > 2 else ref
+    assert np.array_equal(_bits(ad._weight_grad(x, g)), _bits(ref))
 
 
 def test_backward_visits_each_node_once():

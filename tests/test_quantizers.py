@@ -1,6 +1,7 @@
 """Quantizer resolution, fake quantization, clip search, GPTQ rounding."""
 
 import tracemalloc
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -358,6 +359,111 @@ def test_quantize_dynamic_one_node_per_call():
     w = rtn_quantize(x, SYM_CHANNEL)
     assert w._parents == (x,)
     assert np.array_equal(w.value, rtn_quantize(x.value, SYM_CHANNEL))
+
+
+# -- the quantizer site: shift b^c and gain s^a inside the node -----------------------
+
+
+def _site_chain(u, spec, alpha, bc, sa):
+    """(QD(u * sa - bc) + bc) / sa as primitive ops around a plain quantizer node."""
+    v = (u if sa is None else u * sa) - bc
+    out = quantize_dynamic(v, spec, alpha) + bc
+    return out if sa is None else out / sa
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _site_operands():
+    rng = np.random.default_rng(41)
+    u = rng.normal(size=(2, 6, 32))
+    bc = rng.normal(0.0, 0.3, size=32)
+    sa = rng.uniform(0.5, 2.0, size=32)
+    bc[5], sa[5] = bc[3], sa[3]
+    u[0, 2, 3] = u[0, 2, 5] = 40.0  # a tied maximum (and max |v|) after the shift and gain
+    u[1, 4, 3] = u[1, 4, 5] = -40.0  # a tied minimum
+    return u, np.float64(0.7), bc, sa  # alpha 0.7 clips: some codes leave 0..2^b - 1
+
+
+@pytest.mark.parametrize("with_gain", [False, True], ids=["no-gain", "gain"])
+@pytest.mark.parametrize(
+    "spec",
+    [ASYM_TOKEN, QuantSpec(4, "asymmetric", "per-head", head_dim=8), SYM_CHANNEL],
+    ids=["asym-per-token", "asym-per-head", "sym-per-channel"],
+)
+def test_site_node_matches_the_primitive_chain_bit_for_bit(spec, with_gain):
+    u0, alpha0, bc0, sa0 = _site_operands()
+    if not with_gain:
+        sa0 = None
+    assert _tied_groups((u0 if sa0 is None else u0 * sa0) - bc0, spec) == 2
+    weights = np.random.default_rng(43).normal(size=(2, 32, 6))
+
+    def run(site, trained, strided):
+        ops = [ad.parameter(v) if t else v for v, t in zip((u0, alpha0, bc0, sa0), trained)]
+        y = site(ops[0], spec, ops[1], ops[2], ops[3])
+        if strided:  # hands the node a strided g
+            loss = ad.vsum(ad.swapaxes(y, -1, -2) * weights)
+        else:
+            loss = ad.vsum(y * weights.swapaxes(-1, -2).copy())
+        ad.backward(loss)
+        return [y.value] + [op.grad for op, t in zip(ops, trained) if t]
+
+    def node(u, spec, alpha, bc, sa):
+        return quantize_dynamic(u, spec, alpha, shift=bc, gain=sa)
+
+    for trained in product([False, True], repeat=4 if with_gain else 3):
+        trained = (*trained, False)[:4]
+        if not any(trained):
+            plain = node(u0, spec, alpha0, bc0, sa0)
+            assert np.array_equal(_bits(plain), _bits(_site_chain(u0, spec, alpha0, bc0, sa0)))
+            continue
+        for strided in (False, True):
+            got, ref = run(node, trained, strided), run(_site_chain, trained, strided)
+            assert len(got) == len(ref) == 1 + sum(trained)
+            for a, b in zip(got, ref):
+                assert np.array_equal(_bits(a), _bits(b)), (trained, strided)
+
+
+def _kept_buffers(fns):
+    """The array buffers the closures fns hold, following nested closures and
+    containers; views count once, as the array that owns their memory."""
+    seen, found = set(), {}
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, partial):
+            visit((obj.func, obj.args))
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                visit(cell.cell_contents)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    visit(fns)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("with_gain", [False, True], ids=["no-gain", "gain"])
+def test_site_node_keeps_its_input_and_uint8_codes(with_gain):
+    u0, alpha0, bc0, sa0 = _site_operands()
+    u, bc = ad.parameter(u0), ad.parameter(bc0)
+    sa = ad.parameter(sa0) if with_gain else None
+    y = quantize_dynamic(u, ASYM_TOKEN, ad.parameter(alpha0), shift=bc, gain=sa)
+    full = [a for a in _kept_buffers(y._vjps) if a.size == u0.size]
+    codes = [a for a in full if a.dtype == np.uint8]
+    assert len(codes) == 1 and codes[0].max() <= 15
+    inputs = [a for a in full if a.dtype == np.float64 and a is not u.value]
+    assert len(inputs) == 1  # the shifted (and scaled) input; no intermediate, no float codes
+    # plus the in-range mask, and with a gain u itself, which its gradient reads and u's Var holds anyway
+    assert sorted(a.dtype.name for a in full) == sorted(["bool", "float64", "uint8"] + ["float64"] * with_gain)
 
 
 # -- clip threshold search ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hadamard transforms, PCA basis, rotation composition, Cayley map."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,16 @@ def test_compose_rres_rejects_nonorthogonal():
     bad[0, 1] = 1e-3  # ||U^T U - I||_inf > 1e-6
     with pytest.raises(ValueError, match="orthogonal"):
         compose_rres(bad)
+
+
+@pytest.mark.parametrize(
+    "fill", [1e200, -1e200, np.inf, np.nan, 1.0 + 1e-3], ids=["huge", "huge-negative", "inf", "nan", "above-one"]
+)
+def test_rotation_rejects_out_of_range_entries_without_a_warning(fill):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the Gram product of 1e200s overflowed on its way to the error
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Rotation(np.full((4, 4), fill))
 
 
 # -- Cayley parameterization -----------------------------------------------------------
