@@ -235,16 +235,12 @@ class BlockMse:
     mse_final: float
 
 
-#: Report file schema.  1: records carry a Monte Carlo empirical_noise_var
-#: in place of measured_noise_var.  2: measured_noise_var; the k/v cache
-#: rounding_energy is per token at the activation bits.  3: the k/v cache
-#: rounding_energy is per head at the KV bits.
+#: Report file schema, the only one read_report takes.
 REPORT_SCHEMA = 3
 
 
 @dataclass
 class ErrorReport:
-    schema: int = REPORT_SCHEMA
     records: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
 

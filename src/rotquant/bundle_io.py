@@ -6,13 +6,10 @@ shape, absolute byte offset), then the raw little-endian tensor data, each
 64-byte aligned.  Floats keep their precision; a weight with raw row scales
 (BlockWeights.scales) is stored as codes (u4: two per byte, low nibble
 first) plus those f64 scales and rebuilt on QuantSpec.lattice, so
-read(write(bundle)) is bit-exact.  v1 files (all f32) still read.
-
-A model's stage is what its file holds (gains, rotation, header bits).
-Older headers also carry a `meta` of four stage flags: a false one is
-ignored, and a true one without its rotation or bits is a format error.
-Under a true `norms_folded` such files store all-ones gains, which read
-as no gains; any other gain there is a format error.
+read(write(bundle)) is bit-exact.  A model's stage is what its file holds
+(gains, rotation, header bits).  An older file (container v1, a model
+header with `meta` stage flags, a report schema below REPORT_SCHEMA) is a
+BundleFormatError naming what it found: rerun gen/quantize to rebuild it.
 
 Reports are emitted as twins holding the same data: JSON for machine
 diffing, CSV (plus a channel-profile CSV) for plotting.
@@ -44,14 +41,12 @@ __all__ = [
 ]
 
 _MAGIC = b"RQBNDL\x00\x02"
-_MAGIC_V1 = b"RQBNDL\x00\x01"  # every tensor f32
+_REBUILD = "rerun gen/quantize to rebuild it"
 _ALIGN = 64
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _FLOATS = {"f32": "<f4", "f64": "<f8"}
 _BITS = ("w_bits", "a_bits", "kv_bits")  # QuantConfig.for_bits's arguments
 _BLOCK_TENSORS = WEIGHT_NAMES + BIAS_NAMES + ("g_attn", "g_mlp")
-#: the stage flags of an older model header's `meta`
-_META_FLAGS = ("norms_folded", "rres_fused", "rv_scale_fused", "weights_quantized")
 
 
 class BundleFormatError(RuntimeError):
@@ -135,9 +130,10 @@ def _read_container(path, expect_kind=None, codes=False):
     """(header, {name: array}); integer codes are allowed only with `codes`."""
     with open(path, "rb") as f:
         raw = f.read()
-    magic = raw[: len(_MAGIC)]
-    if len(raw) < len(_MAGIC) + 8 or magic not in (_MAGIC, _MAGIC_V1):
+    if len(raw) < len(_MAGIC) + 8 or raw[:7] != _MAGIC[:7]:
         raise BundleFormatError(f"{path}: bad magic at offset 0")
+    if raw[7] != _MAGIC[7]:
+        raise BundleFormatError(f"{path}: container version {raw[7]}, this reader takes {_MAGIC[7]}; {_REBUILD}")
     (header_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
     header_start = len(_MAGIC) + 8
     if header_start + header_len > len(raw):
@@ -156,11 +152,10 @@ def _read_container(path, expect_kind=None, codes=False):
 
     tensors = {}
     prev_end = header_start + header_len
-    dtypes = ["f32", "f64", "u8", "u4"][: 4 if codes else 2] if magic == _MAGIC else ["f32"]
+    dtypes = ["f32", "f64", "u8", "u4"][: 4 if codes else 2]
     try:
         for entry in header.get("tensors", []):
-            name, off, nbytes = entry["name"], entry["offset"], entry["nbytes"]
-            dtype = entry["dtype"] if magic == _MAGIC else entry.get("dtype", "f32")
+            name, off, nbytes, dtype = entry["name"], entry["offset"], entry["nbytes"], entry["dtype"]
             if name in tensors:
                 raise BundleFormatError(f"{path}: tensor name {name!r} appears twice")
             if dtype not in dtypes:
@@ -257,6 +252,8 @@ def _reject_stray_tensors(path, tensors, n_blocks, names):
 
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model", codes=True)
+    if "meta" in header:  # its gains may be folded ones, which would read as unfolded
+        raise BundleFormatError(f"{path}: a model header with stage flags (meta) is the older layout; {_REBUILD}")
     try:
         c = header["config"]  # every field is required, though ModelConfig has defaults
         config = _from_json(ModelConfig, {f.name: c[f.name] for f in fields(ModelConfig)})
@@ -269,12 +266,6 @@ def read_bundle(path) -> ModelBundle:
             rotation = Rotation(rotation)
     except (KeyError, TypeError, ValueError) as err:
         raise BundleFormatError(f"{path}: malformed model header or rotation: {err!r}") from err
-    meta = header.get("meta", dict.fromkeys(_META_FLAGS, False))  # a false flag is ignored
-    if not (isinstance(meta, dict) and all(isinstance(meta.get(k), bool) for k in _META_FLAGS)):
-        raise BundleFormatError(f"{path}: model meta must hold the boolean flags {list(_META_FLAGS)}")
-    held = {"rres_fused": rotation, "rv_scale_fused": qcfg, "weights_quantized": qcfg}
-    if unbacked := [k for k, evidence in held.items() if meta[k] and evidence is None]:
-        raise BundleFormatError(f"{path}: meta sets {unbacked}, but the file holds no rotation or bits for it")
     _reject_stray_tensors(path, tensors, config.n_blocks, _BLOCK_TENSORS + tuple(w + ".scale" for w in WEIGHT_NAMES))
     blocks = []
     for i in range(config.n_blocks):
@@ -287,20 +278,11 @@ def read_bundle(path) -> ModelBundle:
                     raise BundleFormatError(f"{path}: {key} is not a weight, so it cannot be stored as codes")
                 arr, scales[name] = _dequantize(path, key, arr, raw, qcfg and qcfg.weight), raw
             kwargs[name] = arr
-        missing = [n for n in WEIGHT_NAMES if kwargs[n] is None]
-        if missing:
+        if missing := [n for n in WEIGHT_NAMES if kwargs[n] is None]:
             raise BundleFormatError(f"{path}: block {i} missing weights {missing}")
         for name, shape in _block_shapes(config).items():
-            arr = kwargs[name]
-            if arr is not None and arr.shape != shape:
-                raise BundleFormatError(
-                    f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}"
-                )
-        if meta["norms_folded"]:  # such files store the folded gains as ones
-            for name in ("g_attn", "g_mlp"):
-                if kwargs[name] is not None and np.any(kwargs[name] != 1.0):
-                    raise BundleFormatError(f"{path}: meta sets norms_folded, but block{i}.{name} is not all ones")
-                kwargs[name] = None
+            if (arr := kwargs[name]) is not None and arr.shape != shape:
+                raise BundleFormatError(f"{path}: block{i}.{name} has shape {arr.shape}, config needs {shape}")
         blocks.append(BlockWeights(**kwargs, scales=scales or None))
     return ModelBundle(config, blocks, rotation, qcfg)
 
@@ -313,10 +295,11 @@ def write_calibration(path, calib, synth_meta=None):
 
 
 def read_calibration(path):
-    _, tensors = _read_container(path, expect_kind="calibration")
-    if "calib" not in tensors:
-        raise BundleFormatError(f"{path}: missing calibration tensor")
-    return tensors["calib"]
+    calib = _read_container(path, expect_kind="calibration")[1].get("calib")
+    if calib is None or calib.ndim != 3 or calib.size == 0:
+        found = "no calibration tensor" if calib is None else f"a calibration tensor of shape {calib.shape}"
+        raise BundleFormatError(f"{path}: holds {found}, not a nonempty [sequences x seq_len x channels] one")
+    return calib
 
 
 def write_params(path, params_list):
@@ -416,31 +399,25 @@ def _csv_cell(v):
 
 
 def read_report(json_path) -> ErrorReport:
-    """Load a report JSON of schema 1 to REPORT_SCHEMA; schema-1 records
-    load with measured_noise_var None.  Any other document, or records and
-    blocks that are not objects of their fields' types, raise
-    BundleFormatError.
-    """
+    """Load a report JSON of schema REPORT_SCHEMA.  Any other document, or
+    records and blocks that are not objects of their fields' types, raise
+    BundleFormatError."""
     with open(json_path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if not isinstance(payload, dict) or "schema" not in payload:
         raise BundleFormatError(f"{json_path}: missing schema field")
     schema = payload["schema"]
-    if type(schema) is not int or not 1 <= schema <= REPORT_SCHEMA:
-        raise BundleFormatError(f"{json_path}: unknown report schema {schema!r}")
+    if type(schema) is not int or schema != REPORT_SCHEMA:
+        raise BundleFormatError(f"{json_path}: report schema {schema!r}, this reader takes {REPORT_SCHEMA}; {_REBUILD}")
     records, blocks = payload.get("records", []), payload.get("blocks", [])
     try:
         if not (isinstance(records, list) and isinstance(blocks, list)):
             raise ValueError("records and blocks must be lists")
-        if schema == 1:  # measured_noise_var superseded empirical_noise_var
-            for d in records:
-                if isinstance(d, dict):
-                    d.pop("empirical_noise_var", None)
         records = [_from_json(SiteRecord, d) for d in records]
         blocks = [_from_json(BlockMse, b) for b in blocks]
     except (TypeError, ValueError) as err:
         raise BundleFormatError(f"{json_path}: malformed report: {err}") from err
-    return ErrorReport(schema=schema, records=records, blocks=blocks)
+    return ErrorReport(records=records, blocks=blocks)
 
 
 def _from_json(cls, d):

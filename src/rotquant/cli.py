@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import channel_stats, clipping_energy, emit_report, gaussian_clip_energy
+from .analysis import REPORT_SCHEMA, channel_stats, clipping_energy, emit_report, gaussian_clip_energy
 from .bundle_io import (
     BundleFormatError,
     _from_json,
@@ -201,11 +201,18 @@ def _outdir(args) -> Path:
     return out
 
 
+def _read_calibration(args, hidden: int):
+    """The --calib set, whose width must be the --model's `hidden`."""
+    if (calib := read_calibration(args.calib)).shape[-1] != hidden:
+        raise BundleFormatError(f"{args.calib}: width {calib.shape[-1]}, but {args.model} has hidden {hidden}")
+    return calib
+
+
 def _load_inputs(args):
     """(output dir, model, calibration set, PipelineConfig) of a command that
     reads a model; the model file owns the model's shape."""
     bundle = read_bundle(args.model)
-    calib = read_calibration(args.calib)
+    calib = _read_calibration(args, bundle.config.hidden)
     cfg = _load_config(args, bundle.config).pipeline_config()
     return _outdir(args), bundle, calib, cfg
 
@@ -270,7 +277,7 @@ def cmd_eval(args) -> int:
     if model.rotation is not None:
         raise BundleFormatError(f"{args.model}: has a residual rotation fused in; pass the original model")
     params = read_params(args.params, quantized.config)
-    x = quantized.rotation.apply(read_calibration(args.calib))
+    x = quantized.rotation.apply(_read_calibration(args, model.config.hidden))
     y_fp = forward_fp(fuse_rres(fold_norms(model), quantized.rotation), x)
     value = mse(forward_quant(quantized, params, quantized.qcfg, x), y_fp)
     out = _outdir(args)
@@ -427,7 +434,7 @@ def _check_report_file(path):
             v = getattr(r, field)
             if not 0.0 <= v <= 1.0:
                 return False, f"block{r.block}.{r.site}.{field} = {v} outside [0, 1]"
-    return True, f"{len(report.records)} records, schema {report.schema}"
+    return True, f"{len(report.records)} records, schema {REPORT_SCHEMA}"
 
 
 # -- entry point --------------------------------------------------------------------

@@ -38,7 +38,6 @@ from rotquant.model import (
     QuantConfig,
     SynthSpec,
     build_toy_model,
-    fold_norms,
     gen_calibration,
 )
 from rotquant.pipeline import PipelineConfig, StageSchedule, run_pipeline
@@ -218,36 +217,9 @@ def _extra_in_files(header=None, tensors=None):
         yield
 
 
-_NO_FLAGS = dict.fromkeys(("norms_folded", "rres_fused", "rv_scale_fused", "weights_quantized"), False)
-
-
-def _write_legacy(path, bundle, **flags):
-    """`bundle` in the layout of files written before a bundle's stage was
-    read from its contents: every block stores its norm gains (all ones once
-    folded), and the header holds `meta`, four stage flags, false unless set."""
-    legacy = bundle.copy()
-    for bw in legacy.blocks:
-        if bw.g_attn is None:
-            bw.g_attn, bw.g_mlp = np.ones(bundle.config.hidden), np.ones(bundle.config.hidden)
-    with _extra_in_files(header={"meta": dict(_NO_FLAGS, **flags)}):
-        write_bundle(path, legacy)
-
-
-def _write_legacy_model(path):
-    _write_legacy(path, build_toy_model(CFG, seed=0))
-
-
 def _write_params_with_stray(path):
     with _extra_in_files(tensors={"block0.bc_xx": ("f64", np.zeros(CFG.hidden))}):
         _write_params(path)
-
-
-def _set_meta(**flags):
-    def mutate(header):
-        header["meta"].update(flags)  # false -> true shortens the header
-        return header
-
-    return mutate
 
 
 def _rename_tensor(old, new):
@@ -263,10 +235,6 @@ def _rename_tensor(old, new):
     [
         (_write_model, read_bundle, _drop("offset", index=0), "offset"),
         (_write_model, read_bundle, _drop("config"), "config"),
-        (_write_legacy_model, read_bundle, lambda h: dict(h, meta={}), "meta must hold the boolean flags"),
-        (_write_legacy_model, read_bundle, _set_meta(rres_fused=True), "meta sets \\['rres_fused'\\]"),
-        (_write_legacy_model, read_bundle, _set_meta(weights_quantized=True), "meta sets \\['weights_quantized'\\]"),
-        (_write_legacy_model, read_bundle, _set_meta(norms_folded=True), "block0.g_attn is not all ones"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
         (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
         # a two-block params file never loads as fewer blocks
@@ -292,10 +260,6 @@ def _rename_tensor(old, new):
     ids=[
         "no-offset",
         "no-config",
-        "no-meta-flags",
-        "meta-rotated-without-rotation",
-        "meta-quantized-without-bits",
-        "meta-folded-with-gains",
         "tensors-not-list",
         "params-missing-tensor",
         "params-n_blocks-float",
@@ -433,59 +397,6 @@ def test_quantized_bundle_and_params_reload_bit_exact(tmp_path, bits):
     assert (tmp_path / "again.rqb").read_bytes() == path.read_bytes()
 
 
-def _container(magic, header, blobs):
-    """Container bytes built field by field: magic, u64 header length, the
-    JSON header padded to a 64-byte boundary, then each blob 64-byte aligned."""
-    header_len = 4096 - 16
-    offset = 4096
-    for entry, blob in zip(header["tensors"], blobs):
-        entry.update(offset=offset, nbytes=len(blob))
-        offset += len(blob) + (-len(blob)) % 64
-    encoded = json.dumps(header).encode("utf-8")
-    assert len(encoded) <= header_len
-    out = magic + struct.pack("<Q", header_len) + encoded.ljust(header_len)
-    for blob in blobs:
-        out += blob + b"\x00" * ((-len(blob)) % 64)
-    return out
-
-
-def test_legacy_folded_gains_read_as_no_gains(tmp_path):
-    # the older layout stores a folded model's gains as ones
-    folded = fold_norms(build_toy_model(CFG, seed=0))
-    legacy, again, direct = tmp_path / "legacy.rqb", tmp_path / "again.rqb", tmp_path / "direct.rqb"
-    _write_legacy(legacy, folded, norms_folded=True)
-    bundle = read_bundle(legacy)
-    assert bundle.norms_folded
-    write_bundle(again, bundle)
-    write_bundle(direct, folded)
-    assert again.read_bytes() == direct.read_bytes()
-
-
-def test_v1_file_still_reads(tmp_path):
-    # v1: magic version 1, and every tensor f32, named so or unnamed
-    bundle = build_toy_model(CFG, seed=5)
-    names = [(i, name) for i in range(CFG.n_blocks) for name in _TENSORS]
-    arrays = [getattr(bundle.blocks[i], name).astype("<f4") for i, name in names]
-    entries = [{"name": f"block{i}.{name}", "shape": list(a.shape)} for (i, name), a in zip(names, arrays)]
-    for k, entry in enumerate(entries):
-        if k % 2:
-            entry["dtype"] = "f32"
-    meta = {"norms_folded": False, "rres_fused": False, "rv_scale_fused": False, "weights_quantized": False}
-    header = {"schema": 1, "kind": "model", "config": vars(CFG), "meta": meta, "tensors": entries}
-    path = tmp_path / "v1.rqb"
-    path.write_bytes(_container(b"RQBNDL\x00\x01", header, [a.tobytes() for a in arrays]))
-    loaded = read_bundle(path)
-    assert loaded.config == CFG and loaded.rotation is None and loaded.qcfg is None
-    for (i, name), a in zip(names, arrays):
-        assert np.array_equal(getattr(loaded.blocks[i], name), a.astype(np.float64)), name
-
-    calib = np.random.default_rng(2).normal(size=(2, 4, 8)).astype("<f4")
-    header = {"schema": 1, "kind": "calibration", "synth": {}, "tensors": [{"name": "calib", "dtype": "f32",
-                                                                          "shape": [2, 4, 8]}]}
-    path.write_bytes(_container(b"RQBNDL\x00\x01", header, [calib.tobytes()]))
-    assert np.array_equal(read_calibration(path), calib.astype(np.float64))
-
-
 def _set_entry(name, **fields):
     def mutate(header):
         next(t for t in header["tensors"] if t["name"] == name).update(fields)
@@ -521,7 +432,7 @@ def _v1_magic(raw):
         (None, _patch_tensor("block0.wq.scale", -1.0), "block0.wq.scale holds a negative scale"),
         (None, _patch_tensor("block1.wdown.scale", float("nan")), "block1.wdown.scale' at offset .* non-finite"),
         (None, _patch_tensor("block0.wq.scale", float("inf")), "block0.wq.scale' at offset .* non-finite"),
-        (None, _v1_magic, "has dtype 'u4', not one of \\['f32'\\]"),
+        (None, _v1_magic, "container version 1, this reader takes 2; rerun gen/quantize"),
         (_set_entry("block0.bq", dtype="u8", shape=[256]), None, "block0.bq is not a weight"),
         (_drop_tensor("block1.wup.scale"), None, "block1.wup needs integer codes \\[rows x cols\\] and an f64 scale"),
         (lambda h: {k: v for k, v in h.items() if k != "bits"}, None, "codes, but the header sets no weight bits"),
@@ -603,7 +514,7 @@ def test_report_roundtrip_lossless(tmp_path):
     base = tmp_path / "report"
     write_report(base, report)
     loaded = read_report(str(base) + ".json")
-    assert loaded.schema == 3
+    assert json.loads((tmp_path / "report.json").read_text())["schema"] == 3
     assert len(loaded.records) == 2
     r0, l0 = report.records[0], loaded.records[0]
     for field in (
@@ -626,94 +537,56 @@ def test_report_roundtrip_lossless(tmp_path):
     assert len(summary) == 2
 
 
-# a report.json as written before measured_noise_var replaced empirical_noise_var
-_SCHEMA1_REPORT = (
-    '{"blocks":[{"block":0,"mse_after_gptq":0.5,"mse_baseline":1.0,"mse_final":0.25}],'
-    '"records":[{"block":0,"channel_means":[0.1,-0.2],"channel_vars":[1.0,1.1],'
-    '"clipping_energy_fraction":0.18,"empirical_noise_var":0.0021,"mean_channel_var":1.0,'
-    '"predicted_noise_var":0.002,"rounding_energy":0.01,"site":"qkv","var_of_means":4.0,'
-    '"var_of_means_fraction":0.8},{"block":0,"channel_means":null,"channel_vars":null,'
-    '"clipping_energy_fraction":0.0,"empirical_noise_var":null,"mean_channel_var":0.5,'
-    '"predicted_noise_var":null,"rounding_energy":0.0,"site":"k_cache","var_of_means":0.0,'
-    '"var_of_means_fraction":0.0}],"schema":1}\n'
-)
-
-
-def test_report_reads_schema_1(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text(_SCHEMA1_REPORT)
-    loaded = read_report(path)
-    assert loaded.schema == 1
-    assert loaded.blocks == [BlockMse(0, 1.0, 0.5, 0.25)]
-    qkv, cache = loaded.records
-    assert (qkv.block, qkv.site, qkv.clipping_energy_fraction) == (0, "qkv", 0.18)
-    assert qkv.predicted_noise_var == 0.002
-    assert qkv.measured_noise_var is None and cache.measured_noise_var is None
-    assert np.array_equal(qkv.channel_vars, [1.0, 1.1]) and cache.channel_means is None
-
-
-# a report.json as written while the k/v cache rounding_energy was per token
-# at the activation bits
-_SCHEMA2_REPORT = (
-    '{"blocks":[{"block":0,"mse_after_gptq":0.5,"mse_baseline":1.0,"mse_final":0.25}],'
-    '"records":[{"block":0,"channel_means":[0.1,-0.2],"channel_vars":[1.0,1.1],'
-    '"clipping_energy_fraction":0.18,"mean_channel_var":1.0,"measured_noise_var":0.0021,'
-    '"predicted_noise_var":0.002,"rounding_energy":0.01,"site":"qkv","var_of_means":4.0,'
-    '"var_of_means_fraction":0.8},{"block":0,"channel_means":[0.3,0.4],"channel_vars":[0.5,0.5],'
-    '"clipping_energy_fraction":0.0,"mean_channel_var":0.5,"measured_noise_var":null,'
-    '"predicted_noise_var":null,"rounding_energy":0.009,"site":"k_cache","var_of_means":0.0025,'
-    '"var_of_means_fraction":0.005}],"schema":2}\n'
-)
-
-
-def test_report_reads_schema_2(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text(_SCHEMA2_REPORT)
-    loaded = read_report(path)
-    assert loaded.schema == 2
-    assert loaded.blocks == [BlockMse(0, 1.0, 0.5, 0.25)]
-    qkv, cache = loaded.records
-    assert (qkv.site, qkv.measured_noise_var, qkv.predicted_noise_var) == ("qkv", 0.0021, 0.002)
-    assert (cache.site, cache.rounding_energy, cache.measured_noise_var) == ("k_cache", 0.009, None)
-    assert np.array_equal(cache.channel_means, [0.3, 0.4])
-
-
 def _record_json(**changes):
-    d = json.loads(_SCHEMA1_REPORT)["records"][0]
-    d.pop("empirical_noise_var")
-    return d | changes
+    """A schema-3 report record as write_report stores it, with `changes`."""
+    return bundle_io._record_to_json(_sample_report().records[0]) | changes
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, named",
     [
-        {"schema": 1, "records": [1]},
-        {"schema": 2, "records": [_record_json(clipping_energy_fraction="a")]},
-        {"schema": 2, "records": [_record_json(clipping_energy_fraction=None)]},
-        {"schema": 2, "records": [_record_json(var_of_means_fraction=[0.5])]},
-        {"schema": 2, "records": [_record_json(block="0")]},
-        {"schema": 2, "records": [_record_json(channel_means=["x"])]},
-        {"schema": 2, "records": [_record_json(empirical_noise_var=0.1)]},
-        {"schema": 2, "records": [{"block": 0, "site": "qkv"}]},
-        {"schema": 2, "records": [], "blocks": [1]},
-        {"schema": 2, "records": [], "blocks": [{"block": 0, "mse_baseline": "x", "mse_after_gptq": 0.5,
-                                                 "mse_final": 0.25}]},
-        {"schema": 2, "records": {"a": 1}},
-        {"schema": 4, "records": []},
-        {"schema": True, "records": []},
-        [1, 2],
+        ({"schema": 3, "records": [1]}, "SiteRecord: expected a JSON object, got 1"),
+        ({"schema": 3, "records": [_record_json(clipping_energy_fraction="a")]},
+         "clipping_energy_fraction = 'a' is not float"),
+        ({"schema": 3, "records": [_record_json(clipping_energy_fraction=None)]},
+         "clipping_energy_fraction = None is not float"),
+        ({"schema": 3, "records": [_record_json(var_of_means_fraction=[0.5])]},
+         "var_of_means_fraction = [0.5] is not float"),
+        ({"schema": 3, "records": [_record_json(block="0")]}, "block = '0' is not int"),
+        ({"schema": 3, "records": [_record_json(channel_means=["x"])]}, "channel_means = ['x'] is not np.ndarray"),
+        # the field schema 1 held; schema 3 does not know it
+        ({"schema": 3, "records": [_record_json(empirical_noise_var=0.1)]},
+         "empirical_noise_var = 0.1 is not a known field"),
+        ({"schema": 3, "records": [{"block": 0, "site": "qkv"}]},
+         "missing 5 required positional arguments: 'rounding_energy'"),
+        ({"schema": 3, "records": [], "blocks": [1]}, "BlockMse: expected a JSON object, got 1"),
+        ({"schema": 3, "records": [], "blocks": [{"block": 0, "mse_baseline": "x", "mse_after_gptq": 0.5,
+                                                  "mse_final": 0.25}]}, "mse_baseline = 'x' is not float"),
+        ({"schema": 3, "records": {"a": 1}}, "records and blocks must be lists"),
+        ({"schema": 4, "records": []}, "report schema 4, this reader takes 3"),
+        ({"schema": True, "records": []}, "report schema True, this reader takes 3"),
+        ([1, 2], "missing schema field"),
     ],
     ids=["record-not-object", "fraction-str", "fraction-null", "fraction-list", "block-str",
          "means-str", "schema2-empirical", "record-missing-fields", "block-not-object",
          "block-mse-str", "records-not-list", "schema-unknown", "schema-bool", "not-object"],
 )
-def test_cli_verify_malformed_report_fails_cleanly(tmp_path, capsys, payload):
+def test_cli_verify_malformed_report_fails_cleanly(tmp_path, capsys, payload, named):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))
     assert main(["verify", "--report", str(path)]) == 3
     captured = capsys.readouterr()
-    assert "FAIL report-file" in captured.out
+    fail = [line for line in captured.out.splitlines() if line.startswith("FAIL report-file: ")]
+    assert len(fail) == 1 and named in fail[0], captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_reads_a_valid_report_record(tmp_path, capsys):
+    # the record the cases above break is valid as it is
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": 3, "records": [_record_json()]}))
+    assert main(["verify", "--report", str(path)]) == 0
+    assert "PASS report-file: 1 records, schema 3" in capsys.readouterr().out
 
 
 def test_report_twins_are_deterministic(tmp_path):
@@ -1004,33 +877,109 @@ def test_cli_eval_file_errors_are_runtime_errors(tmp_path, capsys):
     assert not (tmp_path / "e" / "eval.json").exists()
 
 
-def _legacy_quantized(tmp_path, seed, **flags):
-    """(eval argv on a quantized.rqb rewritten in the older layout with
-    `flags`, the run's quantize dir)."""
-    argv, q_dir = _quantize_tiny(tmp_path, seed)
-    legacy = tmp_path / "legacy.rqb"
-    _write_legacy(legacy, read_bundle(q_dir / "quantized.rqb"), **flags)
-    argv[argv.index("--quantized") + 1] = str(legacy)
-    return argv, q_dir
+def _gen_tiny(tmp_path):
+    """The directory of a `gen` run on the TINY CLI config."""
+    g_dir = tmp_path / "g"
+    assert main(["gen", "--config", _tiny_config(tmp_path), "--out", str(g_dir)]) == 0
+    return g_dir
 
 
-def test_legacy_false_flag_keeps_the_lattice_weights(tmp_path):
-    # weights_quantized false: the weights are still used as they are.  On
-    # seed 1, some rows' largest code is below the top level, so rounding
-    # them to nearest again would move them and the mse
-    argv, q_dir = _legacy_quantized(tmp_path, 1, norms_folded=True, rres_fused=True, rv_scale_fused=True)
-    assert main(argv + ["--out", str(tmp_path / "e")]) == 0
-    final_mse = read_report(q_dir / "report.json").blocks[-1].mse_final
-    assert json.loads((tmp_path / "e" / "eval.json").read_bytes()) == {"schema": 1, "mse": final_mse}
+def _quantize_argv(g_dir):
+    """`quantize` on the files of `g_dir`, writing next to it."""
+    return ["quantize", "--model", str(g_dir / "model.rqb"), "--calib", str(g_dir / "calib.rqb"),
+            "--out", str(g_dir.parent / "q")]
 
 
-def test_legacy_all_flags_false_is_still_rotated(tmp_path, capsys):
-    argv, _ = _legacy_quantized(tmp_path, 0)
-    inputs = ["--model", argv[argv.index("--quantized") + 1], "--calib", argv[argv.index("--calib") + 1]]
+def _v1_magic_on(name):
+    """Case: `quantize` on the TINY files, with container version 1 on `name`."""
+
+    def case(tmp_path):
+        g_dir = _gen_tiny(tmp_path)
+        path = g_dir / name
+        path.write_bytes(_v1_magic(path.read_bytes()))
+        return _quantize_argv(g_dir), f"{path}: container version 1, this reader takes 2"
+
+    return case
+
+
+def _model_with_meta(tmp_path):
+    """Case: `quantize` on a TINY model whose header holds the stage flags of the older layout."""
+    g_dir = _gen_tiny(tmp_path)
+    model = g_dir / "model.rqb"
+    flags = dict.fromkeys(("norms_folded", "rres_fused", "rv_scale_fused", "weights_quantized"), False)
+    with _extra_in_files(header={"meta": flags}):
+        write_bundle(model, read_bundle(model))
+    return _quantize_argv(g_dir), f"{model}: a model header with stage flags (meta) is the older layout"
+
+
+def _report_of_schema(schema):
+    """Case: `verify --report` on a report written in `schema`."""
+
+    def case(tmp_path):
+        write_report(tmp_path / "report", _sample_report())
+        path = tmp_path / "report.json"
+        document = json.loads(path.read_text())
+        document["schema"] = schema
+        if schema == 1:  # its records held empirical_noise_var
+            for record in document["records"]:
+                record["empirical_noise_var"] = record.pop("measured_noise_var")
+        path.write_text(json.dumps(document))
+        return ["verify", "--report", str(path)], f"{path}: report schema {schema}, this reader takes 3"
+
+    return case
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [(_v1_magic_on("model.rqb"), 2), (_v1_magic_on("calib.rqb"), 2), (_model_with_meta, 2),
+     (_report_of_schema(1), 3), (_report_of_schema(2), 3)],
+    ids=["v1-model", "v1-calibration", "meta-model", "report-schema-1", "report-schema-2"],
+)
+def test_cli_rejects_every_older_file_form(tmp_path, capsys, case, code):
+    # one container version and one report schema read; an older file names its form and how to rebuild it
+    argv, named = case(tmp_path)
     capsys.readouterr()
-    assert main(["quantize", "--config", _tiny_config(tmp_path), *inputs, "--out", str(tmp_path / "q2")]) == 2
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = [line for line in (captured.out + captured.err).splitlines() if named in line]
+    assert len(lines) == 1 and "rerun gen/quantize" in lines[0], captured
+    assert lines[0].startswith("error: " if code == 2 else "FAIL report-file: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "q").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """(eval argv without --out, config path) of one TINY gen + quantize."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    argv, _ = _quantize_tiny(tmp)
+    return argv, str(tmp / "config.json")
+
+
+@pytest.mark.parametrize("command", ["quantize", "analyze", "ablate", "eval"])
+@pytest.mark.parametrize(
+    "reshape, named",
+    [
+        (lambda c: c.reshape(-1, 32)[:16], "holds a calibration tensor of shape (16, 32), not a nonempty"),
+        (lambda c: c[:0, :4], "holds a calibration tensor of shape (0, 4, 32), not a nonempty"),
+        (lambda c: c[..., :16], "width 16, but {model} has hidden 32"),
+    ],
+    ids=["2d", "empty", "narrower-than-model"],
+)
+def test_cli_rejects_a_calibration_of_the_wrong_shape(tmp_path, capsys, tiny_run, command, reshape, named):
+    argv, cfg = tiny_run
+    model, calib = argv[argv.index("--model") + 1], argv[argv.index("--calib") + 1]
+    bad, out = tmp_path / "calib.rqb", tmp_path / "out"
+    bundle_io._write_container(bad, "calibration", {"synth": {}}, {"calib": ("f64", reshape(read_calibration(calib)))})
+    if command == "eval":
+        argv = [str(bad) if arg == calib else arg for arg in argv]
+    else:
+        argv = [command, "--config", cfg, "--model", model, "--calib", str(bad)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "residual rotation" in err and "Traceback" not in err, err
+    assert err.startswith(f"error: {bad}: ") and named.format(model=model) in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_quantize_output_size_follows_the_code_layout(tmp_path):
