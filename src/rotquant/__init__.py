@@ -48,7 +48,6 @@ from .pipeline import (
     PipelineResult,
     StageSchedule,
     ablate,
-    compute_rres,
     prepare_bundle,
     quantize_blockwise,
     run_pipeline,
@@ -67,10 +66,8 @@ from .quantizers import (
     search_clip,
 )
 from .transforms import (
-    CayleyParam,
     Rotation,
     cayley,
-    compose_rres,
     fwht,
     hadamard_matrix,
     pca_basis,

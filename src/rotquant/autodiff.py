@@ -8,8 +8,10 @@ only their closures, so constant subgraphs cost their closure allocations
 but no backward work.
 
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
-their forward is the exact discrete map, their backward the surrogate used
-for quantization-aware calibration.
+their forward is the exact discrete map, their backward a pass-through.
+Calibration quantizes through `quantizers.quantize_dynamic`'s closed-form
+node instead; these serve the gradient-integrity check and the reference
+chain its gradients are tested against.
 
 The exported helpers accept either a `Var` or a plain ndarray and return
 the matching kind, so numeric code can be written once and reused

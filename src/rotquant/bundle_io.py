@@ -310,22 +310,22 @@ def write_params(path, params_list):
     _write_container(path, "params", {"n_blocks": len(params_list)}, tensors)
 
 
-def read_params(path, config: ModelConfig | None = None):
-    """One BlockParams per block; with `config`, the file must hold
-    config.n_blocks blocks whose tensors have that model's shapes."""
+def read_params(path, config: ModelConfig):
+    """One BlockParams per block; the file must hold config.n_blocks blocks
+    whose tensors have that model's shapes."""
     header, tensors = _read_container(path, expect_kind="params")
-    want = config and {f: np.shape(v) for f, v in vars(BlockParams.neutral(config)).items()}
+    want = {f: np.shape(v) for f, v in vars(BlockParams.neutral(config)).items()}
     out = []
     try:
         n_blocks = _json_value("n_blocks", "int", header["n_blocks"])
         _reject_stray_tensors(path, tensors, n_blocks, [f.name for f in fields(BlockParams)])
-        if want and n_blocks != config.n_blocks:
+        if n_blocks != config.n_blocks:
             raise BundleFormatError(f"{path}: {n_blocks} blocks of params, the model has {config.n_blocks}")
         for i in range(n_blocks):
             kwargs = {}
             for f in [fl.name for fl in fields(BlockParams)]:
                 arr = tensors[key := f"block{i}.{f}"]
-                if want and arr.shape != want[f]:
+                if arr.shape != want[f]:
                     raise BundleFormatError(f"{path}: {key} has shape {arr.shape}, the model needs {want[f]}")
                 kwargs[f] = np.float64(arr) if arr.ndim == 0 else arr
             out.append(BlockParams(**kwargs))

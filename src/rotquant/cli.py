@@ -153,9 +153,11 @@ class RunConfig:
 
     def validate(self):
         """Raise one ConfigError joining the errors of the objects a run
-        builds (the model first: the others read its widths) and of the two
+        builds (the model first: the others read its widths) and of the
         rules no library type owns; each names its field.  Cheap (< 1 s)."""
         problems = []
+        if self.seed < 0:
+            problems.append(f"seed: must be >= 0, got {self.seed}")
         if self.calib_sequences < 1 or self.seq_len < 2:
             problems.append("calib: need >= 1 sequence of length >= 2")
         if self.weight_outlier_cols < 0:

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import value_of
 from .quantizers import QuantSpec, quantize_dynamic, rtn_quantize
-from .transforms import CayleyParam, Rotation, cayley, fwht, hadamard_matrix, is_power_of_two
+from .transforms import Rotation, cayley, fwht, hadamard_matrix, is_power_of_two
 
 __all__ = [
     "ModelConfig",
@@ -369,7 +369,7 @@ def fold_norms(bundle: ModelBundle) -> ModelBundle:
     """
     out = bundle.copy()
     for bw in out.blocks:
-        for gain, readers in ((bw.g_attn, ("wq", "wk", "wv")), (bw.g_mlp, ("wgate", "wup"))):
+        for gain, readers in ((bw.g_attn, ACT_SITES["qkv"]), (bw.g_mlp, ACT_SITES["up"])):
             if gain is not None:
                 for name in readers:
                     setattr(bw, name, getattr(bw, name) * gain[None, :])
@@ -380,7 +380,7 @@ def fold_norms(bundle: ModelBundle) -> ModelBundle:
 def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
     """Absorb the residual rotation into the weights.
 
-    Residual readers (wq, wk, wv, wgate, wup) take M on the input axis;
+    Residual readers (the qkv and up weights) take M on the input axis;
     residual writers (wo, wdown, and their biases) take M^T on the output
     axis.  The fused bundle consumes and produces the rotated stream.  On
     a bundle already rotated by M0, the fused rotation is M0 @ M.  A
@@ -396,7 +396,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
     m = rotation.matrix
     out = bundle.copy()
     for bw in out.blocks:
-        for name in ("wq", "wk", "wv", "wgate", "wup"):
+        for name in ACT_SITES["qkv"] + ACT_SITES["up"]:
             setattr(bw, name, getattr(bw, name) @ m)
         bw.wo = m.T @ bw.wo
         bw.wdown = m.T @ bw.wdown
@@ -420,7 +420,7 @@ def effective_weights(bw: BlockWeights, bp: BlockParams, config: ModelConfig):
     out = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
     n, m, h, d = config.hidden, config.mlp_dim, config.heads, config.head_dim
 
-    rv = cayley(CayleyParam(bp.a_v, hadamard_matrix(d)))
+    rv = cayley(bp.a_v, hadamard_matrix(d))
     rv_t = ad.swapaxes(rv, -1, -2)
     inv_s_o = 1.0 / bp.s_o
     wv_heads = ad.reshape(bw.wv, (h, d, n)) * ad.reshape(inv_s_o, (h, d, 1))

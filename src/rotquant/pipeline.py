@@ -39,7 +39,7 @@ from .model import (
 )
 from .optim import OptimizationError, ParamGroup, optimize
 from .quantizers import gptq_quantize, search_clip
-from .transforms import Rotation, compose_rres, hadamard_matrix, pca_basis, random_hadamard
+from .transforms import Rotation, hadamard_matrix, pca_basis, random_hadamard
 
 __all__ = [
     "StageSchedule",
@@ -48,8 +48,6 @@ __all__ = [
     "ABLATION_MODES",
     "RRES_KINDS",
     "mode_config",
-    "compute_rres",
-    "build_rres",
     "prepare_bundle",
     "quantize_blockwise",
     "site_layers",
@@ -132,40 +130,26 @@ class PipelineResult:
     grad_peak_elements: int
     max_block_param_elements: int
 
-    @property
-    def rotation(self) -> Rotation | None:
-        """The residual rotation fused into the quantized bundle."""
-        return self.bundle.rotation
-
-
-def compute_rres(bundle: ModelBundle) -> Rotation:
-    """Residual rotation from the covariance of all residual-reading weights."""
-    if not bundle.norms_folded:
-        raise RuntimeError("fold norms first")
-    readers = []
-    for bw in bundle.blocks:
-        readers.extend([bw.wq, bw.wk, bw.wv, bw.wgate, bw.wup])
-    return compose_rres(pca_basis(readers))
-
-
-def build_rres(bundle: ModelBundle, cfg: PipelineConfig) -> Rotation:
-    n = bundle.config.hidden
-    if cfg.rres_kind == "hadamard":
-        return Rotation(hadamard_matrix(n))
-    if cfg.rres_kind == "random-hadamard":
-        return random_hadamard(n, cfg.rres_seed)
-    return compute_rres(bundle)
-
 
 def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig) -> ModelBundle:
     """Fold norms, choose the residual rotation, fuse it into the weights.
 
-    The returned bundle holds the rotation it fused (`rotation`).
+    The rotation is H, a random-sign H, or ("pca-hadamard") U @ H with U
+    the principal basis of the folded residual readers.  The returned
+    bundle holds the rotation it fused (`rotation`).
     """
     if bundle.rotation is not None:
         raise RuntimeError("the bundle already has a residual rotation fused in; pass the original model")
     folded = fold_norms(bundle)
-    return fuse_rres(folded, build_rres(folded, cfg))
+    n = bundle.config.hidden
+    if cfg.rres_kind == "hadamard":
+        rotation = Rotation(hadamard_matrix(n))
+    elif cfg.rres_kind == "random-hadamard":
+        rotation = random_hadamard(n, cfg.rres_seed)
+    else:
+        readers = [getattr(bw, name) for bw in folded.blocks for name in ACT_SITES["qkv"] + ACT_SITES["up"]]
+        rotation = Rotation(pca_basis(readers) @ hadamard_matrix(n))
+    return fuse_rres(folded, rotation)
 
 
 def _clip_seeds(sites, qcfg: QuantConfig):
@@ -316,11 +300,7 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
     online at inference (b^c, s^a, alpha).  With cfg.with_report, each
     block's quantizer sites are analysed from its final forward.
     """
-    calib = np.asarray(calib, dtype=np.float64)
-    if calib.ndim != 3 or calib.size == 0:
-        raise ValueError("calibration must be a nonempty [sequences x seq_len x hidden] tensor")
-    if calib.shape[-1] != bundle.config.hidden:
-        raise ValueError(f"calibration width {calib.shape[-1]} != hidden {bundle.config.hidden}")
+    calib = _calibration(calib, bundle.config.hidden)
     if not bundle.norms_folded or bundle.rotation is None or bundle.qcfg is not None:
         raise RuntimeError("bundle must be norm-folded, rotation-fused and not quantized (see prepare_bundle)")
 
@@ -349,6 +329,16 @@ def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):
         grad_peak_elements=peak,
         max_block_param_elements=max_block,
     )
+
+
+def _calibration(calib, hidden):
+    """`calib` as a float64 [sequences x seq_len x hidden] array, or a ValueError."""
+    calib = np.asarray(calib, dtype=np.float64)
+    if calib.ndim != 3 or calib.size == 0:
+        raise ValueError("calibration must be a nonempty [sequences x seq_len x hidden] tensor")
+    if calib.shape[-1] != hidden:
+        raise ValueError(f"calibration width {calib.shape[-1]} != hidden {hidden}")
+    return calib
 
 
 def _gptq_block(eff, rec, spec, damp) -> BlockWeights:
@@ -418,8 +408,8 @@ def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineRes
 
     `calib` is [sequences x seq_len x hidden] in the original basis.
     """
+    calib = _calibration(calib, bundle.config.hidden)  # before any work
     prepared = prepare_bundle(bundle, cfg)
-    calib = np.asarray(calib, dtype=np.float64)
     calib_rot = prepared.rotation.apply(calib)
     return quantize_blockwise(prepared, calib_rot, cfg)
 

@@ -32,8 +32,6 @@ __all__ = [
     "Rotation",
     "random_hadamard",
     "pca_basis",
-    "compose_rres",
-    "CayleyParam",
     "cayley",
 ]
 
@@ -180,36 +178,7 @@ def pca_basis(weights):
     return u * np.where(peak < 0, -1.0, 1.0)
 
 
-def compose_rres(u) -> Rotation:
-    """Residual-stream rotation: principal basis then Hadamard.
-
-    Activation-side application order is fixed as U^T then H; in the
-    row-major convention both the residual stream and the input-side
-    weights multiply by U @ H on the right.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    _check_pow2(u.shape[0])
-    _assert_orthogonal(u)  # rejects ||U^T U - I||_inf > 1e-6
-    return Rotation(u @ hadamard_matrix(u.shape[0]))
-
-
 # -- Cayley parameterization -------------------------------------------------
-
-
-@dataclass
-class CayleyParam:
-    """Unconstrained square parameter interpreted through its skew part.
-
-    cayley(a=0) reproduces `base` exactly, so initializing at zero with a
-    Hadamard base starts training from the fixed-Hadamard rotation.
-    """
-
-    a: object  # [n x n] ndarray or Var
-    base: np.ndarray  # fixed orthogonal right factor
-
-    def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=np.float64)
-        _assert_orthogonal(self.base)
 
 
 def _cayley_forward(a_val, base):
@@ -224,15 +193,15 @@ def _cayley_forward(a_val, base):
     return s, m, m @ base
 
 
-def cayley(param: CayleyParam):
-    """(I - S)^{-1} (I + S) @ base with S the skew part of the parameter.
+def cayley(a, base):
+    """(I - S)^{-1} (I + S) @ base, S the skew part of the [n x n] ndarray or Var `a`.
 
-    Orthogonal for every finite parameter; differentiable when the
-    parameter is a Var (closed-form vector-Jacobian product through the
-    linear solve).
+    `base` is a fixed orthogonal factor that a zero `a` reproduces exactly.
+    Orthogonal for every finite `a`; differentiable when `a` is a Var
+    (closed-form vector-Jacobian product through the linear solve).
     """
-    base = param.base
-    a = param.a
+    base = np.asarray(base, dtype=np.float64)
+    _assert_orthogonal(base)
     if isinstance(a, Var):
         s, m, r = _cayley_forward(a.value, base)
         eye = np.eye(s.shape[0])

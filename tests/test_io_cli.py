@@ -191,6 +191,10 @@ def _write_params(path):
     write_params(path, [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)])
 
 
+def _read_params(path):
+    return read_params(path, CFG)
+
+
 @functools.lru_cache(maxsize=None)
 def _quantized(bits=(4, 4, 4)):
     """A pipeline result on the CFG model (one step per epoch); never mutate it."""
@@ -236,12 +240,12 @@ def _rename_tensor(old, new):
         (_write_model, read_bundle, _drop("offset", index=0), "offset"),
         (_write_model, read_bundle, _drop("config"), "config"),
         (_write_model, read_bundle, lambda h: dict(h, tensors=5), "tensor table"),
-        (_write_params, read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
+        (_write_params, _read_params, _drop_tensor("block0.bc_qkv"), "block0.bc_qkv"),
         # a two-block params file never loads as fewer blocks
-        (_write_params, read_params, _set_n_blocks(1.5), "n_blocks"),
-        (_write_params, read_params, _set_n_blocks("2"), "n_blocks"),
-        (_write_params, read_params, _set_n_blocks(1), "block1"),
-        (_write_params, read_params, _set_n_blocks(-1), "n_blocks"),
+        (_write_params, _read_params, _set_n_blocks(1.5), "n_blocks"),
+        (_write_params, _read_params, _set_n_blocks("2"), "n_blocks"),
+        (_write_params, _read_params, _set_n_blocks(1), "block1"),
+        (_write_params, _read_params, _set_n_blocks(-1), "n_blocks"),
         (_write_model, read_bundle, _set_config(hidden=64), "block0.wq has shape"),
         (_write_model, read_bundle, _set_config(mlp_dim=32), "block0.wgate has shape"),
         # eps 1e-06 -> 0.1 keeps the header's length, so the tensor table stays valid
@@ -255,7 +259,7 @@ def _rename_tensor(old, new):
         # the name keeps its length, so the tensor table stays valid
         (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bk"), "'block0.bk' appears twice"),
         (_write_model, read_bundle, _rename_tensor("block0.bq", "block0.bx"), "\\['block0.bx'\\] name no field"),
-        (_write_params_with_stray, read_params, lambda h: h, "\\['block0.bc_xx'\\] name no field"),
+        (_write_params_with_stray, _read_params, lambda h: h, "\\['block0.bc_xx'\\] name no field"),
     ],
     ids=[
         "no-offset",
@@ -304,7 +308,7 @@ def _paths(node, prefix=()):
 @given(data=st.data())
 def test_header_mutations_fail_only_with_format_error(tmp_path, data):
     write, read = data.draw(
-        st.sampled_from([(_write_model, read_bundle), (_write_params, read_params), (_write_quantized, read_bundle)])
+        st.sampled_from([(_write_model, read_bundle), (_write_params, _read_params), (_write_quantized, read_bundle)])
     )
     template = tmp_path / f"{write.__name__}.rqb"
     if not template.exists():
@@ -348,7 +352,7 @@ def test_params_roundtrip(tmp_path):
     params[1].alpha_o = np.float64(0.75)
     path = tmp_path / "p.rqb"
     write_params(path, params)
-    loaded = read_params(path)
+    loaded = read_params(path, CFG)
     assert len(loaded) == 2
     assert np.array_equal(loaded[0].bc_qkv, params[0].bc_qkv)
     assert float(loaded[1].alpha_o) == 0.75
@@ -378,7 +382,7 @@ def test_quantized_bundle_and_params_reload_bit_exact(tmp_path, bits):
     loaded = read_bundle(path)
     assert loaded.config == result.bundle.config and loaded.norms_folded
     assert loaded.qcfg == result.bundle.qcfg
-    assert _bits_equal(loaded.rotation.matrix, result.rotation.matrix)
+    assert _bits_equal(loaded.rotation.matrix, result.bundle.rotation.matrix)
     for a, b in zip(result.bundle.blocks, loaded.blocks):
         for name in _TENSORS:
             if name in ("g_attn", "g_mlp"):  # folded into the weights
@@ -459,7 +463,7 @@ def test_params_and_calibration_hold_no_codes(tmp_path):
     # an f64 scalar's 8 bytes read as 8 u8 codes of shape [8]
     _rewrite_header(path, _set_entry("block0.alpha_qkv", dtype="u8", shape=[8]))
     with pytest.raises(BundleFormatError, match="has dtype 'u8', not one of \\['f32', 'f64'\\]"):
-        read_params(path)
+        read_params(path, CFG)
 
 
 def test_write_bundle_rejects_a_weight_off_its_lattice(tmp_path):
@@ -641,6 +645,7 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ('{"n_blocks": "2"}', "n_blocks"),
         ('{"lr_bias": "x"}', "lr_bias"),
         ('{"seed": "abc"}', "seed"),
+        ('{"seed": -1}', "seed"),
         ('{"base_std": Infinity}', "base_std"),
         ('{"offset_std": NaN}', "offset_std"),
         ('{"mode": "bogus"}', "mode"),
@@ -649,7 +654,7 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ("[1, 2]", "JSON object"),
         ("null", "JSON object"),
     ],
-    ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str",
+    ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str", "seed-negative",
          "base_std-inf", "offset_std-nan", "mode-unknown", "weight_outlier_cols-negative",
          "hidden-beyond-intp", "list", "null"],
 )
@@ -990,7 +995,7 @@ def test_quantize_output_size_follows_the_code_layout(tmp_path):
     # adds at least 7.5 bytes per element, 7680 for the smallest matrix.
     _, q_dir = _quantize_tiny(tmp_path)
     bundle = read_bundle(q_dir / "quantized.rqb")
-    params = read_params(q_dir / "params.rqb")
+    params = read_params(q_dir / "params.rqb", bundle.config)
     n_bytes, n_tensors = 0.0, 1  # the rotation
     for bw in bundle.blocks:
         for name in _TENSORS:

@@ -29,7 +29,6 @@ from rotquant.pipeline import (
     PipelineConfig,
     StageSchedule,
     ablate,
-    compute_rres,
     mode_config,
     prepare_bundle,
     quantize_blockwise,
@@ -37,7 +36,7 @@ from rotquant.pipeline import (
     site_layers,
 )
 from rotquant.quantizers import SCALE_FLOOR
-from rotquant.transforms import hadamard_matrix, random_hadamard
+from rotquant.transforms import hadamard_matrix, pca_basis, random_hadamard
 
 SMALL = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=2)
 SCHED = StageSchedule(steps_per_epoch=4)
@@ -67,8 +66,6 @@ def _hash(arr):
 def test_compute_rres_diagonal_covariance():
     # diagonal weight covariance: the principal basis is a signed permutation,
     # so the composed rotation keeps all entries at +-n^{-1/2}
-    from rotquant.model import fold_norms
-
     bundle = build_toy_model(SMALL, seed=0)
     n = SMALL.hidden
     d = np.diag(np.linspace(2.0, 1.0, n))
@@ -77,33 +74,38 @@ def test_compute_rres_diagonal_covariance():
             setattr(bw, name, np.eye(*getattr(bw, name).shape) @ d)
         bw.g_attn = np.ones(n)
         bw.g_mlp = np.ones(n)
-    folded = fold_norms(bundle)
-    rot = compute_rres(folded)
-    m = rot.matrix
+    m = prepare_bundle(bundle, _cfg()).rotation.matrix
     assert np.max(np.abs(m @ m.T - np.eye(n))) < 1e-8
     assert np.allclose(np.abs(m), 1.0 / np.sqrt(n), atol=1e-8)
 
 
 def test_compute_rres_orthogonal_on_toy_bundle():
+    bundle, _ = _setup(1)
+    m = prepare_bundle(bundle, _cfg()).rotation.matrix
+    assert np.max(np.abs(m @ m.T - np.eye(SMALL.hidden))) < 1e-8
+
+
+def _folded_readers(bundle):
+    """The residual readers of the norm-folded bundle, block by block in the
+    order wq, wk, wv, wgate, wup."""
     from rotquant.model import fold_norms
 
-    bundle, _ = _setup(1)
-    rot = compute_rres(fold_norms(bundle))
-    m = rot.matrix
-    assert np.max(np.abs(m @ m.T - np.eye(SMALL.hidden))) < 1e-8
+    return [getattr(bw, name) for bw in fold_norms(bundle).blocks for name in ("wq", "wk", "wv", "wgate", "wup")]
+
+
+def test_pca_hadamard_rres_is_pca_basis_then_hadamard():
+    # bit for bit: the covariance sums the readers in block order, wq to wup
+    bundle, _ = _setup(3)
+    rot = prepare_bundle(bundle, _cfg()).rotation
+    assert np.array_equal(rot.matrix, pca_basis(_folded_readers(bundle)) @ hadamard_matrix(SMALL.hidden))
 
 
 def test_rres_concentrates_weight_energy():
     # rotating reader weights into the principal basis concentrates their
     # per-input-channel energy: the top-quartile share strictly increases
-    from rotquant.model import fold_norms
-
     bundle, _ = _setup(2)
-    folded = fold_norms(bundle)
-    readers = []
-    for bw in folded.blocks:
-        readers.extend([bw.wq, bw.wk, bw.wv, bw.wgate, bw.wup])
-    rot = compute_rres(folded)
+    readers = _folded_readers(bundle)
+    rot = prepare_bundle(bundle, _cfg()).rotation
     u = rot.matrix @ hadamard_matrix(SMALL.hidden)  # M = U @ H with H involutory
 
     def top_share(mats):
@@ -258,7 +260,7 @@ def test_quantized_bundle_runs_standalone():
     result = run_pipeline(bundle, calib, cfg)
     assert result.bundle.qcfg == cfg.qcfg
     assert all(bw.scales for bw in result.bundle.blocks)
-    x = rotated = result.rotation.apply(calib)
+    x = rotated = result.bundle.rotation.apply(calib)
     y = forward_quant(result.bundle, result.params, cfg.qcfg, x)
     prepared = prepare_bundle(bundle, cfg)
     y_fp = forward_fp(prepared, rotated)
@@ -314,6 +316,19 @@ def test_calibration_validation():
         quantize_blockwise(prepared, np.zeros((4, 8, 16)), _cfg())
     with pytest.raises(RuntimeError, match="fold"):
         quantize_blockwise(bundle, prepared.rotation.apply(calib), _cfg())
+
+
+def test_run_pipeline_checks_the_calibration_width_before_any_work(monkeypatch):
+    bundle, _ = _setup()
+
+    def refuse(*args):
+        raise AssertionError("prepare_bundle ran on a malformed calibration set")
+
+    monkeypatch.setattr(pipeline, "prepare_bundle", refuse)
+    with pytest.raises(ValueError, match="^calibration width 16 != hidden 32$"):
+        run_pipeline(bundle, np.zeros((4, 8, 16)), _cfg())
+    with pytest.raises(ValueError, match="sequences"):
+        run_pipeline(bundle, np.zeros((8, 32)), _cfg())
 
 
 # -- ablation ---------------------------------------------------------------------------
@@ -413,7 +428,7 @@ def test_rres_kinds_all_run():
         result = run_pipeline(bundle, calib, cfg)
         assert np.isfinite(result.final_mse)
         if kind == "hadamard":
-            assert np.allclose(result.rotation.matrix, hadamard_matrix(32))
+            assert np.allclose(result.bundle.rotation.matrix, hadamard_matrix(32))
 
 
 def test_one_clip_search_per_site_per_block(monkeypatch):
@@ -500,7 +515,7 @@ def test_report_equals_a_fresh_site_pass(bits):
     bundle, calib = _setup(3)
     cfg = _cfg(bits=bits, with_report=True)
     result = run_pipeline(bundle, calib, cfg)
-    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.rotation.apply(calib))
+    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.bundle.rotation.apply(calib))
     fresh = emit_report(layers, cfg.qcfg)
     assert len(result.report.records) == len(fresh.records) == 6 * SMALL.n_blocks
     for got, want in zip(result.report.records, fresh.records):
@@ -536,7 +551,7 @@ def test_report_analyses_each_site_with_the_runs_quantizers(bits):
     bundle, calib = _setup(3)
     cfg = _cfg(bits=bits, with_report=True)
     result = run_pipeline(bundle, calib, cfg)
-    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.rotation.apply(calib))
+    layers = site_layers(result.bundle, result.params, cfg.qcfg, result.bundle.rotation.apply(calib))
     assert len(layers) == len(result.report.records) == 6 * SMALL.n_blocks
     for (block, site, act, weight), rec in zip(layers, result.report.records):
         assert (rec.block, rec.site) == (block, site)

@@ -54,6 +54,26 @@ def test_every_private_module_name_is_referenced():
     assert not orphans
 
 
+def test_every_all_entry_is_bound_in_its_module():
+    # a stale entry would be skipped without a word by tools that walk __all__
+    stale = []
+    for module, tree in MODULES.items():
+        bound, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                bound.update(names)
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        stale.extend(f"{module}: {name}" for name in exported if name not in bound)
+    assert not stale
+
+
 def test_only_optim_imports_ctypes():
     # setting the C allocator is the one process-wide side effect; it stays in one place
     importers = []

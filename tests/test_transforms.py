@@ -1,4 +1,4 @@
-"""Hadamard transforms, PCA basis, rotation composition, Cayley map."""
+"""Hadamard transforms, PCA basis, rotations, Cayley map."""
 
 import tracemalloc
 import warnings
@@ -8,10 +8,8 @@ import pytest
 
 from rotquant import autodiff as ad
 from rotquant.transforms import (
-    CayleyParam,
     Rotation,
     cayley,
-    compose_rres,
     fwht,
     hadamard_matrix,
     pca_basis,
@@ -118,7 +116,7 @@ def _all_rotations(n, seed=0):
     return [
         Rotation(hadamard_matrix(n)),
         random_hadamard(n, seed),
-        compose_rres(u),
+        Rotation(u @ hadamard_matrix(n)),
         Rotation(u),
     ]
 
@@ -236,31 +234,11 @@ def test_pca_basis_spectrum_and_sign_rule():
     assert np.array_equal(u, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-# -- composed residual rotation ------------------------------------------------------
-
-
-def test_compose_rres_identity_is_hadamard():
-    rot = compose_rres(np.eye(16))
-    assert np.max(np.abs(rot.matrix - hadamard_matrix(16))) < 1e-12
-    x = np.random.default_rng(1).normal(size=16)
-    assert np.allclose(rot.apply(x), fwht(x))
-
-
-def test_compose_rres_matches_dense_product():
-    u = np.linalg.qr(np.random.default_rng(2).normal(size=(32, 32)))[0]
-    rot = compose_rres(u)
-    dense = u @ kron_hadamard(32)
-    assert np.max(np.abs(rot.matrix - dense)) < 1e-10
-    x = np.random.default_rng(3).normal(size=(5, 32))
-    assert np.max(np.abs(rot.apply(x) - x @ dense)) < 1e-10
-    assert np.allclose(np.linalg.norm(rot.apply(x), axis=1), np.linalg.norm(x, axis=1), rtol=1e-8)
-
-
-def test_compose_rres_rejects_nonorthogonal():
+def test_rotation_rejects_nonorthogonal():
     bad = np.eye(16)
     bad[0, 1] = 1e-3  # ||U^T U - I||_inf > 1e-6
     with pytest.raises(ValueError, match="orthogonal"):
-        compose_rres(bad)
+        Rotation(bad)
 
 
 @pytest.mark.parametrize(
@@ -278,7 +256,7 @@ def test_rotation_rejects_out_of_range_entries_without_a_warning(fill):
 
 def test_cayley_zero_gives_base_exactly():
     base = hadamard_matrix(8)
-    r = cayley(CayleyParam(np.zeros((8, 8)), base))
+    r = cayley(np.zeros((8, 8)), base)
     assert np.array_equal(r, base)
 
 
@@ -287,7 +265,7 @@ def test_cayley_two_by_two_closed_form():
     # [[1-t^2, 2t], [-2t, 1-t^2]] / (1+t^2)
     for t in (1.0, 0.5, -0.7):
         a = np.array([[0.0, t], [-t, 0.0]])
-        r = cayley(CayleyParam(a, np.eye(2)))
+        r = cayley(a, np.eye(2))
         c = (1 - t * t) / (1 + t * t)
         s = 2 * t / (1 + t * t)
         assert np.allclose(r, [[c, s], [-s, c]], atol=1e-12)
@@ -296,7 +274,7 @@ def test_cayley_two_by_two_closed_form():
 def test_cayley_orthogonal_for_random_parameter():
     rng = np.random.default_rng(6)
     for _ in range(5):
-        r = cayley(CayleyParam(rng.normal(size=(8, 8)), hadamard_matrix(8)))
+        r = cayley(rng.normal(size=(8, 8)), hadamard_matrix(8))
         assert np.max(np.abs(r @ r.T - np.eye(8))) < 1e-9
 
 
@@ -307,11 +285,11 @@ def test_cayley_gradient_matches_finite_differences():
     target = rng.normal(size=(6, 6))
 
     def loss_value(av):
-        r = cayley(CayleyParam(av, base))
+        r = cayley(av, base)
         return float(np.sum((r - target) ** 2))
 
     a = ad.parameter(a0)
-    r = cayley(CayleyParam(a, base))
+    r = cayley(a, base)
     d = r - ad.Var(target)
     ad.backward(ad.vsum(d * d))
 
@@ -329,4 +307,12 @@ def test_cayley_gradient_matches_finite_differences():
 
 def test_cayley_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        cayley(CayleyParam(np.full((4, 4), np.nan), np.eye(4)))
+        cayley(np.full((4, 4), np.nan), np.eye(4))
+
+
+def test_cayley_rejects_nonorthogonal_base():
+    base = np.eye(4)
+    base[0, 1] = 1e-3
+    for a in (np.zeros((4, 4)), ad.parameter(np.zeros((4, 4)))):
+        with pytest.raises(ValueError, match="orthogonal"):
+            cayley(a, base)
