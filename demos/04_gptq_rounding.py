@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from rotquant import QuantSpec, gptq_quantize, quant_proxy_loss, rtn_quantize
+from rotquant import QuantSpec, gptq_quantize, quant_proxy_loss, quantize_dynamic
 
 spec = QuantSpec(bits=4, scheme="symmetric", granularity="per-channel")
 rng = np.random.default_rng(0)
@@ -21,7 +21,7 @@ for seed in range(8):
     w = r.normal(size=(16, 16))
     mix = np.eye(16) + 0.5 * r.normal(size=(16, 16))
     x = r.normal(size=(256, 16)) @ mix  # correlated input channels
-    q_rtn = np.asarray(rtn_quantize(w, spec))
+    q_rtn = np.asarray(quantize_dynamic(w, spec))
     q_gptq, _ = gptq_quantize(w, x, spec)
     lr = quant_proxy_loss(w, q_rtn, x)
     lg = quant_proxy_loss(w, q_gptq, x)
@@ -34,5 +34,5 @@ from rotquant import hadamard_matrix
 
 w = rng.normal(size=(8, 8))
 x_iso = hadamard_matrix(8) * 3.0  # exactly isotropic calibration
-same = np.array_equal(gptq_quantize(w, x_iso, spec)[0], np.asarray(rtn_quantize(w, spec)))
+same = np.array_equal(gptq_quantize(w, x_iso, spec)[0], np.asarray(quantize_dynamic(w, spec)))
 print(f"diagonal Hessian -> gptq == rtn exactly: {same}")

@@ -62,7 +62,6 @@ from .quantizers import (
     quant_proxy_loss,
     quantize_dynamic,
     resolve_params,
-    rtn_quantize,
     search_clip,
 )
 from .transforms import (

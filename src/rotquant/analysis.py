@@ -130,8 +130,8 @@ def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
     same way (per contraction coordinate).
 
     The trials run in chunks of about 2e6 weight draws.  One PCG64 stream
-    fills each chunk's weight noise and then its activation noise (a zero
-    scale draws nothing) into buffers that hold one chunk.
+    draws each chunk's weight noise and then its activation noise (a zero
+    scale draws nothing); only one chunk of noisy weights is alive at a time.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -144,28 +144,24 @@ def noise_propagation(w, a, s_w, s_a, trials=10_000, seed=0):
             raise ValueError(f"{name} must be finite and non-negative, got {s}")
     n = a.shape[0]
     w2 = w.reshape(-1, n)
-    out = w2.shape[0]
     chunk = max(1, int(2_000_000 // max(w2.size, n)))
-    rows = min(chunk, trials)
     gen = np.random.default_rng(seed)
+
+    def noisy(base, s, c):  # c draws of base + uniform(-s/2, s/2)
+        if s == 0:
+            return base
+        x = gen.random((c,) + base.shape)
+        x *= s
+        x += -0.5 * s
+        x += base
+        return x
+
     clean = w2 @ a
-    wbuf = np.empty((rows, out, n)) if s_w > 0 else np.broadcast_to(w2, (rows, out, n))
-    abuf = np.empty((rows, n)) if s_a > 0 else np.broadcast_to(a, (rows, n))
-    noisy = np.empty((rows, out, 1))
-    err_sq = np.zeros(out)
+    err_sq = np.zeros(w2.shape[0])
     for done in range(0, trials, chunk):
         c = min(chunk, trials - done)
-        for buf, s, base in ((wbuf[:c], s_w, w2), (abuf[:c], s_a, a)):
-            if s > 0:
-                gen.random(out=buf)
-                buf *= s
-                buf += -0.5 * s  # the rounding of uniform(-s/2, s/2), then base + noise
-                buf += base
-        np.matmul(wbuf[:c], abuf[:c, :, None], out=noisy[:c])
-        err = noisy[:c, :, 0]
-        err -= clean
-        np.square(err, out=err)
-        err_sq += np.sum(err, axis=0)
+        err = (noisy(w2, s_w, c) @ noisy(a, s_a, c)[..., None])[..., 0] - clean
+        err_sq += np.sum(np.square(err), axis=0)
     empirical = float(np.mean(err_sq) / trials / n)
     return _predicted_noise_var(w, a, s_w, s_a), empirical
 

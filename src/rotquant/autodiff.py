@@ -247,7 +247,6 @@ def power(a, p):
 def sqrt(a):
     if not _is_var(a):
         return np.sqrt(a)
-    a = _lift(a)
     out = np.sqrt(a.value)
     return _make(out, (a,), (lambda g: g * 0.5 / out,))
 
@@ -255,7 +254,6 @@ def sqrt(a):
 def exp(a):
     if not _is_var(a):
         return np.exp(a)
-    a = _lift(a)
     out = np.exp(a.value)
     return _make(out, (a,), (lambda g: g * out,))
 
@@ -263,7 +261,6 @@ def exp(a):
 def absolute(a):
     if not _is_var(a):
         return np.abs(a)
-    a = _lift(a)
     return _make(np.abs(a.value), (a,), (lambda g: g * np.sign(a.value),))
 
 
@@ -320,14 +317,12 @@ def linear(x, w, b=None):
 def reshape(a, shape):
     if not _is_var(a):
         return np.reshape(a, shape)
-    a = _lift(a)
     return _make(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
 
 
 def swapaxes(a, i, j):
     if not _is_var(a):
         return np.swapaxes(a, i, j)
-    a = _lift(a)
     return _make(np.swapaxes(a.value, i, j), (a,), (lambda g: np.swapaxes(g, i, j),))
 
 
@@ -345,7 +340,6 @@ def _expand_reduced(g, src_shape, axis, keepdims):
 def vsum(a, axis=None, keepdims=False):
     if not _is_var(a):
         return np.sum(a, axis=axis, keepdims=keepdims)
-    a = _lift(a)
     out = np.sum(a.value, axis=axis, keepdims=keepdims)
     return _make(out, (a,), (lambda g: _expand_reduced(g, a.value.shape, axis, keepdims).copy(),))
 
@@ -353,7 +347,6 @@ def vsum(a, axis=None, keepdims=False):
 def vmean(a, axis=None, keepdims=False):
     if not _is_var(a):
         return np.mean(a, axis=axis, keepdims=keepdims)
-    a = _lift(a)
     out = np.mean(a.value, axis=axis, keepdims=keepdims)
     count = a.value.size if axis is None else a.value.shape[axis]
 
@@ -378,13 +371,13 @@ def _extreme(a, axis, keepdims, fn):
 def amin(a, axis=None, keepdims=False):
     if not _is_var(a):
         return np.amin(a, axis=axis, keepdims=keepdims)
-    return _extreme(_lift(a), axis, keepdims, np.amin)
+    return _extreme(a, axis, keepdims, np.amin)
 
 
 def amax(a, axis=None, keepdims=False):
     if not _is_var(a):
         return np.amax(a, axis=axis, keepdims=keepdims)
-    return _extreme(_lift(a), axis, keepdims, np.amax)
+    return _extreme(a, axis, keepdims, np.amax)
 
 
 # -- nonlinearities -------------------------------------------------------
@@ -394,7 +387,6 @@ def softmax(a, axis=-1):
     if not _is_var(a):
         e = np.exp(a - np.max(a, axis=axis, keepdims=True))
         return e / e.sum(axis=axis, keepdims=True)
-    a = _lift(a)
     e = np.exp(a.value - np.max(a.value, axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -407,7 +399,6 @@ def softmax(a, axis=-1):
 def silu(a):
     if not _is_var(a):
         return a / (1.0 + np.exp(-a))
-    a = _lift(a)
     sig = 1.0 / (1.0 + np.exp(-a.value))
     out = a.value * sig
 
@@ -422,7 +413,6 @@ def rmsnorm(a, eps=1e-6):
     if not _is_var(a):
         ms = np.mean(a * a, axis=-1, keepdims=True)
         return a / np.sqrt(ms + eps)
-    a = _lift(a)
     x = a.value
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
     out = x * inv
@@ -447,7 +437,6 @@ def round_ste(a):
     """Forward: round half away from zero.  Backward: identity."""
     if not _is_var(a):
         return round_half_away(a)
-    a = _lift(a)
     return _make(round_half_away(a.value), (a,), (lambda g: g,))
 
 
@@ -457,7 +446,6 @@ def clamp_ste(a, lo, hi):
         raise ValueError(f"clamp bounds reversed: lo={lo} > hi={hi}")
     if not _is_var(a):
         return np.clip(a, lo, hi)
-    a = _lift(a)
     out = np.clip(a.value, lo, hi)
 
     def back(g):

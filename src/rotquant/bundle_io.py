@@ -126,7 +126,7 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
             f.write(b"\x00" * _pad(len(blobs[name])))
 
 
-def _read_container(path, expect_kind=None, codes=False):
+def _read_container(path, expect_kind, codes=False):
     """(header, {name: array}); integer codes are allowed only with `codes`."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -147,7 +147,7 @@ def _read_container(path, expect_kind=None, codes=False):
 
     if not isinstance(header, dict):
         raise BundleFormatError(f"{path}: header at offset {header_start} is not a JSON object")
-    if expect_kind is not None and header.get("kind") != expect_kind:
+    if header.get("kind") != expect_kind:
         raise BundleFormatError(f"{path}: expected kind {expect_kind!r}, got {header.get('kind')!r}")
 
     tensors = {}
@@ -200,7 +200,7 @@ def _dequantize(path, key, codes, raw, spec):
     if spec is None:
         raise BundleFormatError(f"{path}: {key} holds codes, but the header sets no weight bits 2..8")
     if not (codes is not None and codes.dtype == np.uint8 and codes.ndim == 2 and raw is not None
-            and raw.dtype == np.float64 and raw.shape == codes.shape[:1]):
+            and raw.shape == codes.shape[:1]):
         raise BundleFormatError(f"{path}: {key} needs integer codes [rows x cols] and an f64 scale per row")
     if np.any(raw < 0.0):
         raise BundleFormatError(f"{path}: {key}.scale holds a negative scale")
@@ -252,6 +252,9 @@ def _reject_stray_tensors(path, tensors, n_blocks, names):
 
 def read_bundle(path) -> ModelBundle:
     header, tensors = _read_container(path, expect_kind="model", codes=True)
+    for entry in header.get("tensors", []):  # the table's dtype: floats decode to f64
+        if (entry["name"] == "rotation" or str(entry["name"]).endswith(".scale")) and entry["dtype"] != "f64":
+            raise BundleFormatError(f"{path}: {entry['name']} is stored as {entry['dtype']}, not f64")
     if "meta" in header:  # its gains may be folded ones, which would read as unfolded
         raise BundleFormatError(f"{path}: a model header with stage flags (meta) is the older layout; {_REBUILD}")
     try:
@@ -261,7 +264,7 @@ def read_bundle(path) -> ModelBundle:
         qcfg = bits and QuantConfig.for_bits(*bits, config.head_dim)  # a quantized bundle's
         rotation = tensors.pop("rotation", None)
         if rotation is not None:
-            if rotation.dtype != np.float64 or rotation.shape != (config.hidden, config.hidden):
+            if rotation.shape != (config.hidden, config.hidden):
                 raise ValueError(f"rotation has shape {rotation.shape}, hidden is {config.hidden}")
             rotation = Rotation(rotation)
     except (KeyError, TypeError, ValueError) as err:
@@ -336,17 +339,7 @@ def read_params(path, config: ModelConfig):
 
 # -- reports ---------------------------------------------------------------------
 
-_SUMMARY_COLUMNS = [
-    "block",
-    "site",
-    "rounding_energy",
-    "clipping_energy_fraction",
-    "var_of_means_fraction",
-    "mean_channel_var",
-    "var_of_means",
-    "predicted_noise_var",
-    "measured_noise_var",
-]
+_SUMMARY_COLUMNS = [f.name for f in fields(SiteRecord) if not f.name.startswith("channel_")]
 
 
 def _record_to_json(r: SiteRecord):
@@ -365,9 +358,7 @@ def write_report(base_path, report: ErrorReport):
         "records": [_record_to_json(r) for r in report.records],
         "blocks": [asdict(b) for b in report.blocks],
     }
-    with open(base + ".json", "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    _write_json(base + ".json", payload)
 
     with open(base + ".csv", "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
@@ -388,6 +379,13 @@ def write_report(base_path, report: ErrorReport):
                 continue
             for j, (mu, var) in enumerate(zip(r.channel_means, r.channel_vars)):
                 w.writerow([r.block, r.site, j, repr(float(mu)), repr(float(var))])
+
+
+def _write_json(path, payload):
+    """A JSON file with sorted keys, no spaces and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
 
 
 def _csv_cell(v):

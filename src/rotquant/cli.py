@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .analysis import REPORT_SCHEMA, channel_stats, clipping_energy, emit_report
 from .bundle_io import (
     BundleFormatError,
     _from_json,
+    _write_json,
     read_bundle,
     read_calibration,
     read_params,
@@ -54,7 +55,7 @@ from .pipeline import (
     run_pipeline,
     site_layers,
 )
-from .quantizers import QuantizationError, QuantSpec, quant_proxy_loss, rtn_quantize, search_clip, gptq_quantize
+from .quantizers import QuantizationError, QuantSpec, quant_proxy_loss, quantize_dynamic, search_clip, gptq_quantize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -137,14 +138,7 @@ class RunConfig:
     def pipeline_config(self) -> PipelineConfig:
         cfg = PipelineConfig(
             qcfg=QuantConfig.for_bits(self.w_bits, self.a_bits, self.kv_bits, self.model_config().head_dim),
-            schedule=StageSchedule(
-                stage1_epochs=self.stage1_epochs,
-                stage2_epochs=self.stage2_epochs,
-                steps_per_epoch=self.steps_per_epoch,
-                lr_scale=self.lr_scale,
-                lr_bias=self.lr_bias,
-                lr_clip=self.lr_clip,
-            ),
+            schedule=StageSchedule(**{f.name: getattr(self, f.name) for f in fields(StageSchedule)}),
             rres_kind=self.rres_kind,
             rres_seed=self.seed,
             gptq_damp=self.gptq_damp,
@@ -283,9 +277,7 @@ def cmd_eval(args) -> int:
     y_fp = forward_fp(fuse_rres(fold_norms(model), quantized.rotation), x)
     value = mse(forward_quant(quantized, params, quantized.qcfg, x), y_fp)
     out = _outdir(args)
-    with open(out / "eval.json", "w", encoding="utf-8") as f:
-        json.dump({"schema": 1, "mse": value}, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    _write_json(out / "eval.json", {"schema": 1, "mse": value})
     print(f"calibration mse {value:.6e}; wrote {out / 'eval.json'}")
     return EXIT_OK
 
@@ -314,9 +306,7 @@ def cmd_ablate(args) -> int:
     modes = [args.mode] if args.mode else list(ABLATION_MODES)
     rows = ablate(bundle, calib, cfg, modes=modes)
 
-    with open(out / "ablation.json", "w", encoding="utf-8") as f:
-        json.dump({"schema": 1, "rows": rows}, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    _write_json(out / "ablation.json", {"schema": 1, "rows": rows})
     with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["mode", "final_mse"])
@@ -388,7 +378,7 @@ def _check_gptq_dominance():
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))  # correlated
         q_g, _ = gptq_quantize(w, x, spec)
-        q_r = np.asarray(rtn_quantize(w, spec))
+        q_r = np.asarray(quantize_dynamic(w, spec))
         diff = quant_proxy_loss(w, q_g, x) - quant_proxy_loss(w, q_r, x)
         worst = max(worst, diff)
         ok = ok and diff <= 1e-12
@@ -446,7 +436,7 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="rotquant", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=False, calib=False, out=True):
+    def common(sp, model=False, calib=False):
         sp.add_argument("--config", help="JSON run-config file")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--bits", help="bit widths W,A,KV (>= 16 disables)")
@@ -454,8 +444,7 @@ def _build_parser():
             sp.add_argument("--model", required=True)
         if calib:
             sp.add_argument("--calib", required=True)
-        if out:
-            sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("gen", help="generate a toy model and synthetic calibration set")
     common(sp)

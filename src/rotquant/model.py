@@ -22,13 +22,14 @@ Rotation/scale bookkeeping (row-major convention, y = x @ W.T + b):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import value_of
-from .quantizers import QuantSpec, quantize_dynamic, rtn_quantize
+from .quantizers import QuantSpec, quantize_dynamic
 from .transforms import Rotation, cayley, fwht, hadamard_matrix, is_power_of_two
 
 __all__ = [
@@ -118,14 +119,6 @@ class BlockWeights:
     #: symmetric per-row lattice (QuantSpec.lattice)
     scales: dict | None = None
 
-    def copy(self) -> "BlockWeights":
-        def c(x):
-            if isinstance(x, dict):
-                return {k: c(v) for k, v in x.items()}
-            return None if x is None else np.array(x, copy=True)
-
-        return BlockWeights(**{k: c(getattr(self, k)) for k in self.__dataclass_fields__})
-
 
 @dataclass
 class ModelBundle:
@@ -141,9 +134,6 @@ class ModelBundle:
     def norms_folded(self) -> bool:
         """No block holds a norm gain (fold_norms moved them into the weights)."""
         return all(bw.g_attn is None and bw.g_mlp is None for bw in self.blocks)
-
-    def copy(self) -> "ModelBundle":
-        return ModelBundle(self.config, [b.copy() for b in self.blocks], self.rotation, self.qcfg)
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -367,7 +357,7 @@ def fold_norms(bundle: ModelBundle) -> ModelBundle:
     folding, the norm is a pure x / rms(x), which commutes with rotation.
     The folded blocks hold no gains, so folding again changes nothing.
     """
-    out = bundle.copy()
+    out = copy.deepcopy(bundle)
     for bw in out.blocks:
         for gain, readers in ((bw.g_attn, ACT_SITES["qkv"]), (bw.g_mlp, ACT_SITES["up"])):
             if gain is not None:
@@ -394,7 +384,7 @@ def fuse_rres(bundle: ModelBundle, rotation: Rotation) -> ModelBundle:
     if rotation.dim != bundle.config.hidden:
         raise ValueError(f"rotation dim {rotation.dim} != hidden {bundle.config.hidden}")
     m = rotation.matrix
-    out = bundle.copy()
+    out = copy.deepcopy(bundle)
     for bw in out.blocks:
         for name in ACT_SITES["qkv"] + ACT_SITES["up"]:
             setattr(bw, name, getattr(bw, name) @ m)
@@ -572,7 +562,7 @@ def forward_quant_block(
     else:
         weights = effective_weights(bw, bp, config)
         if qcfg.weight is not None:
-            rtn = {nm: rtn_quantize(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES}
+            rtn = {nm: quantize_dynamic(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES}
             weights = dict(weights, **rtn)
 
     u = ad.rmsnorm(xb, config.eps)

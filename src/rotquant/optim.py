@@ -74,16 +74,18 @@ def _keep_freed_heap():
 def optimize(loss_fn, groups, steps):
     """Minimize `loss_fn` over the parameters in `groups` in `steps` updates.
 
-    `loss_fn` rebuilds the computation graph and returns a scalar Var.  The
-    best-seen parameter values (including the initial point) are restored at
-    the end, so the final loss never exceeds the loss at entry.
+    `loss_fn` rebuilds the computation graph and returns a scalar Var.  It
+    is evaluated `steps + 1` times: at entry and after each update.  The
+    best-seen parameter values are restored at the end (`best_step` may be
+    `steps`), so the final loss never exceeds the loss at entry.
 
     Only one step's graph is alive at a time: each step's loss is dropped
     once its update is done, before the next graph is built.  The first
     call in a process tells glibc's malloc to keep freed memory
     (`_keep_freed_heap`).
 
-    Raises OptimizationError with the step index if the loss goes NaN.
+    Raises OptimizationError with the step index if the loss goes NaN
+    before the last update; a NaN after it is not scored.
     """
     _keep_freed_heap()
     params = [p for grp in groups for p in grp.params]
@@ -93,25 +95,24 @@ def optimize(loss_fn, groups, steps):
 
     result = OptimResult()
     best_values = [p.value.copy() for p in params]
-
-    def evaluate():
+    for step in range(steps + 1):  # the last evaluation scores the last update's point
         loss = loss_fn()
         if not isinstance(loss, ad.Var):
             raise OptimizationError("loss function must return a Var")
         if loss.value.size != 1:
             raise OptimizationError(f"loss must be scalar, got shape {loss.value.shape}")
-        return loss
-
-    for step in range(steps):
-        loss = evaluate()
         lval = float(loss.value)
         if math.isnan(lval):
+            if step == steps:
+                break
             raise OptimizationError(f"NaN loss at step {step}")
         result.losses.append(lval)
         if lval < result.best_loss:
             result.best_loss = lval
             result.best_step = step
             best_values = [p.value.copy() for p in params]
+        if step == steps:
+            break
 
         ad.backward(loss)
         t = step + 1
@@ -130,17 +131,7 @@ def optimize(loss_fn, groups, steps):
                     p.value = np.asarray(np.clip(p.value, *grp.bounds), dtype=np.float64)
                 p.clear_grad()
                 k += 1
-        del loss  # frees the step's graph before evaluate() builds the next
-
-    # score the point reached by the last update as well
-    final = evaluate()
-    fval = float(final.value)
-    if not math.isnan(fval):
-        result.losses.append(fval)
-        if fval < result.best_loss:
-            result.best_loss = fval
-            result.best_step = steps
-            best_values = [p.value.copy() for p in params]
+        del loss  # frees the step's graph before loss_fn() builds the next
 
     for p, best in zip(params, best_values):
         p.value = best

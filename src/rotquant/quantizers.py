@@ -40,7 +40,6 @@ __all__ = [
     "fake_quantize",
     "quantize_dynamic",
     "search_clip",
-    "rtn_quantize",
     "gptq_quantize",
     "quant_proxy_loss",
 ]
@@ -383,14 +382,6 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
 
 
 # -- weight rounding ----------------------------------------------------------
-
-
-def rtn_quantize(w, spec: QuantSpec):
-    """Round-to-nearest onto the per-group lattice (GPTQ's baseline).
-
-    Differentiable through the straight-through estimator when w is a Var.
-    """
-    return quantize_dynamic(w, spec)
 
 
 def gptq_quantize(w, x_calib, spec: QuantSpec, damp=0.01):

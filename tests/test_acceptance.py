@@ -48,8 +48,8 @@ from rotquant.quantizers import (
     fake_quantize,
     gptq_quantize,
     quant_proxy_loss,
+    quantize_dynamic,
     resolve_params,
-    rtn_quantize,
     search_clip,
 )
 from rotquant.analysis import channel_stats
@@ -285,7 +285,7 @@ def test_criterion_12_gptq_dominance_and_optimality():
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
         lg = quant_proxy_loss(w, gptq_quantize(w, x, spec)[0], x)
-        lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x)
+        lr = quant_proxy_loss(w, np.asarray(quantize_dynamic(w, spec)), x)
         assert lg <= lr + 1e-12, f"seed {seed}"
 
     # enumerable 1x2 / 2-bit instances: output matches the lattice optimum

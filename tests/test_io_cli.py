@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import copy
 import dataclasses
 import functools
 import json
@@ -32,6 +33,7 @@ from rotquant.bundle_io import (
 )
 from rotquant.cli import ConfigError, RunConfig, main
 from rotquant.model import (
+    BIAS_NAMES,
     WEIGHT_NAMES,
     BlockParams,
     ModelConfig,
@@ -62,7 +64,7 @@ def test_bundle_roundtrip_bit_exact_after_f32(tmp_path):
     # every tensor is stored in its own precision: f64 arrays as f64, and
     # f32 arrays (the files gen writes) as f32; both reload bit for bit
     bundle = build_toy_model(CFG, seed=0)
-    as_f32 = bundle.copy()
+    as_f32 = copy.deepcopy(bundle)
     for bw in as_f32.blocks:
         for name in _TENSORS:
             setattr(bw, name, getattr(bw, name).astype(np.float32))
@@ -423,6 +425,22 @@ def _patch_tensor(name, value):
     return patch
 
 
+def _as_f32(name):
+    """Raw-bytes mutation: f64 tensor `name` is stored as f32 (its values
+    rounded) in the first half of its bytes, and its entry says so."""
+
+    def patch(raw):
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        entry = next(t for t in json.loads(raw[16 : 16 + n])["tensors"] if t["name"] == name)
+        off, nbytes = entry["offset"], entry["nbytes"]
+        as_f32 = np.frombuffer(raw, "<f8", nbytes // 8, off).astype("<f4").tobytes()
+        out = bytearray(raw)
+        out[off : off + nbytes] = as_f32.ljust(nbytes, b"\0")
+        return _mutated(bytes(out), _set_entry(name, dtype="f32", nbytes=nbytes // 2))
+
+    return patch
+
+
 def _v1_magic(raw):
     return raw[:7] + b"\x01" + raw[8:]
 
@@ -440,9 +458,12 @@ def _v1_magic(raw):
         (_set_entry("block0.bq", dtype="u8", shape=[256]), None, "block0.bq is not a weight"),
         (_drop_tensor("block1.wup.scale"), None, "block1.wup needs integer codes \\[rows x cols\\] and an f64 scale"),
         (lambda h: {k: v for k, v in h.items() if k != "bits"}, None, "codes, but the header sets no weight bits"),
+        (None, _as_f32("block0.wq.scale"), "block0.wq.scale is stored as f32, not f64"),
+        (None, _as_f32("rotation"), "rotation is stored as f32, not f64"),
     ],
     ids=["unknown-dtype", "u4-nbytes", "code-above-bits", "scale-negative", "scale-nan", "scale-inf",
-         "v2-behind-v1-magic", "scale-of-a-bias", "codes-without-scale", "codes-without-bits"],
+         "v2-behind-v1-magic", "scale-of-a-bias", "codes-without-scale", "codes-without-bits", "scale-f32",
+         "rotation-f32"],
 )
 def test_quantized_file_format_errors(tmp_path, header_mutation, raw_mutation, match):
     path = tmp_path / "q.rqb"
@@ -468,12 +489,12 @@ def test_params_and_calibration_hold_no_codes(tmp_path):
 
 def test_write_bundle_rejects_a_weight_off_its_lattice(tmp_path):
     path = tmp_path / "q.rqb"
-    nudged = _quantized().bundle.copy()
+    nudged = copy.deepcopy(_quantized().bundle)
     w = nudged.blocks[1].wup
     w[3, 5] = np.nextafter(w[3, 5], np.inf)
     with pytest.raises(BundleFormatError, match="block1.wup: weights are off the lattice"):
         write_bundle(path, nudged)
-    unscaled = _quantized().bundle.copy()
+    unscaled = copy.deepcopy(_quantized().bundle)
     unscaled.qcfg = QuantConfig.for_bits(16, 4, 4, CFG.head_dim)  # row scales, but no weight quantizer
     with pytest.raises(BundleFormatError, match="block0.wq: a weight scale needs a weight quantizer"):
         write_bundle(path, unscaled)
@@ -858,6 +879,26 @@ def test_cli_eval_reproduces_final_mse(tmp_path, seed):
     assert json.loads(document) == {"schema": 1, "mse": final_mse}
 
 
+def test_cli_bias_free_model_end_to_end(tmp_path):
+    # a LLaMA-style model: no block holds a bias
+    bundle = build_toy_model(CFG, seed=0)
+    for bw in bundle.blocks:
+        for name in BIAS_NAMES:
+            setattr(bw, name, None)
+    model, calib, q_dir = tmp_path / "model.rqb", tmp_path / "calib.rqb", tmp_path / "q"
+    write_bundle(model, bundle)
+    write_calibration(calib, gen_calibration(SynthSpec.misaligned(CFG.hidden, 64, seed=0), 8, 8))
+    inputs = ["--model", str(model), "--calib", str(calib)]
+    cfg = ["--config", _tiny_config(tmp_path, n_blocks=CFG.n_blocks)]
+    assert main(["quantize", *cfg, *inputs, "--out", str(q_dir)]) == 0
+    assert all(getattr(bw, name) is None for bw in read_bundle(q_dir / "quantized.rqb").blocks for name in BIAS_NAMES)
+    files = ["--quantized", str(q_dir / "quantized.rqb"), "--params", str(q_dir / "params.rqb")]
+    assert main(["eval", *inputs, *files, "--out", str(tmp_path / "e")]) == 0
+    final_mse = read_report(q_dir / "report.json").blocks[-1].mse_final
+    assert json.loads((tmp_path / "e" / "eval.json").read_bytes()) == {"schema": 1, "mse": final_mse}
+    assert main(["analyze", *cfg, *inputs, "--out", str(tmp_path / "a")]) == 0
+
+
 def test_cli_eval_file_errors_are_runtime_errors(tmp_path, capsys):
     argv, q_dir = _quantize_tiny(tmp_path)
     model, quantized, params = argv[2], argv[6], argv[8]
@@ -1151,7 +1192,7 @@ def test_bundle_rejects_every_tensor_of_the_wrong_shape(tmp_path):
     path = tmp_path / "m.rqb"
     names = ("wq", "wk", "wv", "wo", "wgate", "wup", "wdown", "bq", "bup", "bdown", "g_attn", "g_mlp")
     for name in names:
-        bad = bundle.copy()
+        bad = copy.deepcopy(bundle)
         arr = getattr(bad.blocks[1], name)
         setattr(bad.blocks[1], name, arr[..., : arr.shape[-1] // 2])
         write_bundle(path, bad)

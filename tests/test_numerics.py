@@ -13,7 +13,7 @@ from rotquant import autodiff as ad
 from rotquant import optim
 from rotquant.optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from rotquant.analysis import channel_stats
-from rotquant.quantizers import QuantSpec, rtn_quantize
+from rotquant.quantizers import QuantSpec, quantize_dynamic
 
 
 # -- channel statistics -------------------------------------------------------
@@ -183,7 +183,7 @@ def test_linear_matches_matmul_chain_bit_for_bit(x_shape, with_bias, through_rtn
         x, w = ad.parameter(x0), ad.parameter(w0)
         b = ad.parameter(b0) if with_bias else None
         # a per-row quantizer sums the weight gradient along rows: its layout counts
-        w_used = rtn_quantize(w, QuantSpec(4, "symmetric", "per-channel")) if through_rtn else w
+        w_used = quantize_dynamic(w, QuantSpec(4, "symmetric", "per-channel")) if through_rtn else w
         y = lin(x, w_used, b)
         ad.backward(ad.vsum(y * weights))
         return [y.value, x.grad, w.grad] + ([b.grad] if with_bias else [])
@@ -332,6 +332,27 @@ def test_optimize_restores_best_seen_parameters():
     result = optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.9)], 8)
     assert float((float(p.value) - 1.0) ** 2) == pytest.approx(result.best_loss, abs=1e-12)
     assert result.best_loss <= result.losses[0]
+
+
+def test_optimize_scores_the_point_after_the_last_update():
+    # a small lr walks p toward 1 monotonically, so the last point is the best
+    p = ad.parameter(0.0)
+    result = optimize(lambda: (p - 1.0) ** 2, [ParamGroup([p], 0.01)], 5)
+    assert len(result.losses) == 6
+    assert result.best_step == 5 and result.best_loss == result.losses[-1] == (float(p.value) - 1.0) ** 2
+
+
+def test_optimize_ignores_a_nan_after_the_last_update():
+    p = ad.parameter(0.0)
+    seen = []
+
+    def loss_fn():
+        seen.append(float(p.value))
+        return ad.Var(np.nan) * p if len(seen) == 6 else (p - 1.0) ** 2
+
+    result = optimize(loss_fn, [ParamGroup([p], 0.01)], 5)
+    assert len(seen) == 6 and len(result.losses) == 5
+    assert result.best_step == 4 and float(p.value) == seen[4] != seen[5]
 
 
 class _WeakVar(ad.Var):

@@ -21,7 +21,6 @@ from rotquant.quantizers import (
     quant_proxy_loss,
     quantize_dynamic,
     resolve_params,
-    rtn_quantize,
     search_clip,
 )
 from rotquant.autodiff import round_half_away
@@ -356,9 +355,9 @@ def test_quantize_dynamic_one_node_per_call():
     alpha = ad.parameter(np.float64(0.8))
     y = quantize_dynamic(x, ASYM_TOKEN, alpha)
     assert y._parents == (x, alpha)
-    w = rtn_quantize(x, SYM_CHANNEL)
+    w = quantize_dynamic(x, SYM_CHANNEL)
     assert w._parents == (x,)
-    assert np.array_equal(w.value, rtn_quantize(x.value, SYM_CHANNEL))
+    assert np.array_equal(w.value, quantize_dynamic(x.value, SYM_CHANNEL))
 
 
 # -- the quantizer site: shift b^c and gain s^a inside the node -----------------------
@@ -552,7 +551,7 @@ def test_gptq_identity_covariance_equals_rtn():
     w = np.random.default_rng(3).normal(size=(6, 8))
     x = hadamard_matrix(8) * 4.0  # X^T X = 16 I exactly
     q, _ = gptq_quantize(w, x, SYM_CHANNEL)
-    assert np.array_equal(q, np.asarray(rtn_quantize(w, SYM_CHANNEL)))
+    assert np.array_equal(q, np.asarray(quantize_dynamic(w, SYM_CHANNEL)))
 
 
 def _brute_force_1x2(w, x, spec):
@@ -582,7 +581,7 @@ def test_gptq_1x2_b2_brute_force_enumeration():
         q, _ = gptq_quantize(w, x, spec)
         _, best_loss = _brute_force_1x2(w, x, spec)
         loss = quant_proxy_loss(w, q, x)
-        assert loss <= quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x) + 1e-12
+        assert loss <= quant_proxy_loss(w, np.asarray(quantize_dynamic(w, spec)), x) + 1e-12
         assert loss == pytest.approx(best_loss, abs=1e-10)  # lattice-global optimum
 
 
@@ -593,7 +592,7 @@ def test_gptq_never_worse_than_rtn():
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
         lg = quant_proxy_loss(w, gptq_quantize(w, x, spec)[0], x)
-        lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, spec)), x)
+        lr = quant_proxy_loss(w, np.asarray(quantize_dynamic(w, spec)), x)
         assert lg <= lr + 1e-12, f"seed {seed}"
 
 
@@ -605,7 +604,7 @@ def test_gptq_actually_corrects():
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(64, 8)) @ rng.normal(size=(8, 8))
         lg = quant_proxy_loss(w, gptq_quantize(w, x, SYM_CHANNEL)[0], x)
-        lr = quant_proxy_loss(w, np.asarray(rtn_quantize(w, SYM_CHANNEL)), x)
+        lr = quant_proxy_loss(w, np.asarray(quantize_dynamic(w, SYM_CHANNEL)), x)
         wins += lg < lr - 1e-9
     assert wins >= 25
 

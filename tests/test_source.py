@@ -74,6 +74,23 @@ def test_every_all_entry_is_bound_in_its_module():
     assert not stale
 
 
+def test_no_public_function_only_forwards_its_parameters():
+    # `def f(a, b): return g(a, b)` is a second name for g's job; callers call g
+    aliases = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+                continue
+            call, args = body[0].value, node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            if not call.keywords and [getattr(a, "id", None) for a in call.args] == params:
+                aliases.append(f"{module}.{node.name}")
+    assert not aliases
+
+
 def test_only_optim_imports_ctypes():
     # setting the C allocator is the one process-wide side effect; it stays in one place
     importers = []
