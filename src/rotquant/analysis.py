@@ -103,8 +103,9 @@ def variance_decomposition(x):
     """Split total variance into mean channel variance plus Var of channel means.
 
     Returns (mean_channel_var, var_of_means, fraction) where fraction is
-    var_of_means / total_var -- the share of rounding error attributable to
-    misaligned channel means.  A constant matrix has fraction 0.
+    var_of_means / total_var, at most 1 -- the share of rounding error
+    attributable to misaligned channel means.  A constant matrix has
+    fraction 0.
     """
     return _decompose(x)[1:]
 
@@ -116,7 +117,8 @@ def _decompose(x):
         raise ValueError("expected a [tokens x channels] matrix with >= 2 columns")
     cs = channel_stats(x)
     mean_channel_var = float(cs.vars.mean())
-    fraction = 0.0 if cs.total_var == 0.0 else cs.var_of_means / cs.total_var
+    # the two variances round separately, so the ratio may land an ulp above 1
+    fraction = 0.0 if cs.total_var == 0.0 else min(1.0, cs.var_of_means / cs.total_var)
     return cs, mean_channel_var, cs.var_of_means, fraction
 
 

@@ -397,9 +397,11 @@ def softmax(a, axis=-1):
 
 
 def silu(a):
-    if not _is_var(a):
-        return a / (1.0 + np.exp(-a))
-    sig = 1.0 / (1.0 + np.exp(-a.value))
+    # below about -709 exp(-a) overflows to inf, which gives sig = 0, the limit
+    with np.errstate(over="ignore"):
+        if not _is_var(a):
+            return a / (1.0 + np.exp(-a))
+        sig = 1.0 / (1.0 + np.exp(-a.value))
     out = a.value * sig
 
     def back(g):

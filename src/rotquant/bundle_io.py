@@ -126,8 +126,10 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
             f.write(b"\x00" * _pad(len(blobs[name])))
 
 
-def _read_container(path, expect_kind, codes=False):
-    """(header, {name: array}); integer codes are allowed only with `codes`."""
+def _read_container(path, expect_kind, codes=False, f64=lambda name: False):
+    """(header, {name: array}); integer codes are allowed only with `codes`,
+    and a tensor whose name `f64` accepts must be stored as f64 (the table's
+    dtype: every float decodes to f64)."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(_MAGIC) + 8 or raw[:7] != _MAGIC[:7]:
@@ -160,6 +162,8 @@ def _read_container(path, expect_kind, codes=False):
                 raise BundleFormatError(f"{path}: tensor name {name!r} appears twice")
             if dtype not in dtypes:
                 raise BundleFormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, not one of {dtypes}")
+            if dtype != "f64" and f64(str(name)):
+                raise BundleFormatError(f"{path}: {name} is stored as {dtype}, not f64")
             if off < prev_end:
                 raise BundleFormatError(f"{path}: tensor {name!r} at {off} overlaps data ending at {prev_end}")
             if nbytes < 0 or off + nbytes > len(raw):
@@ -251,10 +255,7 @@ def _reject_stray_tensors(path, tensors, n_blocks, names):
 
 
 def read_bundle(path) -> ModelBundle:
-    header, tensors = _read_container(path, expect_kind="model", codes=True)
-    for entry in header.get("tensors", []):  # the table's dtype: floats decode to f64
-        if (entry["name"] == "rotation" or str(entry["name"]).endswith(".scale")) and entry["dtype"] != "f64":
-            raise BundleFormatError(f"{path}: {entry['name']} is stored as {entry['dtype']}, not f64")
+    header, tensors = _read_container(path, "model", codes=True, f64=lambda n: n == "rotation" or n.endswith(".scale"))
     if "meta" in header:  # its gains may be folded ones, which would read as unfolded
         raise BundleFormatError(f"{path}: a model header with stage flags (meta) is the older layout; {_REBUILD}")
     try:
@@ -316,7 +317,7 @@ def write_params(path, params_list):
 def read_params(path, config: ModelConfig):
     """One BlockParams per block; the file must hold config.n_blocks blocks
     whose tensors have that model's shapes."""
-    header, tensors = _read_container(path, expect_kind="params")
+    header, tensors = _read_container(path, expect_kind="params", f64=lambda name: True)
     want = {f: np.shape(v) for f, v in vars(BlockParams.neutral(config)).items()}
     out = []
     try:

@@ -38,7 +38,7 @@ from .model import (
     mse,
 )
 from .optim import OptimizationError, ParamGroup, optimize
-from .quantizers import gptq_quantize, search_clip
+from .quantizers import gptq_quantize
 from .transforms import Rotation, hadamard_matrix, pca_basis, random_hadamard
 
 __all__ = [
@@ -152,31 +152,6 @@ def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig) -> ModelBundle:
     return fuse_rres(folded, rotation)
 
 
-def _clip_seeds(sites, qcfg: QuantConfig):
-    """Clip-factor seeds from the grid-searched threshold, one search per site.
-
-    alpha maps the searched absolute threshold onto the observed dynamic
-    range of each site's pooled samples.  Returns {BlockParams field: alpha}
-    for the sites whose samples support a search.
-    """
-    targets = [("alpha_" + s, s, qcfg.act) for s in ACT_SITES]
-    targets += [("alpha_k", "k_cache", qcfg.kv), ("alpha_v", "v_cache", qcfg.kv)]
-    seeds = {}
-    for attr, site, spec in targets:
-        if spec is None:
-            continue
-        samples = sites[site + ".in"].ravel()
-        if samples.size > 200_000:
-            samples = samples[:: samples.size // 200_000 + 1]
-        if samples.size < 1000 or samples.std() == 0.0:
-            continue
-        theta = search_clip(samples, spec.bits)
-        limit = float(np.max(np.abs(samples)))
-        if limit > 0.0:
-            seeds[attr] = np.float64(np.clip(theta / limit, _ALPHA_MIN, 1.0))
-    return seeds
-
-
 def _train(bp: BlockParams, groups, loss_fn, steps, label):
     """Train groups of bp fields in place.
 
@@ -267,18 +242,12 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
 
     # without a field to train the after-GPTQ forward is also the final one
     if any(groups):
-        # candidate starts: bias and clip seeds evaluated separately so a
-        # poor seed on one family cannot discard a good seed on the other;
-        # the neutral candidate keeps the stage from regressing past the
-        # post-GPTQ loss
-        candidates = [bp.as_arrays()]
+        # start at the bias seed only when it scores below the neutral
+        # point, so the stage cannot end above the after-GPTQ loss
         if cfg.train_bias and qcfg.act is not None:
-            candidates.append(_seed_bias(bp.as_arrays(), rec))
-        if cfg.train_clip:
-            seeds = _clip_seeds(rec, qcfg)
-            candidates.extend([replace(c, **seeds) for c in candidates])
-        scores = [after_gptq] + [forward(out, c)[1] for c in candidates[1:]]
-        bp = candidates[int(np.argmin(scores))]
+            seeded = _seed_bias(bp.as_arrays(), rec)
+            if forward(out, seeded)[1] < after_gptq:
+                bp = seeded
         rec = {}  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
         _train(bp, groups, loss(out), steps, f"block {i}, correction stage")

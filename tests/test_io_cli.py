@@ -487,6 +487,18 @@ def test_params_and_calibration_hold_no_codes(tmp_path):
         read_params(path, CFG)
 
 
+def test_params_refuse_a_tensor_stored_as_f32(tmp_path):
+    # write_params writes f64 only; an alpha of 1.1 stored as f32 would read
+    # back as 1.100000023841858, a value the run never trained
+    params = [BlockParams.neutral(CFG) for _ in range(CFG.n_blocks)]
+    params[0].alpha_qkv = np.float64(1.1)
+    path = tmp_path / "p.rqb"
+    write_params(path, params)
+    path.write_bytes(_as_f32("block0.alpha_qkv")(path.read_bytes()))
+    with pytest.raises(BundleFormatError, match="block0.alpha_qkv is stored as f32, not f64"):
+        read_params(path, CFG)
+
+
 def test_write_bundle_rejects_a_weight_off_its_lattice(tmp_path):
     path = tmp_path / "q.rqb"
     nudged = copy.deepcopy(_quantized().bundle)
@@ -808,6 +820,26 @@ def test_cli_quantize_and_reports(tmp_path):
     assert (out / "quantized.rqb").exists()
     assert (out / "params.rqb").exists()
     assert (out / "report_profiles.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(offset_std=1e30), dict(base_std=1e-45, offset_std=0)], ids=["huge-offsets", "tiny-spread"]
+)
+def test_cli_quantize_writes_a_report_verify_accepts(tmp_path, capsys, overrides):
+    # with about no within-channel variance the var-of-means fraction's two
+    # variances round apart; the report must still hold it inside [0, 1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(
+        hidden=16, heads=2, mlp_dim=32, calib_sequences=2, seq_len=4,
+        stage1_epochs=1, stage2_epochs=1, steps_per_epoch=2, **overrides,
+    )))
+    gen_dir, out = tmp_path / "g", tmp_path / "q"
+    assert main(["gen", "--config", str(cfg), "--out", str(gen_dir)]) == 0
+    model, calib = str(gen_dir / "model.rqb"), str(gen_dir / "calib.rqb")
+    assert main(["quantize", "--config", str(cfg), "--model", model, "--calib", calib, "--out", str(out)]) == 0
+    assert main(["verify", "--report", str(out / "report.json")]) == 0, capsys.readouterr().out
+    fractions = [r["var_of_means_fraction"] for r in json.loads((out / "report.json").read_text())["records"]]
+    assert max(fractions) == 1.0  # the edge each case reaches
 
 
 def test_cli_quantize_passthrough_bits(tmp_path):

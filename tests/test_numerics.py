@@ -2,6 +2,7 @@
 
 import ctypes
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -144,6 +145,26 @@ def test_gradients_match_finite_differences(name):
     fd = _fd_grad(value, x0)
     denom = np.maximum(np.abs(fd), 1e-8)
     assert np.max(np.abs(p.grad - fd) / denom) < 1e-4, name
+
+
+def test_silu_is_quiet_where_exp_overflows():
+    # exp(-a) overflows to inf below about -709, which gives the limit
+    # sig = 0: a silent -0.0 with a zero gradient, and the same bits as the
+    # formula elsewhere
+    x = np.array([-1000.0, -709.0, -1.5, 0.0, 2.5])
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-x))
+        plain = x / (1.0 + np.exp(-x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ad.silu(x)
+        p = ad.parameter(x)
+        out = ad.silu(p)
+        ad.backward(ad.vsum(out))
+    assert np.array_equal(y.view(np.uint64), plain.view(np.uint64))
+    assert np.array_equal(out.value.view(np.uint64), (x * sig).view(np.uint64))
+    assert y[0] == out.value[0] == 0.0 and p.grad[0] == 0.0
+    assert np.all(np.isfinite(p.grad))
 
 
 def test_matmul_chain_gradient_vs_finite_differences():

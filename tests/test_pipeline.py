@@ -279,10 +279,14 @@ def _block_bytes(bw):
     return {k: None if v is None else (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()}
 
 
-@pytest.mark.parametrize("mode, on_quantized, total", [("scale", 52, 82), ("rotation-only", 2, 4)])
+# the ids keep each case's name stable; a number in an id is the count from
+# before stage 2 dropped its clip-seeded starts (2 forwards per block)
+@pytest.mark.parametrize(
+    "mode, on_quantized, total", [("scale", 48, 78), ("rotation-only", 2, 4)], ids=["scale-52-82", "rotation-only-2-4"]
+)
 def test_forwards_after_gptq_run_the_stored_block(monkeypatch, mode, on_quantized, total):
     # GPTQ appends each block to the output bundle: the after-GPTQ forward,
-    # the stage-2 candidate scores, the stage-2 loss and the final forward
+    # the bias seed's score, the stage-2 loss and the final forward
     # all run the block that is stored, as `rotquant eval` runs the file
     calls = []
 
@@ -431,21 +435,57 @@ def test_rres_kinds_all_run():
             assert np.allclose(result.bundle.rotation.matrix, hadamard_matrix(32))
 
 
-def test_one_clip_search_per_site_per_block(monkeypatch):
-    from rotquant import pipeline as pl
+def test_run_pipeline_runs_no_clip_search(monkeypatch):
+    # the clip factors start at 1 and are trained; no grid search seeds them
+    from rotquant import quantizers
 
-    calls = []
-    search = pl.search_clip
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_pipeline ran a clip search")
 
-    def counting(samples, bits, *args, **kwargs):
-        calls.append(bits)
-        return search(samples, bits, *args, **kwargs)
-
-    monkeypatch.setattr(pl, "search_clip", counting)
+    for module in (quantizers, pipeline):
+        monkeypatch.setattr(module, "search_clip", forbidden, raising=False)
     bundle, calib = _setup(3)
     run_pipeline(bundle, calib, _cfg(bits=(4, 4, 4)))
-    # four activation sites plus the k and v caches, once each per block
-    assert calls == [4] * 6 * SMALL.n_blocks
+
+
+@pytest.mark.parametrize("shift, seeded", [(1.0, True), (100.0, False), (0.0, False)], ids=["seed", "overshoot", "tie"])
+def test_stage2_starts_at_the_bias_seed_only_when_it_scores_lower(monkeypatch, shift, seeded):
+    # the seed's corrections are scaled by `shift`: 1 keeps the channel
+    # means, 100 overshoots them, and 0 is the neutral point itself, whose
+    # tie with the after-GPTQ loss goes to neutral
+    one_block = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1)
+    seeds, starts = [], []
+    seed_bias, train = pipeline._seed_bias, pipeline._train
+
+    def seeding(bp, sites):
+        point = seed_bias(bp, sites)
+        for site in ACT_SITES:
+            setattr(point, "bc_" + site, shift * getattr(point, "bc_" + site))
+        seeds.append((point, point.as_arrays()))
+        return point
+
+    def recording(bp, groups, loss_fn, steps, label):
+        if label.endswith("correction stage"):
+            starts.append((bp, bp.as_arrays()))
+        return train(bp, groups, loss_fn, steps, label)
+
+    monkeypatch.setattr(pipeline, "_seed_bias", seeding)
+    monkeypatch.setattr(pipeline, "_train", recording)
+    bundle, calib = _setup(0, config=one_block)
+    cfg = _cfg(config=one_block)
+    result = run_pipeline(bundle, calib, cfg)
+    [(seed, seed_values)], [(start, start_values)] = seeds, starts
+
+    prepared = prepare_bundle(bundle, cfg)
+    x = prepared.rotation.apply(calib)
+    y_q = forward_quant_block(result.bundle, 0, seed_values, cfg.qcfg, x)
+    score = float(np.mean((np.asarray(y_q) - np.asarray(forward_fp(prepared, x))) ** 2))
+    assert (score < result.report.blocks[0].mse_after_gptq) == seeded
+    assert (start is seed) == seeded
+    neutral = BlockParams.neutral(one_block)
+    for f in ("bc_qkv", "bc_o", "bc_up", "bc_down", "sa_o", "sa_down") + BlockParams.ALPHA_FIELDS:
+        want = getattr(seed_values if seeded else neutral, f)
+        assert np.array_equal(getattr(start_values, f), want), f
 
 
 def test_one_gptq_call_per_site_per_block(monkeypatch):
@@ -475,17 +515,21 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
     [
         ("rotation-only", True, 4),
         ("learned-rv", False, 32),
-        ("bias", False, 82),
-        ("unpaired-scale", False, 82),
-        ("scale", False, 82),
-        ("scale", True, 82),
-        ("stage-1-off", False, 54),  # scale with train_rv and train_scale off
+        ("bias", False, 78),
+        ("unpaired-scale", False, 78),
+        ("scale", False, 78),
+        ("scale", True, 78),
+        ("stage-1-off", False, 50),  # scale with train_rv and train_scale off
     ],
+    # the ids keep each case's name stable; a number in an id is the count
+    # from before stage 2 dropped its clip-seeded starts (2 forwards per block)
+    ids=["rotation-only-True-4", "learned-rv-False-32", "bias-False-82", "unpaired-scale-False-82",
+         "scale-False-82", "scale-True-82", "stage-1-off-False-54"],
 )
 def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
     # per block: baseline 1, stage 1 12 steps + 1, the forward at the trained
     # parameters 1 (GPTQ's records; without stage 1 the baseline's), after
-    # GPTQ 1 (also the neutral stage-2 candidate), 3 seeded candidates,
+    # GPTQ 1 (also the neutral stage-2 start's score), the bias seed's score 1,
     # stage 2 20 steps + 1, final 1 (also the report's site pass and the next
     # block's input); without stage 2 the after-GPTQ forward is the final one
     from rotquant import pipeline as pl
