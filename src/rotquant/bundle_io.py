@@ -435,8 +435,10 @@ def _json_value(name, kind, v):
         kind = kind.removesuffix(" | None")
     if kind == "int" and type(v) is int or kind == "str" and isinstance(v, str):
         return v
-    if kind == "float" and _finite(v):
-        return float(v)
+    if kind == "float" and type(v) in (int, float):
+        if _finite(v):
+            return float(v)
+        raise ValueError(f"{name} = {v!r} is not a finite float")
     if kind == "np.ndarray" and isinstance(v, list) and all(map(_finite, v)):
         return np.asarray(v, dtype=np.float64)
     raise ValueError(f"{name} = {v!r} is not {kind}")

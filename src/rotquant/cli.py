@@ -254,6 +254,8 @@ def cmd_quantize(args) -> int:
     write_params(out / "params.rqb", result.params)
     write_report(out / "report", result.report)
     for s in result.report.blocks:
+        if s.mse_baseline == 0.0:
+            print(f"warning: block {s.block}: baseline mse is 0, so there was nothing to fit", file=sys.stderr)
         print(
             f"block {s.block}: mse baseline {s.mse_baseline:.6e} "
             f"-> gptq {s.mse_after_gptq:.6e} -> final {s.mse_final:.6e}"

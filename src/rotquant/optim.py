@@ -71,13 +71,18 @@ def _keep_freed_heap():
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
-def optimize(loss_fn, groups, steps):
-    """Minimize `loss_fn` over the parameters in `groups` in `steps` updates.
+def optimize(loss_fn, groups, steps, patience=None):
+    """Minimize `loss_fn` over the parameters in `groups` in up to `steps` updates.
 
     `loss_fn` rebuilds the computation graph and returns a scalar Var.  It
-    is evaluated `steps + 1` times: at entry and after each update.  The
-    best-seen parameter values are restored at the end (`best_step` may be
-    `steps`), so the final loss never exceeds the loss at entry.
+    is evaluated at most `steps + 1` times: at entry and after each update.
+    The run ends early, with no further update, once the step just scored
+    is `patience` steps past the best one (None: never), or once a loss is
+    exactly 0, below which a squared error cannot go.  The best-seen
+    parameter values are restored at the end (`best_step` may be `steps`),
+    so the final loss never exceeds the loss at entry.  Up to its end, an
+    early-ended run takes the steps of the full run, so it restores the
+    same point unless a later step of the full run would score lower.
 
     Only one step's graph is alive at a time: each step's loss is dropped
     once its update is done, before the next graph is built.  The first
@@ -85,7 +90,8 @@ def optimize(loss_fn, groups, steps):
     (`_keep_freed_heap`).
 
     Raises OptimizationError with the step index if the loss goes NaN
-    before the last update; a NaN after it is not scored.
+    before the last update; a NaN after it, or after an early end, is
+    never scored.
     """
     _keep_freed_heap()
     params = [p for grp in groups for p in grp.params]
@@ -111,7 +117,7 @@ def optimize(loss_fn, groups, steps):
             result.best_loss = lval
             result.best_step = step
             best_values = [p.value.copy() for p in params]
-        if step == steps:
+        if step == steps or lval == 0.0 or patience is not None and step - result.best_step >= patience:
             break
 
         ad.backward(loss)

@@ -4,9 +4,9 @@ Per block, in order: (1) compute its floating-point target, (2) train the
 paired symmetric scales and the value-rotation parameter against the output
 MSE, (3) quantize weights with Hessian-aware rounding on the site inputs
 of the forward at step 2's parameters, (4) train bias corrections, unpaired
-scales, and clip factors, (5) run one final forward (the after-GPTQ forward
-when step 4 trains nothing), whose site records the report analyses before
-the next block starts.
+scales, and clip factors until 10 steps pass without a new best, (5) run
+one final forward (the after-GPTQ forward when step 4 trains nothing),
+whose site records the report analyses before the next block starts.
 Quantized outputs of block k feed block k+1's calibration inputs so later
 blocks compensate earlier errors; floating-point targets always come from
 the pristine model.
@@ -69,12 +69,26 @@ RRES_KINDS = ("pca-hadamard", "hadamard", "random-hadamard")
 
 _ALPHA_MIN = 1e-3
 _SCALE_MIN = 1e-6
+#: stage 2 ends after this many steps without a new best (see StageSchedule)
+_STAGE2_PATIENCE = 10
 
 
 @dataclass(frozen=True)
 class StageSchedule:
     """Training schedule; learning rates follow the deployment defaults
-    (1e-2 for scaling and clipping, 1e-3 for bias, cosine-decayed)."""
+    (1e-2 for scaling and clipping, 1e-3 for bias, cosine-decayed).
+
+    Stage 2 ends once `_STAGE2_PATIENCE` (10) steps pass without a new
+    best; stage 1 always runs all its steps.  The rule was chosen on the
+    toy: over the default config at seeds 0-19 (40 stage-2 fits), the best
+    of 50 stage-2 steps fell at step 0-3 in 32 fits.  With a patience of
+    10, the outputs of 15 of those seeds stay byte-identical, the
+    geometric-mean held-out MSE rises 0.047% and `quantize` takes about
+    40% less time; a patience of 15 or 20 changes fewer fits but keeps
+    little of the saving on the slowest seeds.  Stage 1's best steps fall
+    at 12-30 of 30 (seeds 0-9, 20 fits), and the same rule would change 6
+    of those fits, by up to +16.6%.
+    """
 
     stage1_epochs: int = 3
     stage2_epochs: int = 5
@@ -152,13 +166,13 @@ def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig) -> ModelBundle:
     return fuse_rres(folded, rotation)
 
 
-def _train(bp: BlockParams, groups, loss_fn, steps, label):
+def _train(bp: BlockParams, groups, loss_fn, steps, label, patience=None):
     """Train groups of bp fields in place.
 
     `groups` holds (field names, learning rate, (lo, hi) bounds or None)
     triples, or None for a group that is switched off.  The fields become
     Vars for the run, and the best values are written back as arrays.  A
-    NaN loss is re-raised under `label`.
+    NaN loss is re-raised under `label`; `patience` is `optimize`'s.
     """
     groups = [g for g in groups if g is not None]
     param_groups = []
@@ -168,7 +182,7 @@ def _train(bp: BlockParams, groups, loss_fn, steps, label):
             setattr(bp, f, p)
         param_groups.append(ParamGroup(params, lr, bounds))
     try:
-        optimize(loss_fn, param_groups, steps)
+        optimize(loss_fn, param_groups, steps, patience=patience)
     except OptimizationError as err:
         raise OptimizationError(f"{label}: {err}") from err
     for names, _, _ in groups:
@@ -250,7 +264,7 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
                 bp = seeded
         rec = {}  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(out), steps, f"block {i}, correction stage")
+        _train(bp, groups, loss(out), steps, f"block {i}, correction stage", patience=_STAGE2_PATIENCE)
         y_q, final = forward(out, bp, rec)
 
     records = []

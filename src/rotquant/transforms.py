@@ -187,7 +187,7 @@ def _cayley_forward(a_val, base):
         raise ValueError("cayley parameter and base must be square and same size")
     if not np.all(np.isfinite(a_val)):
         raise ValueError("cayley parameter must be finite")
-    s = 0.5 * (a_val - a_val.T)
+    s = 0.5 * a_val - 0.5 * a_val.T  # halved first: same bits for normal floats, no overflow near the limit
     eye = np.eye(n)
     m = np.linalg.solve(eye - s, eye + s)  # LU with partial pivoting
     return s, m, m @ base

@@ -5,20 +5,22 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rotquant import bundle_io
+from rotquant import bundle_io, cli, pipeline
 from rotquant.analysis import BlockMse, ErrorReport, SiteRecord
 from rotquant.bundle_io import (
     BundleFormatError,
@@ -681,6 +683,7 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ('{"seed": -1}', "seed"),
         ('{"base_std": Infinity}', "base_std"),
         ('{"offset_std": NaN}', "offset_std"),
+        ('{"lr_clip": Infinity}', "lr_clip = inf is not a finite float"),
         ('{"mode": "bogus"}', "mode"),
         ('{"weight_outlier_cols": -1}', "weight_outlier_cols"),
         ('{"hidden": %d}' % 2**200, "hidden"),
@@ -688,7 +691,7 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ("null", "JSON object"),
     ],
     ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str", "seed-negative",
-         "base_std-inf", "offset_std-nan", "mode-unknown", "weight_outlier_cols-negative",
+         "base_std-inf", "offset_std-nan", "lr_clip-inf", "mode-unknown", "weight_outlier_cols-negative",
          "hidden-beyond-intp", "list", "null"],
 )
 def test_cli_malformed_config_is_validation_error(tmp_path, document, named):
@@ -822,17 +825,21 @@ def test_cli_quantize_and_reports(tmp_path):
     assert (out / "report_profiles.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "overrides", [dict(offset_std=1e30), dict(base_std=1e-45, offset_std=0)], ids=["huge-offsets", "tiny-spread"]
+#: a two-block run small enough for many CLI round trips, and the two
+#: settings that leave about no within-channel variance
+_SMALL_RUN = dict(
+    hidden=16, heads=2, mlp_dim=32, calib_sequences=2, seq_len=4, stage1_epochs=1, stage2_epochs=1, steps_per_epoch=2
 )
+_HUGE_OFFSETS = dict(offset_std=1e30)
+_TINY_SPREAD = dict(base_std=1e-45, offset_std=0)
+
+
+@pytest.mark.parametrize("overrides", [_HUGE_OFFSETS, _TINY_SPREAD], ids=["huge-offsets", "tiny-spread"])
 def test_cli_quantize_writes_a_report_verify_accepts(tmp_path, capsys, overrides):
     # with about no within-channel variance the var-of-means fraction's two
     # variances round apart; the report must still hold it inside [0, 1]
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(dict(
-        hidden=16, heads=2, mlp_dim=32, calib_sequences=2, seq_len=4,
-        stage1_epochs=1, stage2_epochs=1, steps_per_epoch=2, **overrides,
-    )))
+    cfg.write_text(json.dumps(_SMALL_RUN | overrides))
     gen_dir, out = tmp_path / "g", tmp_path / "q"
     assert main(["gen", "--config", str(cfg), "--out", str(gen_dir)]) == 0
     model, calib = str(gen_dir / "model.rqb"), str(gen_dir / "calib.rqb")
@@ -840,6 +847,108 @@ def test_cli_quantize_writes_a_report_verify_accepts(tmp_path, capsys, overrides
     assert main(["verify", "--report", str(out / "report.json")]) == 0, capsys.readouterr().out
     fractions = [r["var_of_means_fraction"] for r in json.loads((out / "report.json").read_text())["records"]]
     assert max(fractions) == 1.0  # the edge each case reaches
+
+
+def test_cli_quantize_warns_when_a_block_has_nothing_to_fit(tmp_path, capsys, monkeypatch):
+    # offsets near 1e30 absorb each block's output in the residual stream,
+    # so every loss is 0 at entry: each stage stops after scoring it, and
+    # quantize says so once per block and still succeeds
+    evaluations = []
+    optimize = pipeline.optimize
+
+    def recording(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        evaluations.append(len(result.losses))
+        return result
+
+    monkeypatch.setattr(pipeline, "optimize", recording)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_SMALL_RUN | _HUGE_OFFSETS))
+    gen_dir = tmp_path / "g"
+    assert main(["gen", "--config", str(cfg), "--out", str(gen_dir)]) == 0
+    inputs = ["--model", str(gen_dir / "model.rqb"), "--calib", str(gen_dir / "calib.rqb")]
+    capsys.readouterr()
+    assert main(["quantize", "--config", str(cfg), *inputs, "--out", str(tmp_path / "q")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: block {i}: baseline mse is 0, so there was nothing to fit" for i in (0, 1)]
+    assert evaluations == [1, 1, 1, 1]
+
+
+def _run(argv):
+    """cli.main's exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _powers_of_ten(lo, hi):
+    return st.integers(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _small_runs(draw):
+    """Small run configs whose fields span hidden 1-16, heads that divide it
+    or not, mlp_dim a power of two or not, bits 1-8 and 16, stds 1e-300 to
+    1e300, 1-2 sequences of length 1-4 and up to 2 steps per epoch.  Every
+    field but at most one is drawn from its values that gen accepts."""
+    hidden = draw(st.sampled_from([2, 4, 16]))
+    bits = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16])
+    run = {
+        "hidden": hidden,
+        "heads": draw(st.sampled_from([h for h in (1, 2, 4, 16) if h <= hidden])),
+        "mlp_dim": draw(st.sampled_from([2, 8, 32])),
+        "n_blocks": draw(st.integers(1, 2)),
+        "calib_sequences": draw(st.integers(1, 2)),
+        "seq_len": draw(st.integers(2, 4)),
+        "stage1_epochs": draw(st.integers(0, 2)),
+        "stage2_epochs": draw(st.integers(0, 2)),
+        "steps_per_epoch": draw(st.integers(0, 2)),
+        "w_bits": draw(bits),
+        "a_bits": draw(bits),
+        "kv_bits": draw(bits),
+        "offset_std": draw(st.one_of(st.just(0.0), _powers_of_ten(-300, 37))),
+        "base_std": draw(_powers_of_ten(-300, 37)),
+        "n_outliers": draw(st.integers(0, 2)),
+        "seed": draw(st.integers(0, 3)),
+    }
+    refused = {  # a std of 1e39 or more overflows gen's f32 files
+        "hidden": st.just(1), "heads": st.just(3), "mlp_dim": st.sampled_from([3, 12]), "seq_len": st.just(1),
+        "w_bits": st.just(1), "a_bits": st.just(1), "kv_bits": st.just(1),
+        "offset_std": _powers_of_ten(39, 300), "base_std": st.one_of(st.just(0.0), _powers_of_ten(39, 300)),
+    }
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(refused)))
+        run[name] = draw(refused[name])
+    return run
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run=_small_runs())
+@example(run=_SMALL_RUN | _HUGE_OFFSETS)
+@example(run=_SMALL_RUN | _TINY_SPREAD)
+@example(run=_SMALL_RUN | {"lr_scale": 1e308})  # overflowed the Cayley map's skew part; now a NaN loss
+def test_cli_chain_holds_on_small_configs(run):
+    # what gen writes, quantize reads; what quantize writes, eval reproduces
+    # bit for bit and verify --report accepts (verify's own checks are
+    # tested elsewhere and left out here)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHECKS", []):
+        tmp = Path(tmp)
+        (cfg := tmp / "config.json").write_text(json.dumps(run))
+        code, err = _run(["gen", "--config", str(cfg), "--out", str(tmp / "g")])
+        assert code in (0, 1) and (code == 0 or err.startswith("error: ")), err
+        if code:
+            return
+        inputs = ["--model", str(tmp / "g" / "model.rqb"), "--calib", str(tmp / "g" / "calib.rqb")]
+        code, err = _run(["quantize", "--config", str(cfg), *inputs, "--out", str(tmp / "q")])
+        assert code in (0, 2) and (code == 0 or err.startswith("error: ")), err
+        if code:
+            return
+        files = ["--quantized", str(tmp / "q" / "quantized.rqb"), "--params", str(tmp / "q" / "params.rqb")]
+        assert _run(["eval", *inputs, *files, "--out", str(tmp / "e")]) == (0, "")
+        final_mse = read_report(tmp / "q" / "report.json").blocks[-1].mse_final
+        assert json.loads((tmp / "e" / "eval.json").read_bytes())["mse"] == final_mse
+        assert _run(["verify", "--report", str(tmp / "q" / "report.json")])[0] == 0
 
 
 def test_cli_quantize_passthrough_bits(tmp_path):

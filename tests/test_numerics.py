@@ -376,6 +376,62 @@ def test_optimize_ignores_a_nan_after_the_last_update():
     assert result.best_step == 4 and float(p.value) == seen[4] != seen[5]
 
 
+def _scripted(losses, p, seen):
+    """A loss function whose n-th evaluation scores exactly losses[n] and
+    pulls p down with gradient 1; it records p at each evaluation."""
+
+    def loss_fn():
+        seen.append(float(p.value))
+        return ad.Var(np.float64(losses[len(seen) - 1]), _parents=(p,), _vjps=(lambda g: g,))
+
+    return loss_fn
+
+
+# new bests at steps 0, 1, 2 and 5; every later step scores above step 5's
+_SCRIPT = [5.0, 4.0, 1.0, 3.0, 2.0, 0.5, 4.0, 3.0, 2.0, 6.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "patience, best_step, evaluations",
+    [(1, 2, 4), (3, 5, 9), (5, 5, 11), (20, 5, 11), (None, 5, 11)],
+    ids=["1", "3", "5", "20", "None"],
+)
+def test_optimize_stops_patience_steps_after_its_best(patience, best_step, evaluations):
+    # best_step + patience + 1 evaluations, never more than steps + 1; a new
+    # best restarts the count, and the best point is restored
+    p = ad.parameter(0.0)
+    seen = []
+    result = optimize(_scripted(_SCRIPT, p, seen), [ParamGroup([p], 0.1)], len(_SCRIPT) - 1, patience=patience)
+    assert len(seen) == len(result.losses) == evaluations
+    if patience is not None:
+        assert evaluations == min(best_step + patience + 1, len(_SCRIPT))
+    assert result.losses == _SCRIPT[:evaluations]
+    assert result.best_step == best_step and result.best_loss == _SCRIPT[best_step]
+    assert len(set(seen)) == len(seen) and float(p.value) == seen[best_step]
+
+
+def test_optimize_raises_on_a_nan_before_its_early_end():
+    p = ad.parameter(0.0)
+    with pytest.raises(OptimizationError, match="NaN loss at step 3"):
+        optimize(_scripted([3.0, 2.0, 2.5, np.nan, 1.0], p, []), [ParamGroup([p], 0.1)], 4, patience=2)
+
+
+def test_optimize_never_scores_a_nan_after_its_early_end():
+    p = ad.parameter(0.0)
+    seen = []
+    result = optimize(_scripted([3.0, 2.0, 2.5, 2.5, np.nan], p, seen), [ParamGroup([p], 0.1)], 4, patience=2)
+    assert len(seen) == 4 and result.best_step == 1 and float(p.value) == seen[1]
+
+
+def test_optimize_stops_at_a_zero_loss():
+    # no squared error scores below 0, so the run ends with no further update
+    p = ad.parameter(0.0)
+    seen = []
+    result = optimize(_scripted([3.0, 0.0, np.nan], p, seen), [ParamGroup([p], 0.1)], 2)
+    assert len(seen) == 2 and result.losses == [3.0, 0.0]
+    assert result.best_step == 1 and float(p.value) == seen[1]
+
+
 class _WeakVar(ad.Var):
     """A Var that a weakref can point to."""
 

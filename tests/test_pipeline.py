@@ -234,7 +234,7 @@ def test_one_training_step_stays_in_its_memory_bound(monkeypatch):
     class Stop(Exception):
         pass
 
-    def one_step(loss_fn, groups, steps):
+    def one_step(loss_fn, groups, steps, patience):
         tracemalloc.start()
         try:
             ad.backward(loss_fn())
@@ -280,9 +280,10 @@ def _block_bytes(bw):
 
 
 # the ids keep each case's name stable; a number in an id is the count from
-# before stage 2 dropped its clip-seeded starts (2 forwards per block)
+# before stage 2 dropped its clip-seeded starts (2 forwards per block) and
+# ended 10 steps after its best (here after 12 of its 21 evaluations, in each block)
 @pytest.mark.parametrize(
-    "mode, on_quantized, total", [("scale", 48, 78), ("rotation-only", 2, 4)], ids=["scale-52-82", "rotation-only-2-4"]
+    "mode, on_quantized, total", [("scale", 30, 60), ("rotation-only", 2, 4)], ids=["scale-52-82", "rotation-only-2-4"]
 )
 def test_forwards_after_gptq_run_the_stored_block(monkeypatch, mode, on_quantized, total):
     # GPTQ appends each block to the output bundle: the after-GPTQ forward,
@@ -464,10 +465,10 @@ def test_stage2_starts_at_the_bias_seed_only_when_it_scores_lower(monkeypatch, s
         seeds.append((point, point.as_arrays()))
         return point
 
-    def recording(bp, groups, loss_fn, steps, label):
+    def recording(bp, groups, loss_fn, steps, label, **kwargs):
         if label.endswith("correction stage"):
             starts.append((bp, bp.as_arrays()))
-        return train(bp, groups, loss_fn, steps, label)
+        return train(bp, groups, loss_fn, steps, label, **kwargs)
 
     monkeypatch.setattr(pipeline, "_seed_bias", seeding)
     monkeypatch.setattr(pipeline, "_train", recording)
@@ -486,6 +487,45 @@ def test_stage2_starts_at_the_bias_seed_only_when_it_scores_lower(monkeypatch, s
     for f in ("bc_qkv", "bc_o", "bc_up", "bc_down", "sa_o", "sa_down") + BlockParams.ALPHA_FIELDS:
         want = getattr(seed_values if seeded else neutral, f)
         assert np.array_equal(getattr(start_values, f), want), f
+
+
+def test_only_stage2_ends_10_steps_after_its_best(monkeypatch):
+    calls = []
+    optimize = pipeline.optimize
+
+    def recording(loss_fn, groups, steps, **kwargs):
+        calls.append((steps, kwargs))
+        return optimize(loss_fn, groups, steps, **kwargs)
+
+    monkeypatch.setattr(pipeline, "optimize", recording)
+    bundle, calib = _setup(3)
+    run_pipeline(bundle, calib, _cfg())
+    assert calls == [(12, {"patience": None}), (20, {"patience": 10})] * SMALL.n_blocks
+
+
+def test_stage2_ending_after_its_best_keeps_every_bit(monkeypatch):
+    # one block, seed 0: stage 2's best of 20 steps is step 3, so it ends
+    # after 14 evaluations and restores the point the full 20 steps restore
+    one_block = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1)
+    bundle, calib = _setup(0, config=one_block)
+    optimize = pipeline.optimize
+    runs = []
+    for patience in (10, None):
+        evaluations = []
+
+        def recording(*args, **kwargs):
+            result = optimize(*args, **kwargs)
+            evaluations.append(len(result.losses))
+            return result
+
+        monkeypatch.setattr(pipeline, "optimize", recording)
+        monkeypatch.setattr(pipeline, "_STAGE2_PATIENCE", patience)
+        runs.append((run_pipeline(bundle, calib, _cfg(config=one_block)), evaluations))
+    (cut, cut_evaluations), (full, full_evaluations) = runs
+    assert cut_evaluations == [13, 14] and full_evaluations == [13, 21]
+    assert cut.final_mse == full.final_mse
+    for f in fields(BlockParams):
+        assert _hash(getattr(cut.params[0], f.name)) == _hash(getattr(full.params[0], f.name)), f.name
 
 
 def test_one_gptq_call_per_site_per_block(monkeypatch):
@@ -515,14 +555,15 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
     [
         ("rotation-only", True, 4),
         ("learned-rv", False, 32),
-        ("bias", False, 78),
-        ("unpaired-scale", False, 78),
-        ("scale", False, 78),
-        ("scale", True, 78),
-        ("stage-1-off", False, 50),  # scale with train_rv and train_scale off
+        ("bias", False, 59),
+        ("unpaired-scale", False, 59),
+        ("scale", False, 61),
+        ("scale", True, 61),
+        ("stage-1-off", False, 30),  # scale with train_rv and train_scale off
     ],
     # the ids keep each case's name stable; a number in an id is the count
-    # from before stage 2 dropped its clip-seeded starts (2 forwards per block)
+    # from before stage 2 dropped its clip-seeded starts (2 forwards per
+    # block) and ended 10 steps after its best
     ids=["rotation-only-True-4", "learned-rv-False-32", "bias-False-82", "unpaired-scale-False-82",
          "scale-False-82", "scale-True-82", "stage-1-off-False-54"],
 )
@@ -530,8 +571,10 @@ def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
     # per block: baseline 1, stage 1 12 steps + 1, the forward at the trained
     # parameters 1 (GPTQ's records; without stage 1 the baseline's), after
     # GPTQ 1 (also the neutral stage-2 start's score), the bias seed's score 1,
-    # stage 2 20 steps + 1, final 1 (also the report's site pass and the next
-    # block's input); without stage 2 the after-GPTQ forward is the final one
+    # stage 2 up to 20 steps + 1 (it ends 10 steps after its best: 23, 25 and
+    # 22 evaluations over the two blocks here), final 1 (also the report's
+    # site pass and the next block's input); without stage 2 the after-GPTQ
+    # forward is the final one
     from rotquant import pipeline as pl
 
     count = []
