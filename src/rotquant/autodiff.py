@@ -337,23 +337,16 @@ def _expand_reduced(g, src_shape, axis, keepdims):
     return np.broadcast_to(g, src_shape)
 
 
-def vsum(a, axis=None, keepdims=False):
+def vsum(a):
     if not _is_var(a):
-        return np.sum(a, axis=axis, keepdims=keepdims)
-    out = np.sum(a.value, axis=axis, keepdims=keepdims)
-    return _make(out, (a,), (lambda g: _expand_reduced(g, a.value.shape, axis, keepdims).copy(),))
+        return np.sum(a)
+    return _make(np.sum(a.value), (a,), (lambda g: np.broadcast_to(g, a.value.shape).copy(),))
 
 
-def vmean(a, axis=None, keepdims=False):
+def vmean(a):
     if not _is_var(a):
-        return np.mean(a, axis=axis, keepdims=keepdims)
-    out = np.mean(a.value, axis=axis, keepdims=keepdims)
-    count = a.value.size if axis is None else a.value.shape[axis]
-
-    def back(g):
-        return _expand_reduced(g, a.value.shape, axis, keepdims) / count
-
-    return _make(out, (a,), (back,))
+        return np.mean(a)
+    return _make(np.mean(a.value), (a,), (lambda g: np.broadcast_to(g, a.value.shape) / a.value.size,))
 
 
 def _extreme(a, axis, keepdims, fn):

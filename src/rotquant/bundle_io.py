@@ -96,10 +96,10 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
 
     entries = []
     header = {"schema": 1, "kind": kind, **header_extra, "tensors": entries}
-    # two passes: offsets depend on the header length, which depends on the
-    # offsets' digits; iterate until stable (at most a few rounds)
+    # offsets depend on the header length, which depends on the offsets'
+    # digits; a longer guess never shortens the header, so the guess settles
     header_len_guess = 0
-    for _ in range(8):
+    while True:
         entries.clear()
         off = len(_MAGIC) + 8 + header_len_guess
         off += _pad(off)
@@ -113,8 +113,6 @@ def _write_container(path, kind: str, header_extra: dict, tensors: dict):
         if len(encoded) == header_len_guess:
             break
         header_len_guess = len(encoded)
-    else:
-        raise BundleFormatError("header layout did not stabilize")
 
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -291,11 +289,11 @@ def read_bundle(path) -> ModelBundle:
     return ModelBundle(config, blocks, rotation, qcfg)
 
 
-def write_calibration(path, calib, synth_meta=None):
+def write_calibration(path, calib):
     calib = np.asarray(calib)
     if calib.ndim != 3:
         raise ValueError("calibration must be [sequences x seq_len x channels]")
-    _write_container(path, "calibration", {"synth": synth_meta or {}}, {"calib": _floats(calib)})
+    _write_container(path, "calibration", {}, {"calib": _floats(calib)})
 
 
 def read_calibration(path):

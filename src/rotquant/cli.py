@@ -44,7 +44,6 @@ from .model import (
     gen_calibration,
     mse,
 )
-from .optim import OptimizationError
 from .pipeline import (
     ABLATION_MODES,
     PipelineConfig,
@@ -55,7 +54,7 @@ from .pipeline import (
     run_pipeline,
     site_layers,
 )
-from .quantizers import QuantizationError, QuantSpec, quant_proxy_loss, quantize_dynamic, search_clip, gptq_quantize
+from .quantizers import QuantSpec, quant_proxy_loss, quantize_dynamic, search_clip, gptq_quantize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -99,7 +98,6 @@ class RunConfig:
     lr_clip: float = StageSchedule.lr_clip
     # rotations
     rres_kind: str = PipelineConfig.rres_kind
-    gptq_damp: float = PipelineConfig.gptq_damp
     mode: str | None = None
     # toy-model extras
     weight_outlier_cols: int = 2
@@ -141,7 +139,6 @@ class RunConfig:
             schedule=StageSchedule(**{f.name: getattr(self, f.name) for f in fields(StageSchedule)}),
             rres_kind=self.rres_kind,
             rres_seed=self.seed,
-            gptq_damp=self.gptq_damp,
         )
         return cfg if self.mode is None else mode_config(cfg, self.mode)
 
@@ -221,26 +218,16 @@ def cmd_gen(args) -> int:
     out = _outdir(args)
     config = rc.model_config()
     bundle = build_toy_model(config, rc.seed, outlier_columns=rc.weight_outlier_cols)
-    spec = rc.synth_spec()
     with np.errstate(over="ignore"):  # the generated files are f32; an overflow is refused below
         for bw in bundle.blocks:
             vars(bw).update({name: arr.astype(np.float32) for name, arr in vars(bw).items() if arr is not None})
-        calib = gen_calibration(spec, rc.calib_sequences, rc.seq_len).astype(np.float32)
+        calib = gen_calibration(rc.synth_spec(), rc.calib_sequences, rc.seq_len).astype(np.float32)
     written = {f"block{i}.{name}": arr for i, bw in enumerate(bundle.blocks) for name, arr in vars(bw).items()}
     for name, arr in dict(written, calibration=calib).items():
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ConfigError(f"{name}: would hold non-finite values in f32")
     write_bundle(out / "model.rqb", bundle)
-    write_calibration(
-        out / "calib.rqb",
-        calib,
-        synth_meta={
-            "seed": spec.seed,
-            "outlier_channels": list(spec.outlier_channels),
-            "amplitudes": list(spec.amplitudes),
-            "base_std": spec.base_std,
-        },
-    )
+    write_calibration(out / "calib.rqb", calib)
     print(f"wrote {out / 'model.rqb'} ({config.n_blocks} blocks, hidden {config.hidden})")
     print(f"wrote {out / 'calib.rqb'} ({rc.calib_sequences} x {rc.seq_len} x {config.hidden})")
     return EXIT_OK
@@ -484,13 +471,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if err.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (BundleFormatError, QuantizationError, OptimizationError, OSError,
-            np.linalg.LinAlgError, AssertionError, RuntimeError) as err:
+    # numerical errors first: LinAlgError is a ValueError; the package's errors are RuntimeErrors
+    except (np.linalg.LinAlgError, RuntimeError, OSError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as err:  # ConfigError among them
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -91,7 +91,8 @@ def optimize(loss_fn, groups, steps, patience=None):
 
     Raises OptimizationError with the step index if the loss goes NaN
     before the last update; a NaN after it, or after an early end, is
-    never scored.
+    never scored.  A floating-point overflow or invalid operation while
+    scoring, differentiating or updating raises it too, at any step.
     """
     _keep_freed_heap()
     params = [p for grp in groups for p in grp.params]
@@ -101,43 +102,47 @@ def optimize(loss_fn, groups, steps, patience=None):
 
     result = OptimResult()
     best_values = [p.value.copy() for p in params]
-    for step in range(steps + 1):  # the last evaluation scores the last update's point
-        loss = loss_fn()
-        if not isinstance(loss, ad.Var):
-            raise OptimizationError("loss function must return a Var")
-        if loss.value.size != 1:
-            raise OptimizationError(f"loss must be scalar, got shape {loss.value.shape}")
-        lval = float(loss.value)
-        if math.isnan(lval):
-            if step == steps:
-                break
-            raise OptimizationError(f"NaN loss at step {step}")
-        result.losses.append(lval)
-        if lval < result.best_loss:
-            result.best_loss = lval
-            result.best_step = step
-            best_values = [p.value.copy() for p in params]
-        if step == steps or lval == 0.0 or patience is not None and step - result.best_step >= patience:
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # a diverging step says so
+            for step in range(steps + 1):  # the last evaluation scores the last update's point
+                loss = loss_fn()
+                if not isinstance(loss, ad.Var):
+                    raise OptimizationError("loss function must return a Var")
+                if loss.value.size != 1:
+                    raise OptimizationError(f"loss must be scalar, got shape {loss.value.shape}")
+                lval = float(loss.value)
+                if math.isnan(lval):
+                    if step == steps:
+                        break
+                    raise OptimizationError(f"NaN loss at step {step}")
+                result.losses.append(lval)
+                if lval < result.best_loss:
+                    result.best_loss = lval
+                    result.best_step = step
+                    best_values = [p.value.copy() for p in params]
+                if step == steps or lval == 0.0 or patience is not None and step - result.best_step >= patience:
+                    break
 
-        ad.backward(loss)
-        t = step + 1
-        bias1 = 1.0 - b1**t
-        bias2 = 1.0 - b2**t
-        k = 0
-        for grp in groups:
-            lr = cosine_lr(grp.lr, step, steps)
-            for p in grp.params:
-                g = p.grad if p.grad is not None else np.zeros_like(p.value)
-                g = np.asarray(g, dtype=np.float64)
-                m[k] = b1 * m[k] + (1.0 - b1) * g
-                v[k] = b2 * v[k] + (1.0 - b2) * g * g
-                p.value = p.value - lr * (m[k] / bias1) / (np.sqrt(v[k] / bias2) + EPS)
-                if grp.bounds is not None:
-                    p.value = np.asarray(np.clip(p.value, *grp.bounds), dtype=np.float64)
-                p.clear_grad()
-                k += 1
-        del loss  # frees the step's graph before loss_fn() builds the next
+                ad.backward(loss)
+                t = step + 1
+                bias1 = 1.0 - b1**t
+                bias2 = 1.0 - b2**t
+                k = 0
+                for grp in groups:
+                    lr = cosine_lr(grp.lr, step, steps)
+                    for p in grp.params:
+                        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+                        g = np.asarray(g, dtype=np.float64)
+                        m[k] = b1 * m[k] + (1.0 - b1) * g
+                        v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                        p.value = p.value - lr * (m[k] / bias1) / (np.sqrt(v[k] / bias2) + EPS)
+                        if grp.bounds is not None:
+                            p.value = np.asarray(np.clip(p.value, *grp.bounds), dtype=np.float64)
+                        p.clear_grad()
+                        k += 1
+                del loss  # frees the step's graph before loss_fn() builds the next
+    except FloatingPointError as err:
+        raise OptimizationError(f"floating-point {err} at step {step}") from err
 
     for p, best in zip(params, best_values):
         p.value = best

@@ -117,15 +117,12 @@ class PipelineConfig:
     train_bias: bool = True
     train_unpaired: bool = True
     train_clip: bool = True
-    gptq_damp: float = 0.01
     with_report: bool = True
 
     def __post_init__(self):
         if self.rres_kind not in RRES_KINDS:
             kinds = ", ".join(RRES_KINDS)
             raise ValueError(f"rres_kind: unknown kind {self.rres_kind!r} (choose from {kinds})")
-        if not 0 < self.gptq_damp < 1:
-            raise ValueError(f"gptq_damp: must be in (0, 1), got {self.gptq_damp}")
 
 
 def mode_config(base: PipelineConfig, mode: str) -> PipelineConfig:
@@ -239,7 +236,7 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
 
     # stage 2 trains none of the fields effective_weights reads
     eff = effective_weights(bundle.blocks[i], bp, bundle.config)
-    out.blocks.append(_gptq_block(eff, rec, qcfg.weight, cfg.gptq_damp))
+    out.blocks.append(_gptq_block(eff, rec, qcfg.weight))
 
     def group(on, names, lr, bounds):  # only the fields an enabled quantizer reads
         names = tuple(f for f in names if (qcfg.kv if f in ("alpha_k", "alpha_v") else qcfg.act) is not None)
@@ -324,7 +321,7 @@ def _calibration(calib, hidden):
     return calib
 
 
-def _gptq_block(eff, rec, spec, damp) -> BlockWeights:
+def _gptq_block(eff, rec, spec) -> BlockWeights:
     """The quantized block: Hessian-aware rounding of one block's effective
     weights `eff`, with the site inputs `rec` recorded by the forward at the
     same parameters.
@@ -340,7 +337,7 @@ def _gptq_block(eff, rec, spec, damp) -> BlockWeights:
     scales = {}
     for site, weight_names in ACT_SITES.items():
         mats = [eff[name] for name in weight_names]
-        q, raw = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec, damp=damp)
+        q, raw = gptq_quantize(np.concatenate(mats), rec[site + ".lin"], spec)
         cuts = np.cumsum([len(m) for m in mats[:-1]])
         block.update(zip(weight_names, np.split(q, cuts)))
         scales.update(zip(weight_names, np.split(raw, cuts)))

@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 SCALE_FLOOR = 1e-12
-#: Most elements one clip-search pass holds at once (grid points x samples);
-#: larger inputs are scanned one grid point at a time.
-CLIP_CHUNK = 1 << 16
 #: Columns per GPTQ error-feedback block, GPTQ's own lazy-batch width.
 GPTQ_BLOCK = 128
 
@@ -339,18 +336,18 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
 # -- clip-threshold search ---------------------------------------------------
 
 
-def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
+def search_clip(samples, bits, grid_points=128):
     """Grid search for the error-minimizing clip threshold.
 
-    Scans theta over [lo, hi] standard deviations of the samples
+    Scans theta over 0.5 to 4 standard deviations of the samples
     (grid_points values, exhaustive, no early exit) and returns the
     arg-min threshold in absolute units.  For INT4 standard-Gaussian input
     the optimum lands near 2.2 sigma.
 
     Each theta quantizes onto the signed b-bit lattice (codes
     -2^{b-1}..2^{b-1}-1, step theta / 2^{b-1}, round half away from zero)
-    and scores the mean error magnitude (unsquared norm).  The grid is
-    scanned in blocks of at most CLIP_CHUNK elements.
+    and scores the mean error magnitude (unsquared norm).  Each pass
+    scans one theta in place, in one buffer the size of the samples.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 1000:
@@ -358,18 +355,16 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
     sigma = float(x.std())
     if sigma == 0.0:
         raise QuantizationError("zero-variance samples")
-    thetas = np.linspace(lo, hi, grid_points) * sigma
+    thetas = np.linspace(0.5, 4.0, grid_points) * sigma
     half = 2 ** (bits - 1)
     # rounding commutes with the sign, so work on magnitudes: each sample's
     # code magnitude is capped at 2^{b-1} - 1 when positive, 2^{b-1} when not
     mag = np.abs(x)
     cap = np.where(x >= 0.0, half - 1.0, float(half))
-    rows = max(1, CLIP_CHUNK // x.size)
-    buf = np.empty((rows, x.size))
+    err = np.empty_like(mag)
     errors = np.empty(grid_points)
-    for i in range(0, grid_points, rows):
-        step = (thetas[i : i + rows] / half)[:, None]
-        err = buf[: len(step)]
+    for i, theta in enumerate(thetas):
+        step = theta / half
         np.divide(mag, step, out=err)
         err += 0.5
         np.floor(err, out=err)
@@ -377,7 +372,7 @@ def search_clip(samples, bits, grid_points=128, lo=0.5, hi=4.0):
         err *= step
         np.subtract(mag, err, out=err)
         np.abs(err, out=err)
-        errors[i : i + rows] = np.mean(err, axis=1)
+        errors[i] = np.mean(err)
     return float(thetas[int(np.argmin(errors))])
 
 

@@ -160,7 +160,8 @@ def pca_basis(weights):
     Every W_k is [out x n] with the same input width n; rows are read as
     uncentered samples over input channels.  Columns of the returned U are
     orthonormal eigenvectors ordered by descending eigenvalue, each signed
-    so that its largest-magnitude component is positive.
+    so that its largest-magnitude component is positive.  A covariance
+    that overflows float64 is a LinAlgError.
     """
     if not weights:
         raise ValueError("at least one weight matrix required")
@@ -170,8 +171,11 @@ def pca_basis(weights):
         if w.ndim != 2 or w.shape[1] != n:
             raise ValueError(f"weight input widths disagree: {w.shape[1]} != {n}")
     cov = np.zeros((n, n))
-    for w in mats:
-        cov += w.T @ w
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for w in mats:
+            cov += w.T @ w
+    if not np.all(np.isfinite(cov)):
+        raise np.linalg.LinAlgError("the weight covariance overflows float64")
     _, u = np.linalg.eigh(cov)
     u = u[:, ::-1]  # eigh sorts ascending
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(n)]

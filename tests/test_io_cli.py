@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -345,7 +346,7 @@ def test_calibration_roundtrip(tmp_path):
     calib = np.random.default_rng(0).normal(size=(4, 8, 32))
     path = tmp_path / "c.rqb"
     for stored in (calib, calib.astype(np.float32)):  # each in its own precision
-        write_calibration(path, stored, synth_meta={"seed": 0})
+        write_calibration(path, stored)
         loaded = read_calibration(path)
         assert loaded.dtype == np.float64 and np.array_equal(loaded, stored)
 
@@ -650,8 +651,6 @@ def test_runconfig_validates_bits_and_fields():
         RunConfig(a_bits=12).validate()
     with pytest.raises(ConfigError, match="rres_kind"):
         RunConfig(rres_kind="fourier").validate()
-    with pytest.raises(ConfigError, match="gptq_damp"):
-        RunConfig(gptq_damp=2.0).validate()
 
 
 def test_runconfig_defaults_are_the_library_defaults():
@@ -686,13 +685,14 @@ def test_runconfig_rejects_unknown_fields(tmp_path):
         ('{"lr_clip": Infinity}', "lr_clip = inf is not a finite float"),
         ('{"mode": "bogus"}', "mode"),
         ('{"weight_outlier_cols": -1}', "weight_outlier_cols"),
+        ('{"gptq_damp": 0.01}', "gptq_damp"),
         ('{"hidden": %d}' % 2**200, "hidden"),
         ("[1, 2]", "JSON object"),
         ("null", "JSON object"),
     ],
     ids=["hidden-str", "hidden-float", "hidden-bool", "n_blocks-str", "lr_bias-str", "seed-str", "seed-negative",
          "base_std-inf", "offset_std-nan", "lr_clip-inf", "mode-unknown", "weight_outlier_cols-negative",
-         "hidden-beyond-intp", "list", "null"],
+         "gptq_damp-unknown", "hidden-beyond-intp", "list", "null"],
 )
 def test_cli_malformed_config_is_validation_error(tmp_path, document, named):
     path = tmp_path / "config.json"
@@ -890,7 +890,8 @@ def _powers_of_ten(lo, hi):
 def _small_runs(draw):
     """Small run configs whose fields span hidden 1-16, heads that divide it
     or not, mlp_dim a power of two or not, bits 1-8 and 16, stds 1e-300 to
-    1e300, 1-2 sequences of length 1-4 and up to 2 steps per epoch.  Every
+    1e300, learning rates 1e-6 to 1e308, 1-2 sequences of length 1-4 and up
+    to 2 steps per epoch.  Every
     field but at most one is drawn from its values that gen accepts."""
     hidden = draw(st.sampled_from([2, 4, 16]))
     bits = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16])
@@ -911,6 +912,9 @@ def _small_runs(draw):
         "base_std": draw(_powers_of_ten(-300, 37)),
         "n_outliers": draw(st.integers(0, 2)),
         "seed": draw(st.integers(0, 3)),
+        "lr_scale": draw(_powers_of_ten(-6, 308)),
+        "lr_bias": draw(_powers_of_ten(-6, 308)),
+        "lr_clip": draw(_powers_of_ten(-6, 308)),
     }
     refused = {  # a std of 1e39 or more overflows gen's f32 files
         "hidden": st.just(1), "heads": st.just(3), "mlp_dim": st.sampled_from([3, 12]), "seq_len": st.just(1),
@@ -949,6 +953,38 @@ def test_cli_chain_holds_on_small_configs(run):
         final_mse = read_report(tmp / "q" / "report.json").blocks[-1].mse_final
         assert json.loads((tmp / "e" / "eval.json").read_bytes())["mse"] == final_mse
         assert _run(["verify", "--report", str(tmp / "q" / "report.json")])[0] == 0
+
+
+def _gen(tmp_path, run):
+    """cli.main's gen of the run config `run`: (config path, --model/--calib arguments)."""
+    (cfg := tmp_path / "config.json").write_text(json.dumps(run))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    return cfg, ["--model", str(tmp_path / "g" / "model.rqb"), "--calib", str(tmp_path / "g" / "calib.rqb")]
+
+
+def test_cli_quantize_of_an_overflowing_weight_covariance_is_a_runtime_error(tmp_path):
+    # every weight is a finite f64, but the rotation's covariance of wq overflows
+    run = dict(hidden=16, heads=1, mlp_dim=16, n_blocks=1, calib_sequences=4, seq_len=4)
+    cfg, inputs = _gen(tmp_path, run)
+    bundle = read_bundle(tmp_path / "g" / "model.rqb")
+    bundle.blocks[0].wq = bundle.blocks[0].wq * 1e200
+    write_bundle(tmp_path / "g" / "model.rqb", bundle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run(["quantize", "--config", str(cfg), *inputs, "--out", str(tmp_path / "q")])
+    assert (code, err) == (2, "error: the weight covariance overflows float64\n")
+
+
+def test_cli_quantize_of_a_diverging_stage_is_a_runtime_error(tmp_path):
+    # a huge learning rate overflows the stage-2 forward after its first update
+    run = dict(hidden=2, heads=1, mlp_dim=2, n_blocks=1, calib_sequences=1, seq_len=2, w_bits=2, a_bits=2,
+               kv_bits=2, stage1_epochs=0, stage2_epochs=2, steps_per_epoch=1, lr_bias=1e200)
+    cfg, inputs = _gen(tmp_path, run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run(["quantize", "--config", str(cfg), *inputs, "--out", str(tmp_path / "q")])
+    assert code == 2
+    assert err == "error: block 0, correction stage: floating-point overflow encountered in multiply at step 1\n"
 
 
 def test_cli_quantize_passthrough_bits(tmp_path):

@@ -170,13 +170,12 @@ def test_schedule_defaults():
     [
         (lambda: StageSchedule(stage2_epochs=-1), "stage2_epochs"),
         (lambda: StageSchedule(lr_bias=0), "lr_bias"),
-        (lambda: _cfg(gptq_damp=2.0), "gptq_damp"),
         (lambda: _cfg(rres_kind="fourier"), "rres_kind"),
         (lambda: QuantConfig.for_bits(4, 12, 4, 16), "a_bits"),
         (lambda: SynthSpec.misaligned(32, 64, base_std=0), "base_std"),
         (lambda: SynthSpec.misaligned(32, 64, offset_std=-1), "offset_std"),
     ],
-    ids=["epochs-negative", "lr_bias-zero", "gptq_damp-2", "rres_kind-fourier", "a_bits-12",
+    ids=["epochs-negative", "lr_bias-zero", "rres_kind-fourier", "a_bits-12",
          "base_std-zero", "offset_std-negative"],
 )
 def test_library_types_reject_bad_settings(build, field):

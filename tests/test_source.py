@@ -102,3 +102,49 @@ def test_only_optim_imports_ctypes():
             if any(name.split(".")[0] == "ctypes" for name in names):
                 importers.append(module)
     assert importers == ["optim"]
+
+
+def _calls_by_name():
+    """{called name: [ast.Call]} over every Python file of the package, the
+    tests, the demos and the benchmark; a method call counts under its
+    attribute name."""
+    root = PACKAGE.parents[1]
+    calls = {}
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, name, index):
+    """Whether `call` gives the parameter `name`, at positional `index` (None:
+    keyword-only), by keyword, by position or through * / **."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index
+
+
+def test_every_defaulted_parameter_of_a_public_function_has_a_caller():
+    # a default no call overrides is a setting nobody uses: inline it
+    calls = _calls_by_name()
+    unused = []
+    for module, tree in MODULES.items():
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs.extend(node for node in cls.body if isinstance(node, ast.FunctionDef))
+        for node in (node for node in defs if not node.name.startswith("_")):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            skip = 1 if positional[:1] in (["self"], ["cls"]) else 0  # bound by the call, never passed
+            first_defaulted = len(positional) - len(args.defaults)
+            defaulted = [(p, i - skip) for i, p in enumerate(positional) if i >= first_defaulted]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, index in defaulted:
+                if not any(_passes(call, param, index) for call in calls.get(node.name, [])):
+                    unused.append(f"{module}.{node.name}({param})")
+    assert not unused
