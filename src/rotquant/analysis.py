@@ -16,6 +16,7 @@ is an exact algebraic identity rather than an approximation.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,6 +255,17 @@ def _mean_scale(x, spec):
     return float(np.mean(scale)), float(np.mean(scale**2))
 
 
+@contextmanager
+def _site_numerics(block, site):
+    """Run a site's arithmetic with a float overflow or invalid value raised as
+    a RuntimeError that names the site."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as err:
+            raise RuntimeError(f"block {block}, site {site}: {err}") from None
+
+
 def _analyze_site(block, site, act, weight, measured, qcfg):
     act = np.asarray(act, dtype=np.float64)
     cs, mean_channel_var, var_of_means, fraction = _decompose(act)
@@ -297,7 +309,8 @@ def emit_report(layers, qcfg) -> ErrorReport:
     QuantConfig: a site in KV_SITES is analysed with `qcfg.kv`, any other
     with `qcfg.act`, and its weight with `qcfg.weight`.  A None spec has
     no rounding energy and adds no noise on its side.  One record is
-    emitted per site.  Deterministic given its inputs.
+    emitted per site.  Deterministic given its inputs.  A site whose
+    arithmetic overflows raises a RuntimeError naming it.
     """
     layers = list(layers)
     if not layers:
@@ -305,5 +318,6 @@ def emit_report(layers, qcfg) -> ErrorReport:
     report = ErrorReport()
     for block, site, act, weight, *rest in layers:
         measured = rest[0] if rest else None
-        report.records.append(_analyze_site(block, site, act, weight, measured, qcfg))
+        with _site_numerics(block, site):
+            report.records.append(_analyze_site(block, site, act, weight, measured, qcfg))
     return report

@@ -1,21 +1,19 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The graph is built dynamically: every operation on a `Var` returns a new
-`Var` holding the forward value plus one vector-Jacobian closure per parent.
-The closures are built for every such op; ``backward`` then visits only the
-nodes that can reach a parameter (``requires_grad=True`` leaf) and calls
-only their closures, so constant subgraphs cost their closure allocations
-but no backward work.
+Every op is written once: it computes its value from `value_of` its
+operands and passes it, the operands and one vector-Jacobian closure per
+operand to `_node`.  With only arrays in, that value itself comes out, so
+numeric code runs unchanged outside a differentiation context; otherwise
+the node hangs on the `Var` operands only: an array is no graph node.
+``backward`` visits only the nodes that can reach a parameter
+(``requires_grad=True`` leaf) and calls only their closures.  `silu` and
+`rmsnorm` keep an array formula of their own (last-bit different).
 
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward a pass-through.
 Calibration quantizes through `quantizers.quantize_dynamic`'s closed-form
 node instead; these serve the gradient-integrity check and the reference
 chain its gradients are tested against.
-
-The exported helpers accept either a `Var` or a plain ndarray and return
-the matching kind, so numeric code can be written once and reused
-both inside and outside a differentiation context.
 """
 
 from __future__ import annotations
@@ -172,10 +170,6 @@ def _is_var(*xs):
     return any(isinstance(x, Var) for x in xs)
 
 
-def _lift(x):
-    return x if isinstance(x, Var) else Var(x)
-
-
 def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to `shape`."""
     if g.shape == shape:
@@ -189,96 +183,74 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _make(value, parents, vjps):
-    return Var(value, _parents=tuple(parents), _vjps=tuple(vjps))
+def _node(value, operands, vjps):
+    """An op's result: `value` itself when no operand is a Var, else a node whose
+    parents are the Var operands, each with its vector-Jacobian product from
+    `vjps` (one per operand), in operand order."""
+    parents = kept = ()
+    for p, vjp in zip(operands, vjps):
+        if isinstance(p, Var):
+            parents += (p,)
+            kept += (vjp,)
+    return Var(value, _parents=parents, _vjps=kept) if parents else value
 
 
 # -- arithmetic -----------------------------------------------------------
-# The binary operators reach these through Var's dunder methods, so at
-# least one operand is always a Var.
 
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
-    return _make(
-        a.value + b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape), lambda g: _unbroadcast(g, b.value.shape)),
-    )
+    av, bv = value_of(a), value_of(b)
+    return _node(av + bv, (a, b), (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    return _make(
-        a.value - b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape), lambda g: _unbroadcast(-g, b.value.shape)),
-    )
+    av, bv = value_of(a), value_of(b)
+    return _node(av - bv, (a, b), (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
-    return _make(
-        a.value * b.value,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * b.value, a.value.shape),
-            lambda g: _unbroadcast(g * a.value, b.value.shape),
-        ),
-    )
+    av, bv = value_of(a), value_of(b)
+    return _node(av * bv, (a, b), (lambda g: _unbroadcast(g * bv, av.shape), lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b):
-    a, b = _lift(a), _lift(b)
-    return _make(
-        a.value / b.value,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g / b.value, a.value.shape),
-            lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-        ),
-    )
+    av, bv = value_of(a), value_of(b)
+    vjps = (lambda g: _unbroadcast(g / bv, av.shape), lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))
+    return _node(av / bv, (a, b), vjps)
 
 
 def power(a, p):
-    return _make(a.value**p, (a,), (lambda g: g * p * a.value ** (p - 1),))
+    av = value_of(a)
+    return _node(av**p, (a,), (lambda g: g * p * av ** (p - 1),))
 
 
 def sqrt(a):
-    if not _is_var(a):
-        return np.sqrt(a)
-    out = np.sqrt(a.value)
-    return _make(out, (a,), (lambda g: g * 0.5 / out,))
+    out = np.sqrt(value_of(a))
+    return _node(out, (a,), (lambda g: g * 0.5 / out,))
 
 
 def exp(a):
-    if not _is_var(a):
-        return np.exp(a)
-    out = np.exp(a.value)
-    return _make(out, (a,), (lambda g: g * out,))
+    out = np.exp(value_of(a))
+    return _node(out, (a,), (lambda g: g * out,))
 
 
 def absolute(a):
-    if not _is_var(a):
-        return np.abs(a)
-    return _make(np.abs(a.value), (a,), (lambda g: g * np.sign(a.value),))
+    av = value_of(a)
+    return _node(np.abs(av), (a,), (lambda g: g * np.sign(av),))
 
 
 def matmul(a, b):
     """Batched matrix product; both operands must be at least 2-D."""
-    if not _is_var(a, b):
-        return np.asarray(a) @ np.asarray(b)
-    a, b = _lift(a), _lift(b)
-    out = a.value @ b.value
+    av, bv = value_of(a), value_of(b)
 
     def da(g):
-        return _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape)
+        return _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
 
     def db(g):
         # batched, not one flattened GEMM: flattening regroups the sums and moves final_mse
-        return _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape)
+        return _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape)
 
-    return _make(out, (a, b), (da, db))
+    return _node(av @ bv, (a, b), (da, db))
 
 
 def _weight_grad(x, g):
@@ -301,75 +273,54 @@ def _weight_grad(x, g):
 def linear(x, w, b=None):
     """x @ w^T + b for a 2-D weight w [out, in]: one node that keeps only x and
     w, with the bits of matmul(x, swapaxes(w)) + b in its value and gradients."""
-    if not _is_var(x, w, b):
-        y = np.asarray(x) @ np.swapaxes(w, -1, -2)
-        return y if b is None else y + b
-    parents = tuple(_lift(p) for p in (x, w, b) if p is not None)
-    xv, wv = parents[0].value, parents[1].value
+    xv, wv = value_of(x), value_of(w)
     out = xv @ wv.swapaxes(-1, -2)
-    vjps = [lambda g: _unbroadcast(g @ wv, xv.shape), lambda g: _weight_grad(xv, g).swapaxes(-1, -2)]
-    if b is not None:
-        out += parents[2].value
-        vjps.append(lambda g: _unbroadcast(g, parents[2].value.shape))
-    return _make(out, parents, vjps)
+    vjps = (lambda g: _unbroadcast(g @ wv, xv.shape), lambda g: _weight_grad(xv, g).swapaxes(-1, -2))
+    if b is None:
+        return _node(out, (x, w), vjps)
+    bv = value_of(b)
+    out += bv
+    return _node(out, (x, w, b), (*vjps, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def reshape(a, shape):
-    if not _is_var(a):
-        return np.reshape(a, shape)
-    return _make(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
+    av = value_of(a)
+    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
 
 
 def swapaxes(a, i, j):
-    if not _is_var(a):
-        return np.swapaxes(a, i, j)
-    return _make(np.swapaxes(a.value, i, j), (a,), (lambda g: np.swapaxes(g, i, j),))
+    return _node(np.swapaxes(value_of(a), i, j), (a,), (lambda g: np.swapaxes(g, i, j),))
 
 
 # -- reductions -----------------------------------------------------------
 
 
-def _expand_reduced(g, src_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, src_shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, src_shape)
-
-
 def vsum(a):
-    if not _is_var(a):
-        return np.sum(a)
-    return _make(np.sum(a.value), (a,), (lambda g: np.broadcast_to(g, a.value.shape).copy(),))
+    av = value_of(a)
+    return _node(np.sum(av), (a,), (lambda g: np.broadcast_to(g, av.shape).copy(),))
 
 
 def vmean(a):
-    if not _is_var(a):
-        return np.mean(a)
-    return _make(np.mean(a.value), (a,), (lambda g: np.broadcast_to(g, a.value.shape) / a.value.size,))
+    av = value_of(a)
+    return _node(np.mean(av), (a,), (lambda g: np.broadcast_to(g, av.shape) / av.size,))
 
 
 def _extreme(a, axis, keepdims, fn):
-    out = fn(a.value, axis=axis, keepdims=keepdims)
-    out_full = fn(a.value, axis=axis, keepdims=True) if not keepdims else out
+    av = value_of(a)
 
     def back(g):
-        mask = (a.value == out_full).astype(np.float64)
+        mask = (av == fn(av, axis=axis, keepdims=True)).astype(np.float64)
         mask /= mask.sum(axis=axis, keepdims=True)  # split ties evenly
-        return _expand_reduced(g, a.value.shape, axis, keepdims) * mask
+        return (g if axis is None or keepdims else np.expand_dims(g, axis)) * mask
 
-    return _make(out, (a,), (back,))
+    return _node(fn(av, axis=axis, keepdims=keepdims), (a,), (back,))
 
 
 def amin(a, axis=None, keepdims=False):
-    if not _is_var(a):
-        return np.amin(a, axis=axis, keepdims=keepdims)
     return _extreme(a, axis, keepdims, np.amin)
 
 
 def amax(a, axis=None, keepdims=False):
-    if not _is_var(a):
-        return np.amax(a, axis=axis, keepdims=keepdims)
     return _extreme(a, axis, keepdims, np.amax)
 
 
@@ -377,22 +328,16 @@ def amax(a, axis=None, keepdims=False):
 
 
 def softmax(a, axis=-1):
-    if not _is_var(a):
-        e = np.exp(a - np.max(a, axis=axis, keepdims=True))
-        return e / e.sum(axis=axis, keepdims=True)
-    e = np.exp(a.value - np.max(a.value, axis=axis, keepdims=True))
+    av = value_of(a)
+    e = np.exp(av - np.max(av, axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        return out * (g - np.sum(g * out, axis=axis, keepdims=True))
-
-    return _make(out, (a,), (back,))
+    return _node(out, (a,), (lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True)),))
 
 
 def silu(a):
     # below about -709 exp(-a) overflows to inf, which gives sig = 0, the limit
     with np.errstate(over="ignore"):
-        if not _is_var(a):
+        if not _is_var(a):  # a formula of its own: the Var one differs in the last bit
             return a / (1.0 + np.exp(-a))
         sig = 1.0 / (1.0 + np.exp(-a.value))
     out = a.value * sig
@@ -400,12 +345,12 @@ def silu(a):
     def back(g):
         return g * sig * (1.0 + a.value * (1.0 - sig))
 
-    return _make(out, (a,), (back,))
+    return _node(out, (a,), (back,))
 
 
 def rmsnorm(a, eps=1e-6):
     """x / sqrt(mean(x^2, last axis) + eps); the gain is folded elsewhere."""
-    if not _is_var(a):
+    if not _is_var(a):  # a formula of its own: the Var one differs in the last bit
         ms = np.mean(a * a, axis=-1, keepdims=True)
         return a / np.sqrt(ms + eps)
     x = a.value
@@ -416,7 +361,7 @@ def rmsnorm(a, eps=1e-6):
         n = x.shape[-1]
         return g * inv - x * inv**3 * (np.sum(g * x, axis=-1, keepdims=True) / n)
 
-    return _make(out, (a,), (back,))
+    return _node(out, (a,), (back,))
 
 
 # -- straight-through estimators ------------------------------------------
@@ -430,23 +375,15 @@ def round_half_away(x):
 
 def round_ste(a):
     """Forward: round half away from zero.  Backward: identity."""
-    if not _is_var(a):
-        return round_half_away(a)
-    return _make(round_half_away(a.value), (a,), (lambda g: g,))
+    return _node(round_half_away(value_of(a)), (a,), (lambda g: g,))
 
 
 def clamp_ste(a, lo, hi):
     """Forward: clamp to [lo, hi].  Backward: pass-through inside, inclusive."""
     if lo > hi:
         raise ValueError(f"clamp bounds reversed: lo={lo} > hi={hi}")
-    if not _is_var(a):
-        return np.clip(a, lo, hi)
-    out = np.clip(a.value, lo, hi)
-
-    def back(g):
-        return g * ((a.value >= lo) & (a.value <= hi))
-
-    return _make(out, (a,), (back,))
+    av = value_of(a)
+    return _node(np.clip(av, lo, hi), (a,), (lambda g: g * ((av >= lo) & (av <= hi)),))
 
 
 # -- backward pass ---------------------------------------------------------

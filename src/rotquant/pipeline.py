@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import BlockMse, ErrorReport, emit_report
+from .analysis import BlockMse, ErrorReport, _site_numerics, emit_report
 from .model import (
     ACT_SITES,
     BlockParams,
@@ -267,7 +267,7 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
     records = []
     if cfg.with_report:
         rows = _site_rows(i, rec, vars(out.blocks[i]))
-        records = emit_report([(*row, _measured_noise_var(rec, row[1], row[3], eff)) for row in rows], qcfg).records
+        records = emit_report([(*row, _measured_noise_var(rec, *row, eff)) for row in rows], qcfg).records
     return y_fp, y_q, bp.as_arrays(), BlockMse(i, baseline, after_gptq, final), records
 
 
@@ -373,14 +373,16 @@ def _site_rows(index, rec, weights):
     return rows
 
 
-def _measured_noise_var(rec, site, weight, weights_fp):
-    """SiteRecord.measured_noise_var of a site's linear (None for caches)."""
+def _measured_noise_var(rec, block, site, act, weight, weights_fp):
+    """SiteRecord.measured_noise_var of a `_site_rows` row's linear (None for
+    caches); a RuntimeError naming the site when it overflows."""
     names = ACT_SITES.get(site)
     if names is None:
         return None
-    err = rec[site + ".lin"] @ weight.T
-    err -= rec[site + ".in"] @ np.vstack([weights_fp[nm] for nm in names]).T
-    return float(np.mean(np.square(err, out=err)) / weight.shape[1])
+    with _site_numerics(block, site):
+        err = rec[site + ".lin"] @ weight.T
+        err -= act @ np.vstack([weights_fp[nm] for nm in names]).T
+        return float(np.mean(np.square(err, out=err)) / weight.shape[1])
 
 
 def run_pipeline(bundle: ModelBundle, calib, cfg: PipelineConfig) -> PipelineResult:

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Var, _is_var, _unbroadcast, round_half_away, value_of
+from .autodiff import Var, _is_var, _node, _unbroadcast, round_half_away, value_of
 
 __all__ = [
     "QuantSpec",
@@ -329,8 +329,7 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
             pending.clear()
         return g_i
 
-    links = [(p, partial(vjp, i)) for i, p in enumerate(operands) if isinstance(p, Var)]
-    return Var(out, _parents=tuple(p for p, _ in links), _vjps=tuple(f for _, f in links))
+    return _node(out, operands, (partial(vjp, 0), partial(vjp, 1), partial(vjp, 2), partial(vjp, 3)))
 
 
 # -- clip-threshold search ---------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import _node, value_of
 
 __all__ = [
     "is_power_of_two",
@@ -81,8 +81,7 @@ def _sylvester_apply(y):
 
 
 def _fwht_array(x):
-    """Normalized Walsh-Hadamard transform along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
+    """Normalized Walsh-Hadamard transform of a float64 array along its last axis."""
     n = x.shape[-1]
     _check_pow2(n)
     y = _sylvester_apply(x.reshape(-1, n))
@@ -96,10 +95,7 @@ def fwht(x):
     Accepts a Var (differentiable: H is symmetric orthogonal, so the
     backward pass is the same transform applied to the gradient).
     """
-    if isinstance(x, Var):
-        out = _fwht_array(x.value)
-        return Var(out, _parents=(x,), _vjps=(lambda g: _fwht_array(g),))
-    return _fwht_array(x)
+    return _node(_fwht_array(value_of(x)), (x,), (_fwht_array,))
 
 
 def hadamard_matrix(n: int):
@@ -206,15 +202,12 @@ def cayley(a, base):
     """
     base = np.asarray(base, dtype=np.float64)
     _assert_orthogonal(base)
-    if isinstance(a, Var):
-        s, m, r = _cayley_forward(a.value, base)
+    s, m, r = _cayley_forward(value_of(a), base)
+
+    def back(g):
         eye = np.eye(s.shape[0])
+        gm = g @ base.T
+        gs = np.linalg.solve(eye + s, gm @ (eye + m).T)
+        return 0.5 * (gs - gs.T)
 
-        def back(g):
-            gm = g @ base.T
-            gs = np.linalg.solve(eye + s, gm @ (eye + m).T)
-            return 0.5 * (gs - gs.T)
-
-        return Var(r, _parents=(a,), _vjps=(back,))
-    _, _, r = _cayley_forward(np.asarray(a, dtype=np.float64), base)
-    return r
+    return _node(r, (a,), (back,))

@@ -975,6 +975,21 @@ def test_cli_quantize_of_an_overflowing_weight_covariance_is_a_runtime_error(tmp
     assert (code, err) == (2, "error: the weight covariance overflows float64\n")
 
 
+@pytest.mark.parametrize("command", ["quantize", "analyze"])
+def test_cli_report_of_an_overflowing_site_is_a_runtime_error(tmp_path, command):
+    # a plain Hadamard rotation keeps wq finite, but the site analysis squares it
+    run = dict(hidden=16, heads=1, mlp_dim=16, n_blocks=1, calib_sequences=4, seq_len=4, rres_kind="hadamard")
+    cfg, inputs = _gen(tmp_path, run)
+    bundle = read_bundle(tmp_path / "g" / "model.rqb")
+    bundle.blocks[0].wq = bundle.blocks[0].wq * 1e200
+    write_bundle(tmp_path / "g" / "model.rqb", bundle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "out")])
+    assert (code, err) == (2, "error: block 0, site qkv: overflow encountered in square\n")
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_cli_quantize_of_a_diverging_stage_is_a_runtime_error(tmp_path):
     # a huge learning rate overflows the stage-2 forward after its first update
     run = dict(hidden=2, heads=1, mlp_dim=2, n_blocks=1, calib_sequences=1, seq_len=2, w_bits=2, a_bits=2,

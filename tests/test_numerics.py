@@ -1,6 +1,7 @@
 """Channel statistics, straight-through ops, autodiff, and the optimizer."""
 
 import ctypes
+import itertools
 import types
 import warnings
 import weakref
@@ -15,6 +16,7 @@ from rotquant import optim
 from rotquant.optim import OptimizationError, ParamGroup, cosine_lr, optimize
 from rotquant.analysis import channel_stats
 from rotquant.quantizers import QuantSpec, quantize_dynamic
+from rotquant.transforms import cayley, fwht, hadamard_matrix
 
 
 # -- channel statistics -------------------------------------------------------
@@ -236,6 +238,65 @@ def test_weight_grad_adds_chunks_in_batched_sum_order(monkeypatch, x_shape, n, c
     ref = x.swapaxes(-1, -2) @ g
     ref = ref.sum(axis=tuple(range(ref.ndim - 2))) if ref.ndim > 2 else ref
     assert np.array_equal(_bits(ad._weight_grad(x, g)), _bits(ref))
+
+
+# -- one body per op: arrays give an array, a node hangs only on Var operands ------
+
+_RNG = np.random.default_rng(41)
+_X = _RNG.uniform(0.5, 2.0, size=(2, 4, 8))
+_ROW = _RNG.uniform(0.5, 2.0, size=8)
+
+#: name: (the op as a function of its operands, the operands as arrays)
+GRAPH_OPS = {
+    "add": (ad.add, (_X, _ROW)),
+    "sub": (ad.sub, (_X, _ROW)),
+    "mul": (ad.mul, (_X, _ROW)),
+    "div": (ad.div, (_X, _ROW)),
+    "power": (lambda a: ad.power(a, 3), (_X,)),
+    "matmul": (ad.matmul, (_X, _RNG.normal(size=(8, 3)))),
+    "linear": (ad.linear, (_X, _RNG.normal(size=(3, 8)), _RNG.normal(size=3))),
+    "linear-no-bias": (ad.linear, (_X, _RNG.normal(size=(3, 8)))),
+    "reshape": (lambda a: ad.reshape(a, (8, 8)), (_X,)),
+    "swapaxes": (lambda a: ad.swapaxes(a, -1, -2), (_X,)),
+    "vsum": (ad.vsum, (_X,)),
+    "vmean": (ad.vmean, (_X,)),
+    "amin": (lambda a: ad.amin(a, axis=-1), (_X,)),
+    "amax": (lambda a: ad.amax(a, axis=-1, keepdims=True), (_X,)),
+    "absolute": (ad.absolute, (_X - 1.0,)),
+    "sqrt": (ad.sqrt, (_X,)),
+    "exp": (ad.exp, (_X,)),
+    "softmax": (ad.softmax, (_X,)),
+    "silu": (ad.silu, (_X,)),
+    "rmsnorm": (ad.rmsnorm, (_X,)),
+    "round_ste": (ad.round_ste, (3.0 * _X,)),
+    "clamp_ste": (lambda a: ad.clamp_ste(a, 0.7, 1.5), (_X,)),
+    "fwht": (fwht, (_X,)),
+    "cayley": (lambda a: cayley(a, hadamard_matrix(4)), (_RNG.normal(size=(4, 4)),)),
+    "quantize_dynamic": (
+        lambda x, alpha, shift, gain: quantize_dynamic(x, QuantSpec(4, "asymmetric", "per-token"), alpha, shift, gain),
+        (_X, np.array(0.9), 0.1 * _ROW, _ROW),
+    ),
+}
+#: the ops whose array formula is not their Var formula: the values differ in the last bit
+TWO_FORMULAS = {"silu", "rmsnorm"}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_OPS))
+def test_nodes_hang_only_on_var_operands(name):
+    op, arrays = GRAPH_OPS[name]
+    plain = op(*arrays)
+    assert not isinstance(plain, ad.Var)
+    for is_var in itertools.product((False, True), repeat=len(arrays)):
+        if not any(is_var):
+            continue
+        operands = [ad.Var(a) if v else a for a, v in zip(arrays, is_var)]
+        node = op(*operands)
+        assert node._parents == tuple(p for p in operands if isinstance(p, ad.Var)), is_var
+        assert len(node._vjps) == len(node._parents)
+        if name in TWO_FORMULAS:
+            assert np.allclose(node.value, plain, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(_bits(node.value), _bits(plain)), is_var
 
 
 def test_backward_visits_each_node_once():

@@ -148,3 +148,14 @@ def test_every_defaulted_parameter_of_a_public_function_has_a_caller():
                 if not any(_passes(call, param, index) for call in calls.get(node.name, [])):
                     unused.append(f"{module}.{node.name}({param})")
     assert not unused
+
+
+def test_only_autodiff_node_and_parameter_build_a_var():
+    # every graph node comes from autodiff._node, which hangs it on its Var operands only
+    builders = set()
+    for module, tree in MODULES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Var":
+                    builders.add(f"{module}.{getattr(top, 'name', '')}")
+    assert builders == {"autodiff._node", "autodiff.parameter"}
