@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 
-#: Most elements of per-sequence x^T @ g products `linear`'s weight gradient holds at once.
-LINEAR_CHUNK = 1 << 18
-
-
 class GradTracker:
     """Counts live parameter-gradient elements.
 
@@ -253,34 +249,25 @@ def matmul(a, b):
     return _node(av @ bv, (a, b), (da, db))
 
 
-def _weight_grad(x, g):
-    """x^T @ g summed over the leading axes: the bits of `_unbroadcast`'s sum of
-    the batched product, which is never built.  The per-sequence products are
-    made LINEAR_CHUNK elements at a time and added in sequence order."""
-    if x.ndim == 2:
-        return x.T @ g
-    xt = x.reshape(-1, *x.shape[-2:]).swapaxes(-1, -2)
-    g = g.reshape(-1, *g.shape[-2:])
-    acc = np.zeros((xt.shape[1], g.shape[2]))
-    step = max(1, LINEAR_CHUNK // acc.size)
-    for i in range(0, len(xt), step):
-        part = xt[i : i + step] @ g[i : i + step]
-        part[0] += acc  # the running sum leads the chunk, and the chunk's sum continues it
-        acc = part.sum(axis=0)
-    return acc
-
-
 def linear(x, w, b=None):
     """x @ w^T + b for a 2-D weight w [out, in]: one node that keeps only x and
-    w, with the bits of matmul(x, swapaxes(w)) + b in its value and gradients."""
+    w.  x is viewed as [tokens x in], so the value and the x and w gradients
+    are one 2-D GEMM each."""
     xv, wv = value_of(x), value_of(w)
-    out = xv @ wv.swapaxes(-1, -2)
-    vjps = (lambda g: _unbroadcast(g @ wv, xv.shape), lambda g: _weight_grad(xv, g).swapaxes(-1, -2))
+    x2 = xv.reshape(-1, xv.shape[-1])
+    out = (x2 @ wv.T).reshape(*xv.shape[:-1], wv.shape[0])
+
+    def dx(g):
+        return (g.reshape(-1, g.shape[-1]) @ wv).reshape(xv.shape)
+
+    def dw(g):
+        return g.reshape(-1, g.shape[-1]).T @ x2
+
     if b is None:
-        return _node(out, (x, w), vjps)
+        return _node(out, (x, w), (dx, dw))
     bv = value_of(b)
     out += bv
-    return _node(out, (x, w, b), (*vjps, lambda g: _unbroadcast(g, bv.shape)))
+    return _node(out, (x, w, b), (dx, dw, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def reshape(a, shape):
@@ -337,8 +324,11 @@ def softmax(a, axis=-1):
 def silu(a):
     # below about -709 exp(-a) overflows to inf, which gives sig = 0, the limit
     with np.errstate(over="ignore"):
-        if not _is_var(a):  # a formula of its own: the Var one differs in the last bit
-            return a / (1.0 + np.exp(-a))
+        if not _is_var(a):  # a formula of its own, in place: the Var one differs in the last bit
+            den = np.negative(a)
+            np.exp(den, out=den)
+            den += 1.0
+            return np.divide(a, den, out=den)
         sig = 1.0 / (1.0 + np.exp(-a.value))
     out = a.value * sig
 

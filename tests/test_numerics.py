@@ -192,11 +192,52 @@ def _bits(a):
 
 @pytest.mark.parametrize("through_rtn", [False, True], ids=["weight", "rtn-weight"])
 @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
-@pytest.mark.parametrize("x_shape", [(5, 4, 8), (4, 8)], ids=["3d", "2d"])
-def test_linear_matches_matmul_chain_bit_for_bit(x_shape, with_bias, through_rtn):
+@pytest.mark.parametrize("x_shape", [(5, 4, 8), (4, 8), (8,)], ids=["3d", "2d", "1d"])
+def test_linear_is_one_2d_gemm_per_product(x_shape, with_bias, through_rtn):
+    # x is viewed as [tokens x in]: value x2 @ w^T, x gradient g2 @ w, weight
+    # gradient g2^T @ x2, bit for bit; a 1-D x is a single token
     rng = np.random.default_rng(31)
     x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(6, 8)), rng.normal(size=6)
-    weights = rng.normal(size=(*x_shape[:-1], 6))
+    weights = rng.normal(size=(*x_shape[:-1], 6))  # dloss/dy
+    spec = QuantSpec(4, "symmetric", "per-channel")
+
+    def weight_used(w):
+        # a per-row quantizer sums the weight gradient along rows: its layout counts
+        return quantize_dynamic(w, spec) if through_rtn else w
+
+    x, w = ad.parameter(x0), ad.parameter(w0)
+    b = ad.parameter(b0) if with_bias else None
+    w_used = weight_used(w)
+    y = ad.linear(x, w_used, b)
+    ad.backward(ad.vsum(y * weights))
+
+    x2, g2, wv = x0.reshape(-1, 8), weights.reshape(-1, 6), ad.value_of(w_used)
+    value = x2 @ wv.T
+    if with_bias:
+        value += b0
+        assert np.array_equal(_bits(b.grad), _bits(g2.sum(axis=0)))
+    assert np.array_equal(_bits(y.value), _bits(value.reshape(*x_shape[:-1], 6)))
+    assert np.array_equal(_bits(x.grad), _bits((g2 @ wv).reshape(x_shape)))
+    w_ref = ad.parameter(w0)  # the weight node's own backward of the explicit product
+    ad.backward(ad.vsum(weight_used(w_ref) * (g2.T @ x2)))
+    assert np.array_equal(_bits(w.grad), _bits(w_ref.grad))
+    plain = ad.linear(x0, w0, b0 if with_bias else None)
+    assert np.array_equal(_bits(plain), _bits((x2 @ w0.T + (b0 if with_bias else 0.0)).reshape(y.shape)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    n_in=st.integers(1, 40),
+    n_out=st.integers(1, 40),
+    with_bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_matches_the_batched_matmul_chain(lead, n_in, n_out, with_bias, seed):
+    # the flat GEMMs regroup the sums of matmul(x, swapaxes(w)) + b: equal to rounding
+    rng = np.random.default_rng(seed)
+    x0, w0, b0 = rng.normal(size=(*lead, n_in)), rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)
+    weights = rng.normal(size=(*lead, n_out))
 
     def chain(x, w, b):
         y = ad.matmul(x, ad.swapaxes(w, -1, -2))
@@ -205,39 +246,12 @@ def test_linear_matches_matmul_chain_bit_for_bit(x_shape, with_bias, through_rtn
     def run(lin):
         x, w = ad.parameter(x0), ad.parameter(w0)
         b = ad.parameter(b0) if with_bias else None
-        # a per-row quantizer sums the weight gradient along rows: its layout counts
-        w_used = quantize_dynamic(w, QuantSpec(4, "symmetric", "per-channel")) if through_rtn else w
-        y = lin(x, w_used, b)
+        y = lin(x, w, b)
         ad.backward(ad.vsum(y * weights))
         return [y.value, x.grad, w.grad] + ([b.grad] if with_bias else [])
 
     for got, ref in zip(run(ad.linear), run(chain), strict=True):
-        assert np.array_equal(_bits(got), _bits(ref))
-    plain = ad.linear(x0, w0, b0 if with_bias else None)
-    assert np.array_equal(_bits(plain), _bits(ad.value_of(chain(x0, w0, b0 if with_bias else None))))
-
-
-@pytest.mark.parametrize(
-    "x_shape, n, chunk",
-    [
-        ((10, 4, 5), 6, 3 * 5 * 6),  # 3 sequences a chunk; the batch is no multiple of it
-        ((7, 3, 2, 5), 4, 2 * 5 * 4),  # two leading axes, summed as one
-        ((128, 8, 64), 256, None),
-        ((128, 8, 256), 64, None),
-        ((8, 8, 32), 64, None),
-        ((4, 8), 6, None),  # 2-D: one product, nothing to sum
-    ],
-)
-def test_weight_grad_adds_chunks_in_batched_sum_order(monkeypatch, x_shape, n, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(ad, "LINEAR_CHUNK", chunk)
-    rng = np.random.default_rng(37)
-    x = rng.normal(size=x_shape)
-    x[..., 0] = 0.0  # signed zeros: 0 * negative g
-    g = rng.normal(size=(*x_shape[:-1], n))
-    ref = x.swapaxes(-1, -2) @ g
-    ref = ref.sum(axis=tuple(range(ref.ndim - 2))) if ref.ndim > 2 else ref
-    assert np.array_equal(_bits(ad._weight_grad(x, g)), _bits(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 # -- one body per op: arrays give an array, a node hangs only on Var operands ------

@@ -527,6 +527,24 @@ def test_stage2_ending_after_its_best_keeps_every_bit(monkeypatch):
         assert _hash(getattr(cut.params[0], f.name)) == _hash(getattr(full.params[0], f.name)), f.name
 
 
+def test_gptq_block_width_keeps_the_written_codes(monkeypatch, tmp_path):
+    # the feedback block width only regroups GPTQ's sums: a rotation-only run
+    # writes the same quantized bundle at GPTQ's own 128 columns as at
+    # GPTQ_BLOCK, on a down site of 256 columns
+    from rotquant import quantizers
+    from rotquant.bundle_io import write_bundle
+
+    config = ModelConfig(hidden=32, heads=2, mlp_dim=256, n_blocks=1)
+    written = []
+    for width in (128, quantizers.GPTQ_BLOCK):
+        monkeypatch.setattr(quantizers, "GPTQ_BLOCK", width)
+        bundle, calib = _setup(5, config, sequences=32, seq_len=16)
+        result = run_pipeline(bundle, calib, mode_config(_cfg(config=config), "rotation-only"))
+        write_bundle(tmp_path / "quantized.rqb", result.bundle)
+        written.append((tmp_path / "quantized.rqb").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_one_gptq_call_per_site_per_block(monkeypatch):
     # the matrices of one site share its Hessian: one stacked call per site,
     # and each matrix's rows equal a separate call on that matrix alone

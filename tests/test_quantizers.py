@@ -707,11 +707,11 @@ def _gptq_inverse_hessian_oracle(w, x, spec, damp=0.01):
 
 @pytest.mark.parametrize(
     "rows, cols, dead",
-    [(5, 16, 0), (24, 128, 0), (7, 129, 0), (40, 300, 0), (33, 513, 0), (16, 300, 60),
+    [(5, 16, 0), (11, 48, 0), (24, 128, 0), (7, 129, 0), (40, 300, 0), (33, 513, 0), (16, 300, 60),
      (9, 200, 66), (1024, 128, 0), (128, 1024, 0)],
 )
 def test_gptq_matches_inverse_hessian_oracle(rows, cols, dead):
-    # one, two and several GPTQ_BLOCK-column blocks, dead calibration columns,
+    # one, two and several 32-column GPTQ_BLOCKs, partial last blocks, dead calibration columns,
     # and the [1024x128] / [128x1024] shapes of a wide model's MLP
     rng = np.random.default_rng(rows * 1009 + cols)
     w = rng.normal(size=(rows, cols)) * rng.uniform(0.2, 3.0)
