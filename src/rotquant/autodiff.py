@@ -6,8 +6,7 @@ operand to `_node`.  With only arrays in, that value itself comes out, so
 numeric code runs unchanged outside a differentiation context; otherwise
 the node hangs on the `Var` operands only: an array is no graph node.
 ``backward`` visits only the nodes that can reach a parameter
-(``requires_grad=True`` leaf) and calls only their closures.  `silu` and
-`rmsnorm` keep an array formula of their own (last-bit different).
+(``requires_grad=True`` leaf) and calls only their closures.
 
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward a pass-through.
@@ -322,36 +321,24 @@ def softmax(a, axis=-1):
 
 
 def silu(a):
-    # below about -709 exp(-a) overflows to inf, which gives sig = 0, the limit
-    with np.errstate(over="ignore"):
-        if not _is_var(a):  # a formula of its own, in place: the Var one differs in the last bit
-            den = np.negative(a)
-            np.exp(den, out=den)
-            den += 1.0
-            return np.divide(a, den, out=den)
-        sig = 1.0 / (1.0 + np.exp(-a.value))
-    out = a.value * sig
-
-    def back(g):
-        return g * sig * (1.0 + a.value * (1.0 - sig))
-
-    return _node(out, (a,), (back,))
+    """a / (1 + exp(-a)); all in one buffer when a is an array."""
+    av = value_of(a)
+    den = np.negative(av)
+    with np.errstate(over="ignore"):  # below about -709 exp(-a) is inf, which gives the limit 0
+        np.exp(den, out=den)
+    den += 1.0
+    out = av / den if _is_var(a) else np.divide(av, den, out=den)
+    # silu' = sig * (1 + a * (1 - sig)) with sig = 1 / den, and a * sig = out
+    return _node(out, (a,), (lambda g: g * (1.0 + av - out) / den,))
 
 
 def rmsnorm(a, eps=1e-6):
     """x / sqrt(mean(x^2, last axis) + eps); the gain is folded elsewhere."""
-    if not _is_var(a):  # a formula of its own: the Var one differs in the last bit
-        ms = np.mean(a * a, axis=-1, keepdims=True)
-        return a / np.sqrt(ms + eps)
-    x = a.value
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    out = x * inv
-
-    def back(g):
-        n = x.shape[-1]
-        return g * inv - x * inv**3 * (np.sum(g * x, axis=-1, keepdims=True) / n)
-
-    return _node(out, (a,), (back,))
+    x = value_of(a)
+    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    out = x / rms
+    # d(x / rms) = (g - out * mean(g * out)) / rms
+    return _node(out, (a,), (lambda g: (g - out * np.mean(g * out, axis=-1, keepdims=True)) / rms,))
 
 
 # -- straight-through estimators ------------------------------------------

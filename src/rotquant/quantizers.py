@@ -6,16 +6,18 @@ np.amin/np.amax.  Inside a differentiable calibration objective,
 `quantize_dynamic` is the one quantizer graph node, for activation sites,
 KV caches and round-to-nearest weights alike.  An activation site's bias
 correction b and unpaired scale s ride inside it as a shift and a gain,
-(QD(x * s - b) + b) / s.  Its forward is the same arithmetic as the
-primitive chain, and its vector-Jacobian products are that chain's
-(range reduction, scale floor, round, clamp, dequantize in closed form)
-term by term, for the input, the clip factor, b and s, with the same
-bits.  It keeps the shifted input, uint8 codes, an in-range mask and
-each group's extreme positions (argmin/argmax, the same bits as the
-reductions).  Its input gradient gives each extreme's gradient to its
-one position; only the rare group whose extreme is tied splits it
-evenly over the hits, counted in the backward, as the min/max
-reduction's gradient does.
+(QD(x * s - b) + b) / s.  Its value has the bits of the array path.  Its
+gradients are the straight-through estimator's, in closed form per group
+(`_ste_grads`): the input takes g where the clamp keeps the code, the zero
+takes the rest, and the scale takes sum(g * code) less the kept g times
+the unrounded code, unless the scale floor binds; the clip factor, b and
+s follow from these.  It keeps the shifted input, uint8 codes, an
+in-range mask and each group's extremes with their positions
+(argmin/argmax, the same bits as the reductions).  Its input gradient
+gives each extreme's gradient to its one position; only the rare group
+whose extreme is tied splits it evenly over the hits, counted in the
+backward, as the min/max reduction's gradient does.  One rounding helper,
+`_codes`, serves the node, `fake_quantize` and GPTQ.
 
 Quantized tensors are float64 arrays whose values lie exactly on the
 lattice {zero + k * scale, k in 0..2^b - 1}; files store weights as codes
@@ -29,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Var, _is_var, _node, _unbroadcast, round_half_away, value_of
+from .autodiff import Var, _is_var, _node, _unbroadcast, value_of
 
 __all__ = [
     "QuantSpec",
@@ -127,7 +129,7 @@ def _raw_params(extremes, spec, a):
 
     extremes are (min, max) for asymmetric groups and (max |x|,) for
     symmetric ones, each with a trailing axis of 1: reductions in
-    `resolve_params`, values read at the `_locate_extreme` positions in
+    `resolve_params`, values read at the argmin/argmax positions in
     `quantize_dynamic`'s graph node.  The raw scale is the clip-scaled
     range step before the SCALE_FLOOR clamp.
     """
@@ -156,32 +158,28 @@ def resolve_params(x, spec: QuantSpec, alpha=1.0) -> QuantParams:
     return QuantParams(scale=np.clip(raw, SCALE_FLOOR, np.inf), zero=zero)
 
 
-def _rounded(view, scale, zero):
-    """Integer codes of the grouped view before the clamp to 0..2^b - 1."""
-    return round_half_away((view - zero) / scale)
+def _codes(view, scale, zero):
+    """Integer codes floor((view - zero) / scale + 1/2) before the clamp to
+    0..2^b - 1, in one fresh buffer.
+
+    Where the clamp keeps a code this is round half away from zero; below
+    -1/2 both clamp to 0, and between -1/2 and 0 the tie rule's -0 code is
+    +0 here, which dequantizes to the same bits.
+    """
+    c = np.subtract(view, zero)
+    c /= scale
+    c += 0.5
+    return np.floor(c, out=c)
 
 
 def fake_quantize(x, params: QuantParams, spec: QuantSpec):
     """Quantize-dequantize onto the lattice {zero + k*scale, k in 0..2^b-1}."""
     x = np.asarray(x, dtype=np.float64)
-    q = _rounded(_grouped(x, spec), params.scale, params.zero)
+    q = _codes(_grouped(x, spec), params.scale, params.zero)
     np.clip(q, 0.0, spec.levels - 1.0, out=q)  # in place: a fresh array raised quantize-wide's peak RSS 11%
     q *= params.scale
     q += params.zero
     return q.reshape(x.shape)
-
-
-def _locate_extreme(rows, find):
-    """Each row's first extreme: (value, flat position).
-
-    rows is a C-contiguous [groups, group size] array and find is
-    np.argmin or np.argmax; the value read at the position holds the same
-    bits as np.amin/np.amax.
-    """
-    n_rows, n = rows.shape
-    pos = find(rows, axis=1)
-    pos += np.arange(0, n_rows * n, n)
-    return rows.reshape(-1)[pos], pos
 
 
 def _tie_split(values, extreme, g):
@@ -199,12 +197,12 @@ def _tie_split(values, extreme, g):
 def _add_extreme_grad(g_rows, rows, pos, g_ext, signed=False):
     """Add the gradient g_ext of each row's extreme into g_rows, in place.
 
-    g_rows and rows are [groups, group size], pos holds each row's extreme
-    position from `_locate_extreme` and g_ext one value per row.  signed:
-    the extreme is max |x|, so each hit also takes the sign of its x.
-    Tied rows hit their extreme other than exactly once (equal extremes,
-    or a NaN); rows are counted one by one only when the hits over all
-    rows are not one per row.
+    g_rows and rows are [groups, group size], pos holds each row's first
+    extreme as a flat position and g_ext one value per row.  signed: the
+    extreme is max |x|, so each hit also takes the sign of its x.  Tied
+    rows hit their extreme other than exactly once (equal extremes, or a
+    NaN); rows are counted one by one only when the hits over all rows are
+    not one per row.
     """
     values = np.abs(rows) if signed else rows
     ext = values.reshape(-1)[pos]
@@ -223,31 +221,37 @@ def _add_extreme_grad(g_rows, rows, pos, g_ext, signed=False):
         g_rows[tied] += split * np.sign(rows[tied]) if signed else split
 
 
-def _ste_partials(g, view, raw, scale, zero, inside, q, spec):
-    """dL/d(view) through the codes; per group dL/dzero and dL/d(range).
+def _ste_grads(g, rows, raw, scale, zero, inside, codes, spec):
+    """Straight-through gradients of the dequantized rows codes * scale + zero.
 
-    range is the clip-scaled extent alpha * (max - min), or alpha *
-    max|x| for symmetric groups; the raw scale is range * step.
-    Straight-through: round passes the gradient, the code clamp passes
-    it only inside [0, 2^b - 1], the scale floor only where it is idle.
-    A symmetric zero is -2^{b-1} times the raw scale, so its gradient
-    joins the raw scale's.  The arithmetic follows the primitive chain
-    term by term.
+    g is dL/d(output) and rows the quantized input, both [groups, group
+    size]; raw, scale and zero hold one value per row.  Returns dL/d(rows)
+    through the codes, and per row dL/dzero and dL/d(range), where range is
+    the clip-scaled extent alpha * (max - min), or alpha * max|x| for
+    symmetric rows, and the raw scale is range * step.  Round passes the
+    gradient, the code clamp passes it only `inside` 0..2^b - 1 and the
+    scale floor only where it is idle.  A symmetric zero is -2^{b-1} times
+    the raw scale, so its gradient joins the raw scale's.
     """
-
-    def group_sum(t):
-        return np.sum(t, axis=-1, keepdims=True)
-
-    # dL/d((x - zero) / scale); one expression: g may be a strided view, and
-    # the layout of g_t sets the order in which group_sum adds
-    g_t = g * scale * inside
-    g_u = g_t / scale
-    g_zero = group_sum(g) - group_sum(g_u)
-    g_raw = group_sum(g * q) - group_sum(g_t * (view - zero) / (scale * scale))
-    g_raw = g_raw * (raw >= SCALE_FLOOR)
+    ones = np.ones(rows.shape[1])  # row sums as products: one BLAS pass each
+    g_v = g * inside
+    g_zero = g @ ones - g_v @ ones
+    g_raw = np.einsum("ij,ij->i", g, codes) - np.einsum("ij,ij->i", g_v, rows - zero[:, None]) / scale
+    g_raw *= raw >= SCALE_FLOOR
     if spec.scheme == "symmetric":
-        g_raw = g_raw + g_zero * (-(2 ** (spec.bits - 1)))
-    return g_u, g_zero, g_raw * _step_factor(spec)
+        g_raw += g_zero * (-(2 ** (spec.bits - 1)))
+    return g_v, g_zero, g_raw * _step_factor(spec)
+
+
+def _channel_sum(t, shape, times=None):
+    """_unbroadcast(t * times, shape), or of t alone; one BLAS or einsum pass
+    over the [tokens x channels] view when shape is the last axis alone."""
+    if shape != t.shape[-1:]:
+        return _unbroadcast(t if times is None else t * times, shape)
+    rows = t.reshape(-1, shape[0])
+    if times is None:
+        return np.ones(len(rows)) @ rows
+    return np.einsum("ij,ij->j", rows, times.reshape(rows.shape))
 
 
 def _unshift(out, shift, gain):
@@ -277,23 +281,28 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
     shape, view = v.shape, _grouped(np.ascontiguousarray(v), spec)
     group_shape = (*view.shape[:-1], 1)
     rows = view.reshape(-1, view.shape[-1])
+    first = np.arange(0, rows.size, rows.shape[1])  # flat position of each row's start
     if spec.scheme == "asymmetric":
-        found = (_locate_extreme(rows, np.argmin), _locate_extreme(rows, np.argmax))
+        positions = (rows.argmin(axis=1) + first, rows.argmax(axis=1) + first)
+        extremes = tuple(rows.reshape(-1)[pos] for pos in positions)
     else:
-        found = (_locate_extreme(np.abs(rows), np.argmax),)
-    raw, zero = _raw_params(tuple(e.reshape(group_shape) for e, _ in found), spec, av)
-    positions = [pos for _, pos in found]  # the node keeps positions, not values
+        positions = (np.abs(rows).argmax(axis=1) + first,)
+        extremes = (np.abs(rows.reshape(-1)[positions[0]]),)
+    raw, zero = (t.reshape(-1) for t in _raw_params(tuple(e.reshape(group_shape) for e in extremes), spec, av))
     scale = np.clip(raw, SCALE_FLOOR, np.inf)
-    q = _rounded(view, scale, zero)
-    inside = (q >= 0.0) & (q <= spec.levels - 1.0)  # the node keeps this mask, not the unclamped codes
-    np.clip(q, 0.0, spec.levels - 1.0, out=q)
-    out = _unshift((q * scale + zero).reshape(shape), bv, sv)
+    c = _codes(rows, scale[:, None], zero[:, None])
+    q = np.clip(c, 0.0, spec.levels - 1.0)
+    inside = q == c  # the node keeps this mask, not the unclamped codes
     with np.errstate(invalid="ignore"):  # a NaN input has no code, and its loss is NaN
-        codes = q.astype(np.uint8)  # the node keeps these; g * codes promotes them exactly
+        codes = q.astype(np.uint8)
+    out = np.multiply(q, scale[:, None], out=c)
+    out += zero[:, None]
+    out = _unshift(out.reshape(shape), bv, sv)
 
     operands = (x, alpha, shift, gain)  # backward explores them last first, as it does the chain's
     need = [isinstance(p, Var) and p.needs_grad for p in operands]
-    x_shape, x_kept = xv.shape, (xv if need[3] else None)  # only the gain's gradient reads x
+    x_shape = xv.shape
+    x_kept, out_kept = (xv, out) if need[3] else (None, None)  # only the gain's gradient reads them
 
     def per_row(t):
         return np.broadcast_to(t, group_shape).reshape(-1)
@@ -301,29 +310,28 @@ def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
     def grads(g):  # {operand index: gradient} of every operand that needs one
         got = {}
         g_q = g if sv is None else g / sv
-        g_u, g_zero, g_range = _ste_partials(g_q.reshape(view.shape), view, raw, scale, zero, inside, codes, spec)
+        g_v, g_zero, g_range = _ste_grads(g_q.reshape(rows.shape), rows, raw, scale, zero, inside, codes, spec)
         if need[1]:
-            ext = [rows.reshape(-1)[pos].reshape(group_shape) for pos in positions]
             if spec.scheme == "asymmetric":
-                mn, mx = ext
-                got[1] = _unbroadcast(g_zero * mn, av.shape) + _unbroadcast(g_range * (mx - mn), av.shape)
+                mn, mx = extremes
+                g_alpha = g_zero * mn + g_range * (mx - mn)
             else:
-                got[1] = _unbroadcast(g_range * np.abs(ext[0]), av.shape)
+                g_alpha = g_range * extremes[0]
+            got[1] = _unbroadcast(g_alpha.reshape(group_shape), av.shape)
         if need[0] or need[2] or need[3]:
-            g_rows = g_u.reshape(rows.shape)  # a fresh array, so the extremes add in place
+            a = per_row(av)
             if spec.scheme == "asymmetric":
-                _add_extreme_grad(g_rows, rows, positions[0], per_row(g_zero * av - g_range * av))
-                _add_extreme_grad(g_rows, rows, positions[1], per_row(g_range * av))
+                _add_extreme_grad(g_v, rows, positions[0], (g_zero - g_range) * a)
+                _add_extreme_grad(g_v, rows, positions[1], g_range * a)
             else:
-                _add_extreme_grad(g_rows, rows, positions[0], per_row(g_range * av), signed=True)
-            g_v = g_rows.reshape(shape)
-            if need[2]:  # the add's term, then the subtraction's
-                got[2] = _unbroadcast(g_q, bv.shape) + _unbroadcast(-g_v, bv.shape)
-            if need[3]:  # the division's term (its QD + b recomputed from the codes), then the product's
-                pre = _unshift((codes * scale + zero).reshape(shape), bv, None)
-                got[3] = _unbroadcast(-g * pre / (sv * sv), sv.shape) + _unbroadcast(g_v * x_kept, sv.shape)
-            if need[0]:
-                got[0] = _unbroadcast(g_v if sv is None else g_v * sv, x_shape)
+                _add_extreme_grad(g_v, rows, positions[0], g_range * a, signed=True)
+            g_v = g_v.reshape(shape)
+            if need[2]:  # b enters the output twice: added back, and subtracted before QD
+                got[2] = _channel_sum(g_q, bv.shape) - _channel_sum(g_v, bv.shape)
+            if need[3]:  # d/ds of (QD(x * s - b) + b) / s
+                got[3] = _channel_sum(g_v, sv.shape, x_kept) - _channel_sum(g_q, sv.shape, out_kept)
+            if need[0]:  # g_v's last use
+                got[0] = _unbroadcast(g_v if sv is None else np.multiply(g_v, sv, out=g_v), x_shape)
         return got
 
     pending = []  # backward hands every operand's vjp the same g: one grads() serves them all
