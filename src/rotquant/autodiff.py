@@ -8,6 +8,12 @@ the node hangs on the `Var` operands only: an array is no graph node.
 ``backward`` visits only the nodes that can reach a parameter
 (``requires_grad=True`` leaf) and calls only their closures.
 
+`parallel_sum` builds a sum of scalar parts, and back-propagates them, on
+parallel threads: part 0 on the caller's, the others on a pool of worker
+threads made on first use.  The parts share no node but parameters, and
+every sum runs in part order, so the result does not depend on how many
+threads run them.
+
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward a pass-through.
 Calibration quantizes through `quantizers.quantize_dynamic`'s closed-form
@@ -16,6 +22,10 @@ chain its gradients are tested against.
 """
 
 from __future__ import annotations
+
+import contextvars
+import functools
+import os
 
 import numpy as np
 
@@ -26,6 +36,7 @@ __all__ = [
     "parameter",
     "value_of",
     "backward",
+    "parallel_sum",
     "matmul",
     "linear",
     "reshape",
@@ -376,12 +387,16 @@ def backward(loss):
         raise TypeError("backward expects a Var")
     if loss.value.ndim != 0 and loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+    for leaf, g in _gradients(loss, np.ones_like(loss.value)):
+        leaf.set_grad(g)
 
-    # iterative DFS topological sort over the grad-relevant subgraph
+
+def _topological(root):
+    """The nodes that lead from a parameter to `root`, each after its parents."""
     order = []
     seen = set()
-    stack = [(loss, False)]
-    while stack:
+    stack = [(root, False)]
+    while stack:  # iterative DFS over the grad-relevant subgraph
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
@@ -393,14 +408,20 @@ def backward(loss):
         for p in node._parents:
             if p.needs_grad and id(p) not in seen:
                 stack.append((p, False))
+    return order
 
-    grads = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(order):
+
+def _gradients(root, g_root):
+    """[(parameter, d(root)/d(parameter) times g_root)] of every parameter
+    `root` reaches, in reverse topological order; sets no `.grad`."""
+    leaves = []
+    grads = {id(root): g_root}
+    for node in reversed(_topological(root)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.requires_grad:
-            node.set_grad(g)
+            leaves.append((node, g))
         for p, vjp in zip(node._parents, node._vjps):
             if not p.needs_grad:
                 continue
@@ -409,3 +430,90 @@ def backward(loss):
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
+    return leaves
+
+
+# -- parallel parts ----------------------------------------------------------
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers):
+    # imported here: it is about 8 ms of every `import rotquant`, and only a
+    # sharded loss uses it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rotquant-part")
+
+
+def _run_parts(fns):
+    """[fn() for fn in fns], fns[0] on this thread and the others on the
+    worker pool, each in a copy of this thread's context (numpy's errstate
+    lives there).  Every call has finished when the first exception, in
+    fns' order, is raised.  With one CPU all run here, in order."""
+    cpus = _cpus()
+    if cpus == 1:
+        return [fn() for fn in fns]
+    pool = _pool(cpus - 1)
+    futures = [pool.submit(contextvars.copy_context().run, fn) for fn in fns[1:]]
+    try:
+        first = fns[0]()
+    finally:
+        for f in futures:
+            f.exception()  # waits for the call; its error is raised below
+    return [first] + [f.result() for f in futures]
+
+
+def _built_part(build):
+    """(build()'s Var, the parameters it reaches)."""
+    root = build()
+    return root, [node for node in _topological(root) if node.requires_grad]
+
+
+def parallel_sum(parts):
+    """The sum of the scalar Vars the zero-argument callables `parts` build.
+
+    One part is returned as it is, built on this thread.  Otherwise the
+    parts build in parallel (`_run_parts`) and the sum is one node whose
+    parents are the parameters the parts reach; its backward runs each
+    part's own backward in parallel and adds the gradients in part order.
+    Parts may share no node but parameters, since a node's backward is not
+    safe to run on two threads at once, and may not call parallel_sum: the
+    pool's workers would wait on each other.
+    """
+    if len(parts) == 1:
+        return parts[0]()
+    built = _run_parts([functools.partial(_built_part, build) for build in parts])
+    roots = [root for root, _ in built]
+    leaves = {id(leaf): leaf for _, reached in built for leaf in reached}
+    if not leaves:
+        raise ValueError("parallel_sum: no part reaches a parameter")
+    value = roots[0].value
+    for root in roots[1:]:
+        value = value + root.value
+
+    def grads(g):  # {leaf id: gradient}, summed in part order
+        total = {}
+        for part in _run_parts([functools.partial(_gradients, root, g) for root in roots]):
+            for leaf, pg in part:
+                total[id(leaf)] = total[id(leaf)] + pg if id(leaf) in total else pg
+        return total
+
+    pending = []  # backward hands every parent's vjp the same g: one grads() serves them all
+
+    def vjp(key, g):
+        if not pending or pending[0] is not g:
+            pending[:] = [g, grads(g)]
+        g_leaf = pending[1].pop(key)
+        if not pending[1]:
+            pending.clear()
+        return g_leaf
+
+    return _node(value, tuple(leaves.values()), [functools.partial(vjp, key) for key in leaves])

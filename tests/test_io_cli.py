@@ -1049,6 +1049,32 @@ def test_cli_quantize_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_cli_quantize_writes_the_same_files_on_one_cpu_or_two(tmp_path, monkeypatch):
+    # 64 x 8 = 512 tokens: every training loss is two sequence shards
+    cfg = _tiny_config(tmp_path, hidden=16, mlp_dim=32, calib_sequences=64)
+    gen_dir = tmp_path / "g"
+    assert main(["gen", "--config", cfg, "--out", str(gen_dir), "--seed", "0"]) == 0
+    args = ["quantize", "--config", cfg, "--model", str(gen_dir / "model.rqb"), "--calib", str(gen_dir / "calib.rqb")]
+    parts, parallel_sum = [], pipeline.ad.parallel_sum
+
+    def counted(fns):
+        parts.append(len(fns))
+        return parallel_sum(fns)
+
+    monkeypatch.setattr(pipeline.ad, "parallel_sum", counted)
+    outs = []
+    for k, cpus in enumerate((2, 2, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        outs.append(tmp_path / f"q{k}")
+        assert main(args + ["--out", str(outs[-1])]) == 0
+    assert parts and set(parts) == {2}
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["params.rqb", "quantized.rqb", "report.csv", "report.json", "report_profiles.csv"]
+    for out in outs[1:]:
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
+
+
 def _quantize_tiny(tmp_path, seed=0, **overrides):
     """gen + quantize on the TINY CLI config; returns (eval argv, quantize dir)."""
     cfg = _tiny_config(tmp_path, **overrides)

@@ -2,6 +2,8 @@
 
 import ctypes
 import itertools
+import sys
+import time
 import types
 import warnings
 import weakref
@@ -337,6 +339,107 @@ def test_backward_rejects_nonscalar():
         ad.backward(x * 2.0)
 
 
+# -- parallel parts -----------------------------------------------------------------
+
+
+def _cpus(monkeypatch, n):
+    """Make autodiff see n CPUs."""
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_parallel_sum_of_one_part_is_the_part_itself():
+    p = ad.parameter(np.ones(3))
+    loss = ad.vsum(p * p)
+    assert ad.parallel_sum([lambda: loss]) is loss
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_parallel_sum_adds_values_and_gradients_in_part_order(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(0)
+    w, b = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=3))
+    x = rng.normal(size=(6, 4))
+    parts = [lambda: ad.vsum(ad.linear(x[:2], w, b) ** 2), lambda: ad.vmean(ad.linear(x[2:], w) ** 2)]
+    loss = ad.parallel_sum(parts)
+    assert {id(p) for p in loss._parents} == {id(w), id(b)}  # the parameters the parts reach
+    roots = [part() for part in parts]
+    assert np.array_equal(_bits(loss.value), _bits(roots[0].value + roots[1].value))
+    ad.backward(loss)
+    got = w.grad, b.grad
+    w.clear_grad(), b.clear_grad()
+    per_part = []
+    for root in roots:
+        ad.backward(root)
+        per_part.append(w.grad)
+        w.clear_grad()
+    assert np.array_equal(_bits(got[0]), _bits(per_part[0] + per_part[1]))
+    assert np.array_equal(_bits(got[1]), _bits(b.grad))  # only part 0 reaches b
+    b.clear_grad()
+
+
+def test_parallel_sum_keeps_its_bits_under_thread_switching(monkeypatch):
+    # more parts than workers, switching threads every microsecond: each part
+    # reads only the shared parameters, so every repeat gives the serial bits
+    rng = np.random.default_rng(1)
+    w = ad.parameter(rng.normal(size=(8, 16)))
+    xs = rng.normal(size=(6, 32, 16))
+    parts = [lambda x=x: ad.vmean(ad.silu(ad.linear(x, w)) ** 2) for x in xs]
+
+    def run():
+        loss = ad.parallel_sum(parts)
+        ad.backward(loss)
+        out = _bits(loss.value), _bits(w.grad)
+        w.clear_grad()
+        return out
+
+    _cpus(monkeypatch, 1)
+    expect = run()
+    _cpus(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [run() for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for got in runs for a, b in zip(got, expect))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_parallel_sum_overflow_in_part_1_stops_optimize_at_its_step(monkeypatch, cpus):
+    # optimize's errstate must reach the worker: there an overflow would only warn
+    _cpus(monkeypatch, cpus)
+    p = ad.parameter(1.0)
+    parts = [lambda: p * p, lambda: ad.exp(p * 1000.0)]
+    with pytest.raises(OptimizationError, match="overflow encountered in exp at step 0"):
+        optimize(lambda: ad.parallel_sum(parts), [ParamGroup([p], 0.1)], 3)
+
+
+def test_parallel_sum_raises_the_first_error_in_part_order_once_every_part_is_done(monkeypatch):
+    _cpus(monkeypatch, 2)
+    p = ad.parameter(1.0)
+
+    def handler(kind, flag):  # numpy's error callback lives in the caller's context too
+        raise ValueError(f"{kind} in a part")
+
+    with np.errstate(over="call", call=handler):
+        with pytest.raises(ValueError, match="overflow in a part"):
+            ad.parallel_sum([lambda: p * p, lambda: ad.exp(p * 1000.0)])
+
+    done = []
+
+    def slow_failure():
+        time.sleep(0.05)
+        done.append(1)
+        raise ValueError("part 1")
+
+    def part0():
+        raise TypeError("part 0")
+
+    with pytest.raises(TypeError, match="part 0"):
+        ad.parallel_sum([part0, slow_failure])
+    assert done == [1]
+
+
 # -- optimizer --------------------------------------------------------------------
 
 
@@ -545,7 +648,7 @@ def test_optimize_keeps_the_freed_heap_once_per_process(monkeypatch, fresh_heap_
 
     monkeypatch.setattr(optim.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     _optimize_twice()
-    assert calls == [(optim._M_TRIM_THRESHOLD, 512 << 20), (optim._M_MMAP_THRESHOLD, 32 << 20)]
+    assert calls == [(optim._M_TRIM_THRESHOLD, 512 << 20), (optim._M_MMAP_THRESHOLD, 32 << 20), (optim._M_ARENA_MAX, 1)]
 
 
 def _no_libc(name):
@@ -571,3 +674,4 @@ def test_glibc_accepts_the_heap_settings():
     # mallopt returns 0 for a value it refuses, such as an mmap threshold above its maximum
     assert mallopt(optim._M_TRIM_THRESHOLD, optim._TRIM_THRESHOLD) == 1
     assert mallopt(optim._M_MMAP_THRESHOLD, optim._MMAP_THRESHOLD) == 1
+    assert mallopt(optim._M_ARENA_MAX, optim._ARENA_MAX) == 1

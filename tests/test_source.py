@@ -91,17 +91,27 @@ def test_no_public_function_only_forwards_its_parameters():
     assert not aliases
 
 
-def test_only_optim_imports_ctypes():
-    # setting the C allocator is the one process-wide side effect; it stays in one place
+def _importers(*packages):
+    """The modules that import any of `packages` (top-level names)."""
     importers = []
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module]
-            if any(name.split(".")[0] == "ctypes" for name in names):
+            if any(name.split(".")[0] in packages for name in names):
                 importers.append(module)
-    assert importers == ["optim"]
+    return importers
+
+
+def test_only_optim_imports_ctypes():
+    # setting the C allocator is the one process-wide side effect; it stays in one place
+    assert _importers("ctypes") == ["optim"]
+
+
+def test_only_autodiff_starts_threads():
+    # parallel_sum's worker pool is the one place that runs code on another thread
+    assert sorted(set(_importers("threading", "concurrent", "contextvars"))) == ["autodiff"]
 
 
 def _calls_by_name():
