@@ -455,17 +455,21 @@ def _causal_mask(seq_len):
     return mask
 
 
-def _attention(q, k, v, heads, head_dim):
-    """Causal softmax attention over [batch x seq x n] head-packed tensors."""
-    b_dim, seq = q.shape[0], q.shape[1]
+def _heads(t, heads, head_dim):
+    """[batch x seq x n] head-packed -> [batch x heads x seq x head_dim]."""
+    return ad.swapaxes(ad.reshape(t, (t.shape[0], t.shape[1], heads, head_dim)), 1, 2)
 
-    def split(t):  # [B, S, n] -> [B, h, S, d]
-        return ad.swapaxes(ad.reshape(t, (b_dim, seq, heads, head_dim)), 1, 2)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = ad.matmul(qh, ad.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(head_dim)) + _causal_mask(seq)
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), vh)
-    return ad.reshape(ad.swapaxes(ctx, 1, 2), (b_dim, seq, heads * head_dim))
+def _attention_weights(q, k, heads, head_dim):
+    """Causal softmax weights [batch x heads x seq x seq] of head-packed q and k."""
+    scores = ad.matmul(_heads(q, heads, head_dim), ad.swapaxes(_heads(k, heads, head_dim), -1, -2))
+    return ad.softmax(scores * (1.0 / np.sqrt(head_dim)) + _causal_mask(q.shape[1]), axis=-1)
+
+
+def _attention_mix(weights, v, heads, head_dim):
+    """The attention output [batch x seq x n] of softmax weights over head-packed v."""
+    ctx = ad.matmul(weights, _heads(v, heads, head_dim))
+    return ad.reshape(ad.swapaxes(ctx, 1, 2), v.shape)
 
 
 def _record(rec, name, x):
@@ -510,10 +514,8 @@ def forward_fp_block(bundle: ModelBundle, index: int, x):
     u = ad.rmsnorm(xb, config.eps)
     if bw.g_attn is not None:
         u = u * bw.g_attn
-    q = ad.linear(u, bw.wq, bw.bq)
-    k = ad.linear(u, bw.wk, bw.bk)
-    v = ad.linear(u, bw.wv, bw.bv)
-    ctx = _attention(q, k, v, config.heads, config.head_dim)
+    attn = _attention_weights(ad.linear(u, bw.wq, bw.bq), ad.linear(u, bw.wk, bw.bk), config.heads, config.head_dim)
+    ctx = _attention_mix(attn, ad.linear(u, bw.wv, bw.bv), config.heads, config.head_dim)
     xb = xb + ad.linear(ctx, bw.wo, bw.bo)
 
     u2 = ad.rmsnorm(xb, config.eps)
@@ -531,6 +533,27 @@ def forward_fp(bundle: ModelBundle, x):
     return x
 
 
+def _attention_prefix(bundle, index, bp, qcfg, xb, rec=None):
+    """(qkv-site quantized input, causal softmax weights) of block `index` on
+    the batched xb: the attention before its value path.  It reads bc_qkv,
+    alpha_qkv and alpha_k, and no field stage 1 trains."""
+    config, bw = bundle.config, bundle.blocks[index]
+    h, d = config.heads, config.head_dim
+    u = ad.rmsnorm(xb, config.eps)
+    if bw.g_attn is not None:
+        u = u * bw.g_attn
+    u = _site_quantize(u, qcfg.act, bp.bc_qkv, None, bp.alpha_qkv, rec, "qkv")
+    rtn = bundle.qcfg is None and qcfg.weight is not None  # effective_weights leaves wq, wk as they are
+    wq, wk = (quantize_dynamic(w, qcfg.weight) if rtn else w for w in (bw.wq, bw.wk))
+
+    def headwise_hadamard(t):  # online QK rotation, per head
+        return ad.reshape(fwht(ad.reshape(t, (*t.shape[:2], h, d))), t.shape)
+
+    q = headwise_hadamard(ad.linear(u, wq, bw.bq))
+    k = _kv_quantize(headwise_hadamard(ad.linear(u, wk, bw.bk)), qcfg.kv, bp.alpha_k, rec, "k_cache")
+    return u, _attention_weights(q, k, h, d)
+
+
 def forward_quant_block(
     bundle: ModelBundle,
     index: int,
@@ -538,6 +561,7 @@ def forward_quant_block(
     qcfg: QuantConfig,
     x,
     rec=None,
+    prefix=None,
 ):
     """Quantized forward of one block.
 
@@ -545,42 +569,34 @@ def forward_quant_block(
     their lattice: they are used as they are, bp's s/a_v fields are
     ignored, and `qcfg` must be the bundle's.  An unquantized bundle's
     effective weights are round-to-nearest-quantized on the fly (the stages
-    before the Hessian-aware pass).
+    before the Hessian-aware pass).  `prefix` is `_attention_prefix` of the
+    same block, bp and x, computed once for many forwards; it takes no
+    record, and none of the fields it reads may be a Var.
     """
     xb, squeeze = _as_batched(x)
     config = bundle.config
     bw = bundle.blocks[index]
-    b_dim, seq = xb.shape[0], xb.shape[1]
     h, d, n = config.heads, config.head_dim, config.hidden
     if qcfg.kv is not None and qcfg.kv.head_dim != d:
         raise ValueError(f"kv head_dim {qcfg.kv.head_dim} != model head_dim {d}: KV groups would straddle heads")
     if bundle.qcfg is not None and qcfg != bundle.qcfg:
         raise ValueError(f"the bundle was quantized for {bundle.qcfg}, not {qcfg}")
+    if prefix is not None and rec is not None:
+        raise ValueError("a precomputed prefix records no qkv or k-cache input; pass rec without it")
+    trained = [f for f in ("bc_qkv", "alpha_qkv", "alpha_k") if isinstance(getattr(bp, f), ad.Var)]
+    if prefix is not None and trained:
+        raise ValueError(f"a precomputed prefix would drop the gradients of {', '.join(trained)}")
 
     if bundle.qcfg is not None:
         weights = {name: getattr(bw, name) for name in WEIGHT_NAMES + BIAS_NAMES}
     else:
         weights = effective_weights(bw, bp, config)
-        if qcfg.weight is not None:
-            rtn = {nm: quantize_dynamic(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES}
-            weights = dict(weights, **rtn)
+        if qcfg.weight is not None:  # the prefix rounds wq and wk
+            weights.update({nm: quantize_dynamic(weights[nm], qcfg.weight) for nm in WEIGHT_NAMES[2:]})
 
-    u = ad.rmsnorm(xb, config.eps)
-    if bw.g_attn is not None:
-        u = u * bw.g_attn
-    u = _site_quantize(u, qcfg.act, bp.bc_qkv, None, bp.alpha_qkv, rec, "qkv")
-    q = ad.linear(u, weights["wq"], weights["bq"])
-    k = ad.linear(u, weights["wk"], weights["bk"])
-    v = ad.linear(u, weights["wv"], weights["bv"])
-
-    def headwise_hadamard(t):  # online QK rotation, per head
-        return ad.reshape(fwht(ad.reshape(t, (b_dim, seq, h, d))), (b_dim, seq, n))
-
-    q = headwise_hadamard(q)
-    k = _kv_quantize(headwise_hadamard(k), qcfg.kv, bp.alpha_k, rec, "k_cache")
-    v = _kv_quantize(v, qcfg.kv, bp.alpha_v, rec, "v_cache")
-
-    ctx = _attention(q, k, v, h, d)
+    u, attn = _attention_prefix(bundle, index, bp, qcfg, xb, rec) if prefix is None else prefix
+    v = _kv_quantize(ad.linear(u, weights["wv"], weights["bv"]), qcfg.kv, bp.alpha_v, rec, "v_cache")
+    ctx = _attention_mix(attn, v, h, d)
     ctx = _site_quantize(ctx, qcfg.act, bp.bc_o, bp.sa_o, bp.alpha_o, rec, "o")
     xb = xb + ad.linear(ctx, weights["wo"], weights["bo"])
 
@@ -595,7 +611,7 @@ def forward_quant_block(
     hidden = fwht(hidden)  # online down rotation
     hidden = _site_quantize(hidden, qcfg.act, bp.bc_down, bp.sa_down, bp.alpha_down, rec, "down")
     y = xb + ad.linear(hidden, weights["wdown"], weights["bdown"])
-    return ad.reshape(y, (seq, n)) if squeeze else y
+    return ad.reshape(y, (xb.shape[1], n)) if squeeze else y
 
 
 def forward_quant(bundle, params, qcfg, x):

@@ -4,7 +4,7 @@ Per block, in order: (1) compute its floating-point target, (2) train the
 paired symmetric scales and the value-rotation parameter against the output
 MSE, (3) quantize weights with Hessian-aware rounding on the site inputs
 of the forward at step 2's parameters, (4) train bias corrections, unpaired
-scales, and clip factors until 10 steps pass without a new best, (5) run
+scales, and clip factors until 3 steps pass without a new best, (5) run
 one final forward (the after-GPTQ forward when step 4 trains nothing),
 whose site records the report analyses before the next block starts.
 Quantized outputs of block k feed block k+1's calibration inputs so later
@@ -31,6 +31,7 @@ from .model import (
     BlockWeights,
     ModelBundle,
     QuantConfig,
+    _attention_prefix,
     effective_weights,
     fold_norms,
     forward_fp_block,
@@ -71,7 +72,7 @@ RRES_KINDS = ("pca-hadamard", "hadamard", "random-hadamard")
 _ALPHA_MIN = 1e-3
 _SCALE_MIN = 1e-6
 #: stage 2 ends after this many steps without a new best (see StageSchedule)
-_STAGE2_PATIENCE = 10
+_STAGE2_PATIENCE = 3
 #: A training loss over at least this many tokens (and two sequences) is
 #: built as two sequence shards on two threads (`_training_loss`).  One
 #: step (loss and backward, block 0 of the default config; 2 vCPU, one
@@ -86,16 +87,17 @@ class StageSchedule:
     """Training schedule; learning rates follow the deployment defaults
     (1e-2 for scaling and clipping, 1e-3 for bias, cosine-decayed).
 
-    Stage 2 ends once `_STAGE2_PATIENCE` (10) steps pass without a new
+    Stage 2 ends once `_STAGE2_PATIENCE` (3) steps pass without a new
     best; stage 1 always runs all its steps.  The rule was chosen on the
-    toy: over the default config at seeds 0-19 (40 stage-2 fits), the best
-    of 50 stage-2 steps fell at step 0-3 in 32 fits.  With a patience of
-    10, the outputs of 15 of those seeds stay byte-identical, the
-    geometric-mean held-out MSE rises 0.047% and `quantize` takes about
-    40% less time; a patience of 15 or 20 changes fewer fits but keeps
-    little of the saving on the slowest seeds.  Stage 1's best steps fall
-    at 12-30 of 30 (seeds 0-9, 20 fits), and the same rule would change 6
-    of those fits, by up to +16.6%.
+    toy, against the earlier patience of 10: over the default config at
+    seeds 0-39 (80 stage-2 fits), a fit keeps its result exactly when no
+    two consecutive new bests lie more than 3 steps apart, as in 73 fits.
+    The outputs of 33 seeds stay byte-identical; the other 7 (12, 14, 27,
+    29, 31, 33, 39) move held-out MSE by -5.5% to +15.6%, +0.6% in
+    geometric mean over all 40, and `quantize` takes about a fifth less
+    time.  No patience below 10 keeps all 40 seeds.  On TINY it changes
+    17 of criterion 09's 200 fits, +0.40% in geometric mean.  Stage 1's
+    best steps fall at 12-30 of 30 (seeds 0-9, 20 fits), so it is not cut.
     """
 
     stage1_epochs: int = 3
@@ -226,8 +228,8 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
         y = ad.value_of(forward_quant_block(source, i, params, qcfg, x_q, rec=rec))
         return y, mse(y, y_fp)
 
-    def loss(source):
-        return lambda: _training_loss(source, i, bp, qcfg, x_q, y_fp)
+    def loss(source, prefixes=None):
+        return lambda: _training_loss(source, i, bp, qcfg, x_q, y_fp, prefixes)
 
     rec = {}
     _, baseline = forward(bundle, bp, rec)
@@ -238,8 +240,11 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
     ]
     if any(groups):
         rec = {}  # free the baseline records while stage 1 trains
+        # no stage-1 field reaches the attention prefix: once per shard, freed with the fit
+        prefixes = [_attention_prefix(bundle, i, bp, qcfg, x_q[s]) for s in _shards(x_q)]
         steps = sched.stage1_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(bundle), steps, f"block {i}, scale/rotation stage")
+        _train(bp, groups, loss(bundle, prefixes), steps, f"block {i}, scale/rotation stage")
+        del prefixes
         forward(bundle, bp, rec)
 
     # stage 2 trains none of the fields effective_weights reads
@@ -279,25 +284,34 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
     return y_fp, y_q, bp.as_arrays(), BlockMse(i, baseline, after_gptq, final), records
 
 
-def _training_loss(source, i, bp, qcfg, x, y):
-    """The output MSE of block i of `source` on x against y, as a Var.
-
-    From `_SHARD_MIN_TOKENS` tokens and two sequences up, it is the sum of
-    two sequence halves' MSEs, each weighted by its token share, built and
-    differentiated in parallel (`ad.parallel_sum`).  Each half runs its own
-    forward, so the halves share no node but bp's parameters.  The split
-    depends on x's shape alone, never on the CPU count.
-    """
+def _shards(x):
+    """The sequence slices a training loss on x is built from: all of x under
+    `_SHARD_MIN_TOKENS` tokens or two sequences, else its two halves.  The
+    split depends on x's shape alone, never on the CPU count."""
     sequences, seq_len = x.shape[:2]
     if sequences < 2 or sequences * seq_len < _SHARD_MIN_TOKENS:
-        return mse(forward_quant_block(source, i, bp, qcfg, x), y)
-    half = sequences // 2
+        return [slice(0, sequences)]
+    return [slice(0, sequences // 2), slice(sequences // 2, sequences)]
 
-    def part(s):
-        share = (s.stop - s.start) / sequences
-        return mse(forward_quant_block(source, i, bp, qcfg, x[s]), y[s]) * share
 
-    return ad.parallel_sum([partial(part, slice(0, half)), partial(part, slice(half, sequences))])
+def _training_loss(source, i, bp, qcfg, x, y, prefixes=None):
+    """The output MSE of block i of `source` on x against y, as a Var.
+
+    Over two `_shards` it is the sum of the halves' MSEs, each weighted by
+    its token share, built and differentiated in parallel
+    (`ad.parallel_sum`).  Each half runs its own forward, so the halves
+    share no node but bp's parameters.  `prefixes` holds each shard's
+    `forward_quant_block` prefix, or is None.
+    """
+    shards, prefixes = _shards(x), prefixes or (None, None)
+    if len(shards) == 1:
+        return mse(forward_quant_block(source, i, bp, qcfg, x, prefix=prefixes[0]), y)
+
+    def part(s, prefix):
+        share = (s.stop - s.start) / len(x)
+        return mse(forward_quant_block(source, i, bp, qcfg, x[s], prefix=prefix), y[s]) * share
+
+    return ad.parallel_sum([partial(part, s, prefix) for s, prefix in zip(shards, prefixes)])
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):

@@ -16,6 +16,7 @@ from rotquant.model import (
     ModelConfig,
     QuantConfig,
     SynthSpec,
+    _attention_prefix,
     build_toy_model,
     effective_weights,
     forward_fp,
@@ -227,10 +228,10 @@ STAGE_FIELDS = {
 }
 
 
-def _sharded_block(stage):
+def _sharded_block(stage, sequences=64):
     """(source, BlockParams with the stage's fields as parameters, qcfg, x, y)
     of block 0 of the SHARDED model; stage 2 runs the quantized bundle."""
-    bundle, calib = _setup(0, SHARDED, sequences=64, seq_len=8)
+    bundle, calib = _setup(0, SHARDED, sequences=sequences, seq_len=8)
     cfg = _cfg(config=SHARDED)
     prepared = prepare_bundle(bundle, cfg)
     x = prepared.rotation.apply(calib)
@@ -297,6 +298,80 @@ def test_sharded_loss_parts_share_only_parameters(monkeypatch, stage):
     shared = [first[k] for k in first.keys() & second.keys()]
     assert len(shared) == len(STAGE_FIELDS[stage])
     assert all(node.requires_grad for node in shared)
+
+
+@pytest.mark.parametrize("sequences, shards", [(8, 1), (64, 2)], ids=["one-shard", "two-shards"])
+def test_stage1_prefix_keeps_the_loss_and_its_gradients(sequences, shards):
+    # each shard's attention prefix, computed once, gives the loss and the
+    # gradients that computing it in every forward gives, bit for bit
+    source, bp, qcfg, x, y = _sharded_block("stage 1", sequences)
+    fields = STAGE_FIELDS["stage 1"]
+    prefixes = [_attention_prefix(source, 0, bp, qcfg, x[s]) for s in pipeline._shards(x)]
+    assert len(prefixes) == shards
+    plain = pipeline._training_loss(source, 0, bp, qcfg, x, y)
+    hoisted = pipeline._training_loss(source, 0, bp, qcfg, x, y, prefixes)
+    assert np.array_equal(plain.value, hoisted.value)
+    expect, got = _leaf_grads(plain, bp, fields), _leaf_grads(hoisted, bp, fields)
+    for f in fields:
+        assert np.array_equal(got[f], expect[f]), f
+
+
+def test_a_stage1_step_skips_the_prefix_a_record_forward_runs(monkeypatch):
+    # a stage-1 training forward rounds 5 weights, the v cache and the o, up
+    # and down inputs, and rotates the down weights and inputs; a record
+    # forward also rounds wq, wk, the qkv input and the k cache, and rotates
+    # q and k
+    from rotquant import model
+
+    counts = {"quantize_dynamic": 0, "fwht": 0}
+    for name, original in [(name, getattr(model, name)) for name in counts]:
+        def counting(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counting)
+
+    def made_by(fn):
+        before = dict(counts)
+        fn()
+        return {name: counts[name] - before[name] for name in counts}
+
+    class Stop(Exception):
+        pass
+
+    def one_forward(loss_fn, groups, steps, patience):
+        per_forward.append(made_by(loss_fn))
+        raise Stop
+
+    per_forward = []
+    monkeypatch.setattr(pipeline, "optimize", one_forward)
+    bundle, calib = _setup()  # 64 tokens: one shard, one forward per loss
+    cfg = _cfg()
+    with pytest.raises(Stop):
+        run_pipeline(bundle, calib, cfg)
+    prepared = prepare_bundle(bundle, cfg)
+    x = prepared.rotation.apply(calib)
+    record = made_by(lambda: forward_quant_block(prepared, 0, BlockParams.neutral(SMALL), cfg.qcfg, x, rec={}))
+    assert per_forward == [{"quantize_dynamic": 9, "fwht": 2}]
+    assert record == {"quantize_dynamic": 13, "fwht": 4}
+
+
+def test_a_prefix_is_refused_with_records():
+    # the records need the qkv and k-cache inputs, which the prefix skips
+    source, bp, qcfg, x, _ = _sharded_block("stage 1", sequences=8)
+    prefix = _attention_prefix(source, 0, bp, qcfg, x)
+    with pytest.raises(ValueError, match="records no qkv or k-cache input"):
+        forward_quant_block(source, 0, bp, qcfg, x, rec={}, prefix=prefix)
+
+
+@pytest.mark.parametrize("field", ["bc_qkv", "alpha_qkv", "alpha_k"])
+def test_a_prefix_is_refused_when_a_field_it_reads_trains(field):
+    # a fixed prefix would silently drop the field's gradient
+    source, bp, qcfg, x, _ = _sharded_block("stage 1", sequences=8)
+    prefix = _attention_prefix(source, 0, bp, qcfg, x)
+    setattr(bp, field, ad.parameter(getattr(bp, field)))
+    with pytest.raises(ValueError, match=f"drop the gradients of {field}$"):
+        forward_quant_block(source, 0, bp, qcfg, x, prefix=prefix)
 
 
 def test_sharded_run_keeps_the_memory_contract(monkeypatch):
@@ -373,9 +448,9 @@ def _block_bytes(bw):
 
 # the ids keep each case's name stable; a number in an id is the count from
 # before stage 2 dropped its clip-seeded starts (2 forwards per block) and
-# ended 10 steps after its best (here after 12 of its 21 evaluations, in each block)
+# ended early (now 3 steps after its best: after 5 of its 21 evaluations, in each block)
 @pytest.mark.parametrize(
-    "mode, on_quantized, total", [("scale", 30, 60), ("rotation-only", 2, 4)], ids=["scale-52-82", "rotation-only-2-4"]
+    "mode, on_quantized, total", [("scale", 16, 46), ("rotation-only", 2, 4)], ids=["scale-52-82", "rotation-only-2-4"]
 )
 def test_forwards_after_gptq_run_the_stored_block(monkeypatch, mode, on_quantized, total):
     # GPTQ appends each block to the output bundle: the after-GPTQ forward,
@@ -581,7 +656,7 @@ def test_stage2_starts_at_the_bias_seed_only_when_it_scores_lower(monkeypatch, s
         assert np.array_equal(getattr(start_values, f), want), f
 
 
-def test_only_stage2_ends_10_steps_after_its_best(monkeypatch):
+def test_only_stage2_ends_3_steps_after_its_best(monkeypatch):
     calls = []
     optimize = pipeline.optimize
 
@@ -592,17 +667,18 @@ def test_only_stage2_ends_10_steps_after_its_best(monkeypatch):
     monkeypatch.setattr(pipeline, "optimize", recording)
     bundle, calib = _setup(3)
     run_pipeline(bundle, calib, _cfg())
-    assert calls == [(12, {"patience": None}), (20, {"patience": 10})] * SMALL.n_blocks
+    assert calls == [(12, {"patience": None}), (20, {"patience": 3})] * SMALL.n_blocks
 
 
 def test_stage2_ending_after_its_best_keeps_every_bit(monkeypatch):
-    # one block, seed 0: stage 2's best of 20 steps is step 3, so it ends
-    # after 14 evaluations and restores the point the full 20 steps restore
+    # one block, seed 0: stage 2's best of 20 steps is step 3, so at a
+    # patience of 3 (10) it ends after 7 (14) evaluations and restores the
+    # point the full 20 steps restore
     one_block = ModelConfig(hidden=32, heads=2, mlp_dim=64, n_blocks=1)
     bundle, calib = _setup(0, config=one_block)
     optimize = pipeline.optimize
     runs = []
-    for patience in (10, None):
+    for patience in (3, 10, None):
         evaluations = []
 
         def recording(*args, **kwargs):
@@ -613,11 +689,12 @@ def test_stage2_ending_after_its_best_keeps_every_bit(monkeypatch):
         monkeypatch.setattr(pipeline, "optimize", recording)
         monkeypatch.setattr(pipeline, "_STAGE2_PATIENCE", patience)
         runs.append((run_pipeline(bundle, calib, _cfg(config=one_block)), evaluations))
-    (cut, cut_evaluations), (full, full_evaluations) = runs
-    assert cut_evaluations == [13, 14] and full_evaluations == [13, 21]
-    assert cut.final_mse == full.final_mse
-    for f in fields(BlockParams):
-        assert _hash(getattr(cut.params[0], f.name)) == _hash(getattr(full.params[0], f.name)), f.name
+    (full, full_evaluations) = runs.pop()
+    assert [evaluations for _, evaluations in runs] == [[13, 7], [13, 14]] and full_evaluations == [13, 21]
+    for cut, _ in runs:
+        assert cut.final_mse == full.final_mse
+        for f in fields(BlockParams):
+            assert _hash(getattr(cut.params[0], f.name)) == _hash(getattr(full.params[0], f.name)), f.name
 
 
 def test_gptq_block_width_keeps_the_written_codes(monkeypatch, tmp_path):
@@ -665,15 +742,15 @@ def test_one_gptq_call_per_site_per_block(monkeypatch):
     [
         ("rotation-only", True, 4),
         ("learned-rv", False, 32),
-        ("bias", False, 59),
-        ("unpaired-scale", False, 59),
-        ("scale", False, 61),
-        ("scale", True, 61),
-        ("stage-1-off", False, 30),  # scale with train_rv and train_scale off
+        ("bias", False, 45),
+        ("unpaired-scale", False, 45),
+        ("scale", False, 47),
+        ("scale", True, 47),
+        ("stage-1-off", False, 16),  # scale with train_rv and train_scale off
     ],
     # the ids keep each case's name stable; a number in an id is the count
     # from before stage 2 dropped its clip-seeded starts (2 forwards per
-    # block) and ended 10 steps after its best
+    # block) and ended early after its best
     ids=["rotation-only-True-4", "learned-rv-False-32", "bias-False-82", "unpaired-scale-False-82",
          "scale-False-82", "scale-True-82", "stage-1-off-False-54"],
 )
@@ -681,8 +758,8 @@ def test_one_forward_per_step_and_state(monkeypatch, mode, with_report, calls):
     # per block: baseline 1, stage 1 12 steps + 1, the forward at the trained
     # parameters 1 (GPTQ's records; without stage 1 the baseline's), after
     # GPTQ 1 (also the neutral stage-2 start's score), the bias seed's score 1,
-    # stage 2 up to 20 steps + 1 (it ends 10 steps after its best: 23, 25 and
-    # 22 evaluations over the two blocks here), final 1 (also the report's
+    # stage 2 up to 20 steps + 1 (it ends 3 steps after its best: 9, 11 and
+    # 8 evaluations over the two blocks here), final 1 (also the report's
     # site pass and the next block's input); without stage 2 the after-GPTQ
     # forward is the final one
     from rotquant import pipeline as pl
