@@ -8,11 +8,10 @@ the node hangs on the `Var` operands only: an array is no graph node.
 ``backward`` visits only the nodes that can reach a parameter
 (``requires_grad=True`` leaf) and calls only their closures.
 
-`parallel_sum` builds a sum of scalar parts, and back-propagates them, on
-parallel threads: part 0 on the caller's, the others on a pool of worker
-threads made on first use.  The parts share no node but parameters, and
-every sum runs in part order, so the result does not depend on how many
-threads run them.
+`parallel_parts` gives a fit the loss function of a sum of parts: part 0
+runs in the caller and each other part in a worker process forked for the
+fit, sent the parameters' values at each step.  Every sum runs in part
+order, so the result does not depend on where the parts run.
 
 Straight-through estimators (`round_ste`, `clamp_ste`) are first-class ops:
 their forward is the exact discrete map, their backward a pass-through.
@@ -23,7 +22,7 @@ chain its gradients are tested against.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import functools
 import os
 
@@ -36,7 +35,7 @@ __all__ = [
     "parameter",
     "value_of",
     "backward",
-    "parallel_sum",
+    "parallel_parts",
     "matmul",
     "linear",
     "reshape",
@@ -436,84 +435,107 @@ def _gradients(root, g_root):
 # -- parallel parts ----------------------------------------------------------
 
 
-def _cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _replier(build, params):
+    """reply(request) of the part `build`: ("loss", parameter values, numpy's
+    error modes) gets its value, ("grad", g, modes) [(parameter index,
+    gradient)] of its graph; as (True, result) or (False, the exception)."""
+    index = {id(p): k for k, p in enumerate(params)}
+    root = None
+
+    def reply(request):
+        nonlocal root
+        kind, arg, modes = request
+        try:
+            with np.errstate(**modes):
+                if kind == "grad":
+                    return True, [(index[id(leaf)], g) for leaf, g in _gradients(root, arg)]
+                root = None  # the last graph goes before the next is built
+                for p, value in zip(params, arg):
+                    p.value = value
+                root = build()
+                return True, root.value
+        except Exception as err:
+            return False, err
+
+    return reply
 
 
-@functools.cache
-def _pool(workers):
-    # imported here: it is about 8 ms of every `import rotquant`, and only a
-    # sharded loss uses it
-    from concurrent.futures import ThreadPoolExecutor
+def _fork(reply, conns):
+    """(pid, pipe) of a worker process that answers each request on the
+    pipe with `reply` until the pipe closes.  It closes `conns`, the
+    caller's pipes to earlier workers, so that each closes as EOF."""
+    from multiprocessing.connection import Pipe  # here: 5 ms that only a sharded fit needs
 
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rotquant-part")
-
-
-def _run_parts(fns):
-    """[fn() for fn in fns], fns[0] on this thread and the others on the
-    worker pool, each in a copy of this thread's context (numpy's errstate
-    lives there).  Every call has finished when the first exception, in
-    fns' order, is raised.  With one CPU all run here, in order."""
-    cpus = _cpus()
-    if cpus == 1:
-        return [fn() for fn in fns]
-    pool = _pool(cpus - 1)
-    futures = [pool.submit(contextvars.copy_context().run, fn) for fn in fns[1:]]
-    try:
-        first = fns[0]()
+    ours, theirs = Pipe()
+    pid = os.fork()
+    if pid:
+        theirs.close()
+        return pid, ours
+    try:  # the worker leaves by os._exit: no atexit hook runs and no inherited buffer is flushed twice
+        for conn in [ours, *conns]:
+            conn.close()
+        while True:
+            theirs.send(reply(theirs.recv()))
     finally:
-        for f in futures:
-            f.exception()  # waits for the call; its error is raised below
-    return [first] + [f.result() for f in futures]
+        os._exit(0)
 
 
-def _built_part(build):
-    """(build()'s Var, the parameters it reaches)."""
-    root = build()
-    return root, [node for node in _topological(root) if node.requires_grad]
+def _replies(here, conns, request):
+    """The parts' results for `request` in part order: the `here` replies
+    run in the caller while the workers on `conns` run.  Every part has
+    finished when the first error, in part order, is raised."""
+    try:
+        for conn in conns:
+            conn.send(request)
+        replies = [reply(request) for reply in here] + [conn.recv() for conn in conns]
+    except (EOFError, OSError) as err:
+        raise RuntimeError("parallel_parts: a worker process died") from err
+    for ok, result in replies:
+        if not ok:
+            raise result
+    return [result for _, result in replies]
 
 
-def parallel_sum(parts):
-    """The sum of the scalar Vars the zero-argument callables `parts` build.
+@contextlib.contextmanager
+def parallel_parts(parts, params):
+    """The loss function of a fit on the sum of `parts`: zero-argument
+    callables that build scalar Vars from `params`, the fit's parameters.
 
-    One part is returned as it is, built on this thread.  Otherwise the
-    parts build in parallel (`_run_parts`) and the sum is one node whose
-    parents are the parameters the parts reach; its backward runs each
-    part's own backward in parallel and adds the gradients in part order.
-    Parts may share no node but parameters, since a node's backward is not
-    safe to run on two threads at once, and may not call parallel_sum: the
-    pool's workers would wait on each other.
+    One part is the loss function.  Otherwise a loss is one node over
+    `params` whose value and gradients (before the next loss) sum the
+    parts' in part order; part 0 runs in the caller.  With a CPU per part
+    and `os.fork`, each other part runs meanwhile in a process forked on
+    entry and joined on exit, sent the parameters' values and numpy's
+    error modes at each call; else all run in order here, with the same bits.
     """
     if len(parts) == 1:
-        return parts[0]()
-    built = _run_parts([functools.partial(_built_part, build) for build in parts])
-    roots = [root for root, _ in built]
-    leaves = {id(leaf): leaf for _, reached in built for leaf in reached}
-    if not leaves:
-        raise ValueError("parallel_sum: no part reaches a parameter")
-    value = roots[0].value
-    for root in roots[1:]:
-        value = value + root.value
+        yield parts[0]
+        return
+    here, workers, conns = [_replier(build, params) for build in parts], [], []
 
-    def grads(g):  # {leaf id: gradient}, summed in part order
-        total = {}
-        for part in _run_parts([functools.partial(_gradients, root, g) for root in roots]):
-            for leaf, pg in part:
-                total[id(leaf)] = total[id(leaf)] + pg if id(leaf) in total else pg
-        return total
+    def loss_fn():
+        values = _replies(here, conns, ("loss", [p.value for p in params], np.geterr()))
+        value = functools.reduce(lambda a, b: a + b, values)
+        total = []
 
-    pending = []  # backward hands every parent's vjp the same g: one grads() serves them all
+        def vjp(k, g):  # backward calls the vjps in parameter order, with one g
+            if k == 0:  # each parameter's gradient (None: no part reaches it), summed in part order
+                total[:] = [None] * len(params)
+                for part in _replies(here, conns, ("grad", g, np.geterr())):
+                    for i, pg in part:
+                        total[i] = pg if total[i] is None else total[i] + pg
+            return total[k]
 
-    def vjp(key, g):
-        if not pending or pending[0] is not g:
-            pending[:] = [g, grads(g)]
-        g_leaf = pending[1].pop(key)
-        if not pending[1]:
-            pending.clear()
-        return g_leaf
+        return _node(value, tuple(params), [functools.partial(vjp, k) for k in range(len(params))])
 
-    return _node(value, tuple(leaves.values()), [functools.partial(vjp, key) for key in leaves])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        if hasattr(os, "fork") and cpus >= len(parts):
+            while len(here) > 1:
+                workers.append(_fork(here.pop(1), conns))
+                conns.append(workers[-1][1])
+        yield loss_fn
+    finally:
+        for pid, conn in workers:
+            conn.close()
+            os.waitpid(pid, 0)

@@ -25,10 +25,8 @@ EPS = 1e-8
 #: glibc mallopt parameters (malloc.h) and the values `optimize` sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _TRIM_THRESHOLD = 512 << 20
 _MMAP_THRESHOLD = 32 << 20
-_ARENA_MAX = 1
 
 
 @dataclass
@@ -60,11 +58,9 @@ def _keep_freed_heap():
     graph faults it in again, page by page.  A trim threshold above one
     graph keeps it.  Setting it also freezes glibc's dynamic mmap
     threshold, so the mmap threshold is set too, above the largest
-    temporary of a step.  A step's parts build on two threads
-    (`autodiff.parallel_sum`); one arena for all threads keeps one freed
-    heap, where a heap per thread would each keep their own (quantize
-    default: 100.8 MiB peak RSS vs 90.9 MiB).  Where there is no
-    `mallopt` (not glibc) this does nothing.
+    temporary of a step.  A worker that `autodiff.parallel_parts` forks
+    after the first call inherits them.  Where there is no `mallopt` (not
+    glibc) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -74,7 +70,6 @@ def _keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def optimize(loss_fn, groups, steps, patience=None):

@@ -73,12 +73,12 @@ _ALPHA_MIN = 1e-3
 _SCALE_MIN = 1e-6
 #: stage 2 ends after this many steps without a new best (see StageSchedule)
 _STAGE2_PATIENCE = 3
-#: A training loss over at least this many tokens (and two sequences) is
-#: built as two sequence shards on two threads (`_training_loss`).  One
-#: step (loss and backward, block 0 of the default config; 2 vCPU, one
-#: BLAS thread) as one graph vs two threads, by token count:
-#:     64: 4.9 vs 11.3 ms (0.43x)   128: 0.53x   256: 0.77x
-#:    512: 1.11x                    1024: 1.41x (32.9-35.7 vs 21.6-23.9 ms)
+#: A training loss over at least this many tokens (and two sequences) is two
+#: sequence shards, the second in a forked worker (`_training_parts`).  One
+#: stage-1 step (loss and backward, default block 0; 2 vCPU, one BLAS thread;
+#: two runs) as one graph vs two shards, by token count:
+#:     64: 0.96-1.07x   128: 0.88-1.17x   256: 1.42-1.47x
+#:    512: 1.81-1.91x   1024: 1.84-1.91x (57.6-67.1 vs 30.1-36.4 ms)
 _SHARD_MIN_TOKENS = 512
 
 
@@ -173,8 +173,8 @@ def prepare_bundle(bundle: ModelBundle, cfg: PipelineConfig) -> ModelBundle:
     return fuse_rres(folded, rotation)
 
 
-def _train(bp: BlockParams, groups, loss_fn, steps, label, patience=None):
-    """Train groups of bp fields in place.
+def _train(bp: BlockParams, groups, parts, steps, label, patience=None):
+    """Train groups of bp fields in place on the sum of `parts`.
 
     `groups` holds (field names, learning rate, (lo, hi) bounds or None)
     triples, or None for a group that is switched off.  The fields become
@@ -189,7 +189,8 @@ def _train(bp: BlockParams, groups, loss_fn, steps, label, patience=None):
             setattr(bp, f, p)
         param_groups.append(ParamGroup(params, lr, bounds))
     try:
-        optimize(loss_fn, param_groups, steps, patience=patience)
+        with ad.parallel_parts(parts, [p for grp in param_groups for p in grp.params]) as loss_fn:
+            optimize(loss_fn, param_groups, steps, patience=patience)
     except OptimizationError as err:
         raise OptimizationError(f"{label}: {err}") from err
     for names, _, _ in groups:
@@ -228,9 +229,6 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
         y = ad.value_of(forward_quant_block(source, i, params, qcfg, x_q, rec=rec))
         return y, mse(y, y_fp)
 
-    def loss(source, prefixes=None):
-        return lambda: _training_loss(source, i, bp, qcfg, x_q, y_fp, prefixes)
-
     rec = {}
     _, baseline = forward(bundle, bp, rec)
     positive = (_SCALE_MIN, np.inf)
@@ -243,8 +241,9 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
         # no stage-1 field reaches the attention prefix: once per shard, freed with the fit
         prefixes = [_attention_prefix(bundle, i, bp, qcfg, x_q[s]) for s in _shards(x_q)]
         steps = sched.stage1_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(bundle, prefixes), steps, f"block {i}, scale/rotation stage")
-        del prefixes
+        parts = _training_parts(bundle, i, bp, qcfg, x_q, y_fp, prefixes)
+        _train(bp, groups, parts, steps, f"block {i}, scale/rotation stage")
+        del parts, prefixes
         forward(bundle, bp, rec)
 
     # stage 2 trains none of the fields effective_weights reads
@@ -274,7 +273,8 @@ def _quantize_block(bundle, out, i, x_fp, x_q, cfg):
                 bp = seeded
         rec = {}  # free the records before stage 2 builds its graphs
         steps = sched.stage2_epochs * sched.steps_per_epoch
-        _train(bp, groups, loss(out), steps, f"block {i}, correction stage", patience=_STAGE2_PATIENCE)
+        parts = _training_parts(out, i, bp, qcfg, x_q, y_fp)
+        _train(bp, groups, parts, steps, f"block {i}, correction stage", patience=_STAGE2_PATIENCE)
         y_q, final = forward(out, bp, rec)
 
     records = []
@@ -294,24 +294,19 @@ def _shards(x):
     return [slice(0, sequences // 2), slice(sequences // 2, sequences)]
 
 
-def _training_loss(source, i, bp, qcfg, x, y, prefixes=None):
-    """The output MSE of block i of `source` on x against y, as a Var.
-
-    Over two `_shards` it is the sum of the halves' MSEs, each weighted by
-    its token share, built and differentiated in parallel
-    (`ad.parallel_sum`).  Each half runs its own forward, so the halves
-    share no node but bp's parameters.  `prefixes` holds each shard's
-    `forward_quant_block` prefix, or is None.
-    """
-    shards, prefixes = _shards(x), prefixes or (None, None)
-    if len(shards) == 1:
-        return mse(forward_quant_block(source, i, bp, qcfg, x, prefix=prefixes[0]), y)
+def _training_parts(source, i, bp, qcfg, x, y, prefixes=None):
+    """The `ad.parallel_parts` parts whose sum is the output MSE of block i
+    of `source` on x against y: the MSE of each of `_shards`, weighted by
+    its token share.  Each shard runs its own forward, so the parts share
+    no node but bp's parameters.  `prefixes` holds each shard's
+    `forward_quant_block` prefix, or is None."""
+    prefixes = prefixes or (None, None)
 
     def part(s, prefix):
         share = (s.stop - s.start) / len(x)
         return mse(forward_quant_block(source, i, bp, qcfg, x[s], prefix=prefix), y[s]) * share
 
-    return ad.parallel_sum([partial(part, s, prefix) for s, prefix in zip(shards, prefixes)])
+    return [partial(part, s, prefix) for s, prefix in zip(_shards(x), prefixes)]
 
 
 def quantize_blockwise(bundle: ModelBundle, calib, cfg: PipelineConfig):

@@ -263,13 +263,21 @@ def _unshift(out, shift, gain):
     return out
 
 
+def _all_equal(t, c):
+    """Whether t is an array (no Var) whose every entry is c, sign of zero included."""
+    return isinstance(t, np.ndarray) and bool(np.all(t == c)) and not np.signbit(t).any()
+
+
 def quantize_dynamic(x, spec: QuantSpec, alpha=1.0, shift=None, gain=None):
     """Dynamic quantization: resolve the groups of x, then fake-quantize it.
 
     alpha is the clip factor.  A site passes its bias correction b as
     `shift` and its unpaired scale s as `gain`: (QD(x * s - b) + b) / s.
-    With any operand a Var the result is one graph node (see above).
+    With any operand a Var the result is one graph node (see above).  An
+    array shift of +0s or gain of 1s is left out: both steps are exact.
     """
+    shift = None if _all_equal(shift, 0.0) else shift
+    gain = None if _all_equal(gain, 1.0) else gain
     xv, av, bv, sv = (None if t is None else value_of(t) for t in (x, alpha, shift, gain))
     v = xv if sv is None else xv * sv
     v = v if bv is None else v - bv

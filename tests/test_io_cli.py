@@ -1055,13 +1055,13 @@ def test_cli_quantize_writes_the_same_files_on_one_cpu_or_two(tmp_path, monkeypa
     gen_dir = tmp_path / "g"
     assert main(["gen", "--config", cfg, "--out", str(gen_dir), "--seed", "0"]) == 0
     args = ["quantize", "--config", cfg, "--model", str(gen_dir / "model.rqb"), "--calib", str(gen_dir / "calib.rqb")]
-    parts, parallel_sum = [], pipeline.ad.parallel_sum
+    parts, parallel_parts = [], pipeline.ad.parallel_parts
 
-    def counted(fns):
+    def counted(fns, params):
         parts.append(len(fns))
-        return parallel_sum(fns)
+        return parallel_parts(fns, params)
 
-    monkeypatch.setattr(pipeline.ad, "parallel_sum", counted)
+    monkeypatch.setattr(pipeline.ad, "parallel_parts", counted)
     outs = []
     for k, cpus in enumerate((2, 2, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))

@@ -2,11 +2,15 @@
 
 import ctypes
 import itertools
+import os
+import signal
+import subprocess
 import sys
 import time
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,10 +351,24 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _has_child():
+    """Whether this process has a child process, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def test_parallel_sum_of_one_part_is_the_part_itself():
     p = ad.parameter(np.ones(3))
-    loss = ad.vsum(p * p)
-    assert ad.parallel_sum([lambda: loss]) is loss
+
+    def part():
+        return ad.vsum(p * p)
+
+    with ad.parallel_parts([part], [p]) as loss_fn:
+        assert loss_fn is part
+        assert not _has_child()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -360,11 +378,13 @@ def test_parallel_sum_adds_values_and_gradients_in_part_order(monkeypatch, cpus)
     w, b = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=3))
     x = rng.normal(size=(6, 4))
     parts = [lambda: ad.vsum(ad.linear(x[:2], w, b) ** 2), lambda: ad.vmean(ad.linear(x[2:], w) ** 2)]
-    loss = ad.parallel_sum(parts)
-    assert {id(p) for p in loss._parents} == {id(w), id(b)}  # the parameters the parts reach
-    roots = [part() for part in parts]
-    assert np.array_equal(_bits(loss.value), _bits(roots[0].value + roots[1].value))
-    ad.backward(loss)
+    with ad.parallel_parts(parts, [w, b]) as loss_fn:
+        assert _has_child() == (cpus == 2)  # part 1 runs in a worker process on two CPUs
+        loss = loss_fn()
+        assert [id(p) for p in loss._parents] == [id(w), id(b)]  # the fit's parameters
+        roots = [part() for part in parts]
+        assert np.array_equal(_bits(loss.value), _bits(roots[0].value + roots[1].value))
+        ad.backward(loss)
     got = w.grad, b.grad
     w.clear_grad(), b.clear_grad()
     per_part = []
@@ -377,31 +397,40 @@ def test_parallel_sum_adds_values_and_gradients_in_part_order(monkeypatch, cpus)
     b.clear_grad()
 
 
-def test_parallel_sum_keeps_its_bits_under_thread_switching(monkeypatch):
-    # more parts than workers, switching threads every microsecond: each part
-    # reads only the shared parameters, so every repeat gives the serial bits
+def test_parallel_sum_gives_no_gradient_to_a_parameter_no_part_reaches(monkeypatch):
+    _cpus(monkeypatch, 2)
+    p, unused = ad.parameter(2.0), ad.parameter(np.ones(3))
+    with ad.parallel_parts([lambda: p * p, lambda: p * 3.0], [unused, p]) as loss_fn:
+        ad.backward(loss_fn())
+    assert float(p.grad) == 7.0 and unused.grad is None
+    p.clear_grad()
+
+
+def test_parallel_sum_keeps_its_bits_in_a_worker_or_in_the_caller(monkeypatch):
+    # 20 steps of three parts, two of them in workers, each step at new
+    # parameter values: every repeat gives the bits of the in-caller path
     rng = np.random.default_rng(1)
     w = ad.parameter(rng.normal(size=(8, 16)))
-    xs = rng.normal(size=(6, 32, 16))
+    start = w.value
+    xs = rng.normal(size=(3, 32, 16))
     parts = [lambda x=x: ad.vmean(ad.silu(ad.linear(x, w)) ** 2) for x in xs]
 
-    def run():
-        loss = ad.parallel_sum(parts)
-        ad.backward(loss)
-        out = _bits(loss.value), _bits(w.grad)
-        w.clear_grad()
+    def run(cpus):
+        _cpus(monkeypatch, cpus)
+        w.value, out = start, []
+        with ad.parallel_parts(parts, [w]) as loss_fn:
+            assert _has_child() == (cpus == 3)
+            for k in range(20):
+                loss = loss_fn()
+                ad.backward(loss)
+                out.append((_bits(loss.value), _bits(w.grad)))
+                w.value = w.value - 0.01 * k * w.grad
+                w.clear_grad()
         return out
 
-    _cpus(monkeypatch, 1)
-    expect = run()
-    _cpus(monkeypatch, 3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [run() for _ in range(20)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(a, b) for got in runs for a, b in zip(got, expect))
+    expect = run(1)
+    got = run(3)
+    assert all(np.array_equal(a, b) for step, ref in zip(got, expect) for a, b in zip(step, ref))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -410,34 +439,130 @@ def test_parallel_sum_overflow_in_part_1_stops_optimize_at_its_step(monkeypatch,
     _cpus(monkeypatch, cpus)
     p = ad.parameter(1.0)
     parts = [lambda: p * p, lambda: ad.exp(p * 1000.0)]
-    with pytest.raises(OptimizationError, match="overflow encountered in exp at step 0"):
-        optimize(lambda: ad.parallel_sum(parts), [ParamGroup([p], 0.1)], 3)
+    with ad.parallel_parts(parts, [p]) as loss_fn:
+        with pytest.raises(OptimizationError, match="overflow encountered in exp at step 0"):
+            optimize(loss_fn, [ParamGroup([p], 0.1)], 3)
 
 
-def test_parallel_sum_raises_the_first_error_in_part_order_once_every_part_is_done(monkeypatch):
+def test_parallel_sum_raises_the_first_error_in_part_order_once_every_part_is_done(monkeypatch, tmp_path):
     _cpus(monkeypatch, 2)
     p = ad.parameter(1.0)
 
-    def handler(kind, flag):  # numpy's error callback lives in the caller's context too
+    def handler(kind, flag):  # numpy's error callback, inherited by the worker
         raise ValueError(f"{kind} in a part")
 
     with np.errstate(over="call", call=handler):
-        with pytest.raises(ValueError, match="overflow in a part"):
-            ad.parallel_sum([lambda: p * p, lambda: ad.exp(p * 1000.0)])
+        with ad.parallel_parts([lambda: p * p, lambda: ad.exp(p * 1000.0)], [p]) as loss_fn:
+            with pytest.raises(ValueError, match="overflow in a part"):
+                loss_fn()
 
-    done = []
+    done = tmp_path / "done"
 
     def slow_failure():
         time.sleep(0.05)
-        done.append(1)
+        done.touch()
         raise ValueError("part 1")
 
     def part0():
         raise TypeError("part 0")
 
-    with pytest.raises(TypeError, match="part 0"):
-        ad.parallel_sum([part0, slow_failure])
-    assert done == [1]
+    with ad.parallel_parts([part0, slow_failure], [p]) as loss_fn:
+        with pytest.raises(TypeError, match="part 0"):
+            loss_fn()
+        assert done.exists()
+
+
+def _plus_one(p):
+    return p * p + 1.0
+
+
+def _to_one(p):
+    return (p - 1.0) ** 2
+
+
+def _nan(p):
+    return p * np.nan
+
+
+def _overflow(p):
+    return ad.exp(p * 1000.0 + 1000.0)
+
+
+def _part0_fails(p):
+    raise TypeError("part 0")
+
+
+@pytest.mark.parametrize(
+    "part0, part1, patience, outcome",
+    [
+        (_plus_one, _to_one, None, 11),  # all 10 steps and the last evaluation
+        (_plus_one, _plus_one, 1, 2),  # the gradient is 0 at p = 0: step 1 is no better, and patience ends the fit
+        (_plus_one, _nan, None, "NaN loss at step 0"),
+        (_plus_one, _overflow, None, "overflow encountered in exp at step 0"),
+        (_part0_fails, _plus_one, None, "part 0"),
+    ],
+    ids=["full-run", "patience", "nan", "overflow", "part-0-error"],
+)
+def test_a_fit_leaves_no_worker_process(monkeypatch, part0, part1, patience, outcome):
+    _cpus(monkeypatch, 2)
+    p = ad.parameter(0.0)
+    fit = ad.parallel_parts([lambda: part0(p), lambda: part1(p)], [p])
+    if isinstance(outcome, int):
+        with fit as loss_fn:
+            assert _has_child()
+            result = optimize(loss_fn, [ParamGroup([p], 0.1)], 10, patience=patience)
+        assert len(result.losses) == outcome
+    else:
+        with pytest.raises((OptimizationError, TypeError), match=outcome), fit as loss_fn:
+            optimize(loss_fn, [ParamGroup([p], 0.1)], 10)
+    assert not _has_child()
+
+
+def test_a_killed_worker_stops_the_fit(monkeypatch):
+    _cpus(monkeypatch, 2)
+    p = ad.parameter(3.0)
+    calls = []
+
+    def killed_at_its_third_call():  # runs in the worker
+        calls.append(1)
+        if len(calls) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return p * p
+
+    def hung(signum, frame):
+        raise TimeoutError("the caller still waits on its dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with ad.parallel_parts([lambda: p * p, killed_at_its_third_call], [p]) as loss_fn:
+            with pytest.raises(RuntimeError, match="a worker process died"):
+                optimize(loss_fn, [ParamGroup([p], 0.1)], 10)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not calls and not _has_child()
+
+
+def test_text_written_before_a_forked_fit_appears_once(tmp_path):
+    # a pipe makes stdout block-buffered: the worker must not flush the
+    # caller's buffer a second time when it leaves
+    script = """
+import os, sys
+from rotquant import autodiff as ad
+from rotquant.optim import ParamGroup, optimize
+os.sched_getaffinity = lambda pid: {0, 1}
+print("before the fit")
+p = ad.parameter(3.0)
+with ad.parallel_parts([lambda: p * p, lambda: (p - 1.0) ** 2], [p]) as loss_fn:
+    optimize(loss_fn, [ParamGroup([p], 0.1)], 3)
+print("after the fit")
+"""
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before the fit\nafter the fit\n"
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -648,7 +773,7 @@ def test_optimize_keeps_the_freed_heap_once_per_process(monkeypatch, fresh_heap_
 
     monkeypatch.setattr(optim.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     _optimize_twice()
-    assert calls == [(optim._M_TRIM_THRESHOLD, 512 << 20), (optim._M_MMAP_THRESHOLD, 32 << 20), (optim._M_ARENA_MAX, 1)]
+    assert calls == [(optim._M_TRIM_THRESHOLD, 512 << 20), (optim._M_MMAP_THRESHOLD, 32 << 20)]
 
 
 def _no_libc(name):
@@ -674,4 +799,3 @@ def test_glibc_accepts_the_heap_settings():
     # mallopt returns 0 for a value it refuses, such as an mmap threshold above its maximum
     assert mallopt(optim._M_TRIM_THRESHOLD, optim._TRIM_THRESHOLD) == 1
     assert mallopt(optim._M_MMAP_THRESHOLD, optim._MMAP_THRESHOLD) == 1
-    assert mallopt(optim._M_ARENA_MAX, optim._ARENA_MAX) == 1

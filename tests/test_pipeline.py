@@ -254,16 +254,26 @@ def _leaf_grads(loss, bp, fields):
     return grads
 
 
+def _training_loss(source, bp, qcfg, x, y, prefixes=None):
+    """(loss, {field: gradient}) of block 0's training loss, as a fit sees it."""
+    fields = [f for f in vars(bp) if isinstance(getattr(bp, f), ad.Var)]
+    parts = pipeline._training_parts(source, 0, bp, qcfg, x, y, prefixes)
+    with ad.parallel_parts(parts, [getattr(bp, f) for f in fields]) as loss_fn:
+        loss = loss_fn()
+        return loss, _leaf_grads(loss, bp, fields)
+
+
 @pytest.mark.parametrize("stage", list(STAGE_FIELDS))
 def test_sharded_training_loss_matches_one_graph(stage):
     source, bp, qcfg, x, y = _sharded_block(stage)
     fields = STAGE_FIELDS[stage]
     live = ad.GRAD_TRACKER.live
     one = mse(forward_quant_block(source, 0, bp, qcfg, x), y)
-    sharded = pipeline._training_loss(source, 0, bp, qcfg, x, y)
-    assert len(sharded._parents) == len(fields)  # one parallel_sum node over the parameters
+    assert len(pipeline._training_parts(source, 0, bp, qcfg, x, y)) == 2
+    sharded, got = _training_loss(source, bp, qcfg, x, y)
+    assert len(sharded._parents) == len(fields)  # one node over the parameters
     assert float(sharded.value) == pytest.approx(float(one.value), rel=1e-12)
-    expect, got = _leaf_grads(one, bp, fields), _leaf_grads(sharded, bp, fields)
+    expect = _leaf_grads(one, bp, fields)
     for f in fields:
         assert np.linalg.norm(got[f] - expect[f]) <= 1e-12 * np.linalg.norm(expect[f]), f
     assert ad.GRAD_TRACKER.live == live  # every gradient the test made is released
@@ -281,18 +291,10 @@ def _graph(root):
 
 
 @pytest.mark.parametrize("stage", list(STAGE_FIELDS))
-def test_sharded_loss_parts_share_only_parameters(monkeypatch, stage):
-    # a node's backward is not safe on two threads at once (quantize_dynamic's pending cache)
+def test_sharded_loss_parts_share_only_parameters(stage):
+    # each part runs its own forward, so a worker process builds the graph the caller would
     source, bp, qcfg, x, y = _sharded_block(stage)
-    roots = []
-    parallel_sum = ad.parallel_sum
-
-    def capture(parts):
-        roots.extend(part() for part in parts)
-        return parallel_sum([lambda root=root: root for root in roots])
-
-    monkeypatch.setattr(ad, "parallel_sum", capture)
-    pipeline._training_loss(source, 0, bp, qcfg, x, y)
+    roots = [part() for part in pipeline._training_parts(source, 0, bp, qcfg, x, y)]
     assert len(roots) == 2
     first, second = map(_graph, roots)
     shared = [first[k] for k in first.keys() & second.keys()]
@@ -305,15 +307,13 @@ def test_stage1_prefix_keeps_the_loss_and_its_gradients(sequences, shards):
     # each shard's attention prefix, computed once, gives the loss and the
     # gradients that computing it in every forward gives, bit for bit
     source, bp, qcfg, x, y = _sharded_block("stage 1", sequences)
-    fields = STAGE_FIELDS["stage 1"]
     prefixes = [_attention_prefix(source, 0, bp, qcfg, x[s]) for s in pipeline._shards(x)]
     assert len(prefixes) == shards
-    plain = pipeline._training_loss(source, 0, bp, qcfg, x, y)
-    hoisted = pipeline._training_loss(source, 0, bp, qcfg, x, y, prefixes)
-    assert np.array_equal(plain.value, hoisted.value)
-    expect, got = _leaf_grads(plain, bp, fields), _leaf_grads(hoisted, bp, fields)
-    for f in fields:
-        assert np.array_equal(got[f], expect[f]), f
+    plain = _training_loss(source, bp, qcfg, x, y)
+    hoisted = _training_loss(source, bp, qcfg, x, y, prefixes)
+    assert np.array_equal(plain[0].value, hoisted[0].value)
+    for f in STAGE_FIELDS["stage 1"]:
+        assert np.array_equal(hoisted[1][f], plain[1][f]), f
 
 
 def test_a_stage1_step_skips_the_prefix_a_record_forward_runs(monkeypatch):
@@ -386,12 +386,16 @@ def test_sharded_run_keeps_the_memory_contract(monkeypatch):
 
 def test_one_training_step_stays_in_its_memory_bound(monkeypatch):
     """Traced peak of one step (loss() + backward) of each stage, block 0 of
-    the default run.  numpy reports its buffers to tracemalloc, from every
-    thread.  Measured: 34.2-36.6 MiB (stage 1) and 38.5 MiB (stage 2) as two
-    sequence shards on two threads, 35.3 and 38.4 MiB as one graph; with a
-    graph node per primitive op, float64 codes and the batched
-    weight-gradient temporary they were 63.1 and 59.7 MiB."""
+    the default run.  numpy reports its buffers to tracemalloc.  The step
+    runs both sequence shards in this process (one CPU), so the bound
+    covers both parts.  Measured: 34.2-36.6 MiB (stage 1) and
+    38.5 MiB (stage 2) as two sequence shards on two threads, 35.3 and
+    38.4 MiB as one graph; with a graph node per primitive op, float64
+    codes and the batched weight-gradient temporary they were 63.1 and
+    59.7 MiB."""
     from rotquant.cli import RunConfig
+
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
 
     rc = RunConfig()
     bundle = build_toy_model(rc.model_config(), rc.seed, outlier_columns=rc.weight_outlier_cols)

@@ -520,6 +520,52 @@ def test_site_node_matches_the_primitive_chain_on_drawn_sites(
         assert np.max(np.abs(g - ref)) <= 1e-12 * scale, i
 
 
+def _neutral_site_operands():
+    """u with -0.0 entries, +-inf and a NaN row, and alpha 0.7."""
+    u = np.random.default_rng(47).normal(size=(3, 6, 32))
+    u[0, 1, :5] = -0.0
+    u[0, 2, 3], u[1, 4, 6] = np.inf, -np.inf
+    u[2, 3] = np.nan
+    return u, np.float64(0.7)
+
+
+@pytest.mark.parametrize("path", ["array", "var"])
+@pytest.mark.parametrize(
+    "spec",
+    [ASYM_TOKEN, QuantSpec(4, "asymmetric", "per-head", head_dim=8), SYM_CHANNEL],
+    ids=["asym-per-token", "asym-per-head", "sym-per-channel"],
+)
+def test_a_zero_shift_and_a_unit_gain_are_left_out_with_every_bit_kept(spec, path, monkeypatch):
+    u0, alpha0 = _neutral_site_operands()
+    zeros, ones = np.zeros(32), np.ones(32)
+    weights = np.random.default_rng(48).normal(size=u0.shape)
+
+    def run(shift, gain):  # value, then the u and alpha gradients on the Var path
+        u, alpha = (ad.parameter(u0), ad.parameter(alpha0)) if path == "var" else (u0, alpha0)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            y = quantize_dynamic(u, spec, alpha, shift=shift, gain=gain)
+            if path == "array":
+                return [y]
+            ad.backward(ad.vsum(y * weights))
+        return [y.value, u.grad, alpha.grad]
+
+    left_out = {(shift is None, gain is None): run(shift, gain) for shift in (None, zeros) for gain in (None, ones)}
+    monkeypatch.setattr(quantizers, "_all_equal", lambda t, c: False)  # the full arithmetic on 0s and 1s
+    full = run(zeros, ones)
+    assert np.isnan(full[0]).any() and np.isinf(u0).any() and (np.signbit(full[0]) & (full[0] == 0)).sum() == 0
+    for got in left_out.values():
+        for a, b in zip(got, full):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_only_an_array_of_positive_zeros_or_of_ones_is_left_out():
+    assert quantizers._all_equal(np.zeros(3), 0.0) and quantizers._all_equal(np.ones(3), 1.0)
+    assert not quantizers._all_equal(np.array([0.0, -0.0]), 0.0)  # x - (-0) turns a -0 input into +0
+    assert not quantizers._all_equal(np.array([1.0, np.nan]), 1.0)
+    assert not quantizers._all_equal(ad.Var(np.zeros(3)), 0.0)  # a Var operand stays in the graph
+    assert not quantizers._all_equal(None, 0.0)
+
+
 def _kept_buffers(fns):
     """The array buffers the closures fns hold, following nested closures and
     containers; views count once, as the array that owns their memory."""

@@ -109,9 +109,19 @@ def test_only_optim_imports_ctypes():
     assert _importers("ctypes") == ["optim"]
 
 
-def test_only_autodiff_starts_threads():
-    # parallel_sum's worker pool is the one place that runs code on another thread
-    assert sorted(set(_importers("threading", "concurrent", "contextvars"))) == ["autodiff"]
+def _forkers():
+    """The modules that use an attribute named `fork`, such as `os.fork`."""
+    return [
+        module
+        for module, tree in MODULES.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "fork" for node in ast.walk(tree))
+    ]
+
+
+def test_only_autodiff_forks_and_no_module_starts_threads():
+    # parallel_parts' worker processes are the one place that runs code elsewhere
+    assert sorted(set(_importers("multiprocessing") + _forkers())) == ["autodiff"]
+    assert _importers("threading", "concurrent", "contextvars") == []
 
 
 def _calls_by_name():
